@@ -12,12 +12,12 @@ history.json, report.{txt,json}, diff.jsonl, attention.tsv.
 Exit codes:
     0  success
     2  usage error (bad flags or unknown subcommand)
-    3  configuration error (unreadable config, unknown key, bad value)
+    3  configuration error (unreadable config, unknown key, bad value, divergence)
     4  missing input file
     5  malformed input data (parse error with line number)
     6  missing pipeline artifact (run the earlier stage first)
     7  detection failure (no subject mention or no matching entity)
-    8  corrupt or incompatible checkpoint
+    8  corrupt or incompatible checkpoint, unreadable kb.npz or vocab.txt
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import kernels
 from .autodiff import Rng
 from .config import PipelineConfig, load_config
 from .dataset import build_vocabulary, parse_simplequestions, write_formatted_tsv, Vocabulary
-from .errors import CheckpointError, ConfigError, IngestError, KsaqaError
+from .errors import CheckpointError, ConfigError, IngestError, KsaqaError, NonFiniteError
 from .evaluation import diff_report, evaluate, export_attention, random_baseline
 from .kb import AliasTable, KnowledgeBase, ingest_aliases, ingest_triples, tokenize
 from .model import KsaModel, ModelConfig, train_model
@@ -69,6 +71,12 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
+def _checkpoint(work: Path, name: str, hint: str) -> Path:
+    """Path of checkpoint ``name`` once both it and its manifest exist."""
+    _require(work / f"{name}.json", hint)
+    return _require(work / name, hint)
+
+
 def _open_input(path_str: str, what: str) -> Path:
     if not path_str:
         raise ConfigError(f"no {what} path configured")
@@ -89,9 +97,7 @@ def _load_vocab(work: Path) -> Vocabulary:
 
 
 def _load_model(work: Path, kb: KnowledgeBase, vocab: Vocabulary) -> KsaModel:
-    path = _require(work / "model.ckpt", "train")
-    _require(work / "model.ckpt.json", "train")
-    return KsaModel.load(path, vocab, kb.relations)
+    return KsaModel.load(_checkpoint(work, "model.ckpt", "train"), vocab, kb.relations)
 
 
 def _entity_label(aliases: AliasTable, entity: str) -> str:
@@ -227,20 +233,13 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     valid_examples = None
     if (work / "valid.jsonl").exists():
         valid_examples = load_jsonl(work / "valid.jsonl", "valid")
-    mcfg = ModelConfig(
-        d_word=cfg.d_word, d_rel=cfg.d_rel, d_hidden=cfg.d_hidden,
-        question_layers=cfg.question_layers, attention_hidden=cfg.attention_hidden,
-        dropout=cfg.dropout, lam=cfg.lam,
-        negatives_per_positive=cfg.negatives_per_positive, variant=cfg.variant,
-        lr=cfg.lr, epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed,
-        shuffle_augment=cfg.shuffle_augment,
-        negatives_from_empty_candidates=cfg.negatives_from_empty_candidates)
+    mcfg = ModelConfig(**{f: getattr(cfg, f) for f in ModelConfig.__dataclass_fields__})
     model = KsaModel(vocab, kb.relations, mcfg)
     transe_path = work / "transe.ckpt"
     if args.no_transe_init:
         _log("relation embeddings: random init (--no-transe-init)")
     elif transe_path.exists():
-        emb = EmbeddingSet.load(transe_path)
+        emb = EmbeddingSet.load(_checkpoint(work, "transe.ckpt", "pretrain-transe"))
         rows = export_relation_embeddings(emb, model.relations, Rng(cfg.seed + 7))
         if rows.shape[1] != cfg.d_rel:
             raise ConfigError(
@@ -267,7 +266,7 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     examples = load_jsonl(_require(work / f"{split}.jsonl", "relabel"), split)
     tagger = None
     if not cfg.gold_spans:
-        tagger = TaggerModel.load(_require(work / "tagger.ckpt", "train-tagger"), vocab)
+        tagger = TaggerModel.load(_checkpoint(work, "tagger.ckpt", "train-tagger"), vocab)
     report = evaluate(examples, model, kb, aliases=aliases, tagger=tagger,
                       gold_spans=cfg.gold_spans, lam=cfg.lam,
                       skip_detection_failures=cfg.skip_detection_failures)
@@ -293,11 +292,8 @@ def _resolve_mention(cfg, work, vocab, tokens, mention_flag):
                 return (start, start + len(mention_tokens))
         raise DetectionFailureError(
             f"--mention {mention_flag!r} does not occur in the question")
-    tagger_path = work / "tagger.ckpt"
-    if not tagger_path.exists():
-        raise MissingArtifactError(
-            "no tagger.ckpt; run `ksaqa train-tagger` or pass --mention")
-    tagger = TaggerModel.load(tagger_path, vocab)
+    tagger = TaggerModel.load(
+        _checkpoint(work, "tagger.ckpt", "train-tagger` or pass `--mention"), vocab)
     sp = predict_span(tagger, tokens)
     if sp.failed:
         raise DetectionFailureError("the tagger found no subject mention")
@@ -498,6 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = {f for f in PipelineConfig.__dataclass_fields__}
 
+# (error class, exit code, stderr prefix), as in the module docstring
+_EXITS = [(ConfigError, 3, "config error"),
+          (NonFiniteError, 3, "training diverged; lower the learning rate"),
+          (FileNotFoundError, 4, "missing input"), (IngestError, 5, "malformed input"),
+          (MissingArtifactError, 6, "missing artifact"),
+          (DetectionFailureError, 7, "detection failure"), (CheckpointError, 8, "checkpoint error")]
+
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
@@ -509,25 +512,15 @@ def main(argv=None) -> int:
             kernels.set_backend(cfg.backend)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return args.func(args, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return 4
-    except IngestError as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
-        return 5
-    except MissingArtifactError as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
-        return 6
-    except DetectionFailureError as exc:
-        print(f"detection failure: {exc}", file=sys.stderr)
-        return 7
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 8
+        # a diverging run ends in NonFiniteError below; numpy's own float
+        # warnings on the way there would only add stderr lines
+        with np.errstate(all="ignore"):
+            return args.func(args, cfg)
+    except tuple(kind for kind, _, _ in _EXITS) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in _EXITS
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -62,6 +62,10 @@ class PipelineConfig:
     gold_spans: bool = False
     skip_detection_failures: bool = False
 
+    def __post_init__(self):
+        if not 0.0 < self.lam < 1.0:
+            raise ConfigError(f"lambda must lie in (0, 1), got {self.lam}")
+
 
 # "lambda" is the natural config-file spelling; the dataclass field is lam
 _ALIASES = {"lambda": "lam"}

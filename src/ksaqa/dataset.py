@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import CheckpointError, IngestError
 from .kb import AliasTable, _iter_lines, strip_id_prefix, tokenize
 
 PAD = "<pad>"
@@ -110,9 +110,9 @@ class Vocabulary:
     """Token -> contiguous index with reserved slots and <unk> fallback."""
 
     def __init__(self, tokens: list[str]):
-        for i, tok in enumerate(RESERVED):
-            if tokens[i] != tok:
-                raise ValueError(f"reserved slot {i} must be {tok!r}, got {tokens[i]!r}")
+        head = tuple(tokens[: len(RESERVED)])
+        if head != RESERVED:
+            raise ValueError(f"the first tokens must be {RESERVED}, got {head}")
         self.tokens = list(tokens)
         self.index = {t: i for i, t in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
@@ -120,22 +120,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.tokens)
-
-    @property
-    def pad_id(self) -> int:
-        return self.index[PAD]
-
-    @property
-    def unk_id(self) -> int:
-        return self.index[UNK]
-
-    @property
-    def ent_id(self) -> int:
-        return self.index[ENT]
-
-    @property
-    def start_id(self) -> int:
-        return self.index[START]
 
     def lookup(self, token: str) -> int:
         return self.index.get(token, self.index[UNK])
@@ -148,7 +132,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        try:
+            return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        except ValueError as exc:      # also UnicodeDecodeError
+            raise CheckpointError(f"{path}: not a vocabulary file ({exc})") from None
 
 
 def build_vocabulary(token_streams, min_count: int = 1) -> Vocabulary:

@@ -155,14 +155,6 @@ def evaluate(examples, model, kb, aliases=None, tagger=None,
     return summarize(results, len(examples), skip_detection_failures)
 
 
-def accuracy_top1(examples, model, kb, **kwargs) -> float:
-    return evaluate(examples, model, kb, **kwargs).top1_accuracy
-
-
-def hit_any_rate(examples, model, kb, **kwargs) -> float:
-    return evaluate(examples, model, kb, **kwargs).hit_any_rate
-
-
 def random_baseline(examples, kb, rng: Rng,
                     skip_detection_failures: bool = False) -> EvalReport:
     """Coin-flip multi-label predictions and a uniform top-1 pick.

@@ -15,11 +15,13 @@ canonical order for free.
 from __future__ import annotations
 
 import re
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import CheckpointError, IngestError
 
 _PUNCT_RE = re.compile(r"([^\w\s])")
 
@@ -140,19 +142,22 @@ class KnowledgeBase:
     def save(self, path) -> None:
         np.savez_compressed(
             path,
-            entities=np.array(self.entities, dtype=object),
-            relations=np.array(self.relations, dtype=object),
+            entities=np.array(self.entities, dtype=str),
+            relations=np.array(self.relations, dtype=str),
             triple_keys=self.triple_keys,
         )
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
-        with np.load(path, allow_pickle=True) as z:
-            return cls(
-                entities=[str(x) for x in z["entities"]],
-                relations=[str(x) for x in z["relations"]],
-                triple_keys=z["triple_keys"].astype(np.int64),
-            )
+        try:
+            with open(path, "rb") as fh, np.load(fh) as z:
+                return cls(
+                    entities=z["entities"].tolist(),
+                    relations=z["relations"].tolist(),
+                    triple_keys=z["triple_keys"].astype(np.int64),
+                )
+        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+            raise CheckpointError(f"{path}: unreadable KB archive ({exc})") from None
 
 
 def ingest_triples(source) -> KnowledgeBase:

@@ -16,7 +16,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:
     njit = None
     HAVE_NUMBA = False
 
@@ -29,7 +29,7 @@ def _resolve(name: str) -> str:
     if name == "auto":
         return "numba" if HAVE_NUMBA else "numpy"
     if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("KSAQA_BACKEND=numba requested but numba is not importable")
+        raise ValueError("backend 'numba' requested but numba is not importable")
     return name
 
 

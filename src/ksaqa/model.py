@@ -15,15 +15,14 @@ relations.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
 from .autodiff import Parameter, Rng, Tape, Tensor
-from .checkpoint import load_arrays, load_manifest, save_arrays, save_manifest
+from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import Vocabulary
 from .errors import ConfigError, ShapeError
 from .evaluation import prf1
@@ -69,10 +68,6 @@ class ModelConfig:
 class InterpretationScore:
     pair: tuple[str, str]
     probability: float
-
-
-def _sha(texts: list[str]) -> str:
-    return hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
 
 
 class KsaModel:
@@ -122,18 +117,6 @@ class KsaModel:
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data.copy() for p in self.parameters()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            if p.name not in arrays:
-                raise ConfigError(f"checkpoint is missing parameter {p.name}")
-            if arrays[p.name].shape != p.data.shape:
-                raise ShapeError(
-                    f"{p.name}: checkpoint shape {arrays[p.name].shape} vs model {p.data.shape}")
-            p.data = np.array(arrays[p.name])
 
     # -- encoder ------------------------------------------------------------
 
@@ -269,39 +252,13 @@ class KsaModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path) -> None:
-        save_arrays(path, {p.name: p.data for p in self.parameters()})
-        cfg = self.config
-        save_manifest(str(path) + ".json", {
-            "variant": cfg.variant,
-            "d_word": cfg.d_word, "d_rel": cfg.d_rel, "d_hidden": cfg.d_hidden,
-            "question_layers": cfg.question_layers,
-            "attention_hidden": cfg.attention_hidden,
-            "dropout": cfg.dropout, "lambda": cfg.lam,
-            "negatives_per_positive": cfg.negatives_per_positive,
-            "vocab_size": len(self.vocab), "relation_count": len(self.relations),
-            "vocab_sha256": _sha(self.vocab.tokens),
-            "relations_sha256": _sha(self.relations),
-        })
+        save_checkpoint(path, self.parameters(), asdict(self.config),
+                        vocabulary=self.vocab.tokens, relations=self.relations)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, relations: list[str]) -> "KsaModel":
-        man = load_manifest(str(path) + ".json")
-        try:
-            if man["vocab_sha256"] != _sha(vocab.tokens):
-                raise ConfigError("checkpoint was trained with a different vocabulary")
-            if man["relations_sha256"] != _sha(list(relations)):
-                raise ConfigError("checkpoint was trained with a different relation inventory")
-            config = ModelConfig(
-                variant=man["variant"], d_word=man["d_word"], d_rel=man["d_rel"],
-                d_hidden=man["d_hidden"], question_layers=man["question_layers"],
-                attention_hidden=man["attention_hidden"], dropout=man["dropout"],
-                lam=man["lambda"], negatives_per_positive=man["negatives_per_positive"],
-            )
-        except KeyError as exc:
-            raise ConfigError(f"checkpoint manifest is missing key {exc}") from None
-        model = cls(vocab, list(relations), config)
-        model.load_state(load_arrays(path))
-        return model
+        return load_checkpoint(path, lambda c: cls(vocab, relations, ModelConfig(**c)),
+                               vocabulary=vocab.tokens, relations=list(relations))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +368,7 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
             entry["valid_macro_f1"] = f1
             if f1 > best_f1:
                 best_f1 = f1
-                best_state = model.state_dict()
+                best_state = nn.snapshot(params)
         history.append(entry)
         if log:
             log(f"epoch {entry['epoch']}/{cfg.epochs} loss {total:.4f}"
@@ -420,5 +377,5 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
                 and entry["valid_macro_f1"] >= target_f1):
             break
     if best_state is not None:
-        model.load_state(best_state)
+        nn.restore(params, best_state)
     return history

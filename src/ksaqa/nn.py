@@ -10,6 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Rng, Tensor
+from .errors import CheckpointError
 
 
 def gru_params(name: str, d_in: int, hidden: int, rng: Rng) -> dict[str, Parameter]:
@@ -62,3 +63,22 @@ def collect_params(tree) -> list[Parameter]:
         for item in tree:
             out.extend(collect_params(item))
     return out
+
+
+def snapshot(params) -> dict[str, np.ndarray]:
+    """Copies of the parameter values, keyed by name."""
+    return {p.name: p.data.copy() for p in params}
+
+
+def restore(params, state: dict[str, np.ndarray], source: str = "snapshot") -> None:
+    """Copy ``state[name]`` into each parameter; names and shapes must match exactly."""
+    names = {p.name for p in params}
+    if names != state.keys():
+        raise CheckpointError(f"{source}: missing tensors {sorted(names - state.keys())}, "
+                              f"unexpected tensors {sorted(state.keys() - names)}")
+    for p in params:
+        if state[p.name].shape != p.data.shape:
+            raise CheckpointError(f"{source}: {p.name} has shape {state[p.name].shape}, "
+                                  f"expected {p.data.shape}")
+    for p in params:
+        p.data[...] = state[p.name]

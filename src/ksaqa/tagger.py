@@ -8,14 +8,14 @@ ties); an all-zero decode is a detection failure the caller must handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
 from .autodiff import Parameter, Rng, Tape, Tensor
-from .checkpoint import load_arrays, load_manifest, save_arrays, save_manifest
+from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import ENT, FormattedQuestion, Vocabulary
 from .errors import ConfigError
 from .kernels import crf as crf_k
@@ -69,26 +69,13 @@ class TaggerModel:
         return crf_k.crf_viterbi(emis.data, self.trans.data, self.start.data, self.stop.data)
 
     def save(self, path) -> None:
-        save_arrays(path, {p.name: p.data for p in self.parameters()})
-        save_manifest(str(path) + ".json", {
-            "d_word": self.config.d_word, "hidden": self.config.hidden,
-            "vocab_size": len(self.vocab),
-        })
+        save_checkpoint(path, self.parameters(), asdict(self.config),
+                        vocabulary=self.vocab.tokens)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "TaggerModel":
-        man = load_manifest(str(path) + ".json")
-        try:
-            if man["vocab_size"] != len(vocab):
-                raise ConfigError(
-                    f"tagger checkpoint expects vocab of {man['vocab_size']}, got {len(vocab)}")
-            model = cls(vocab, TaggerConfig(d_word=man["d_word"], hidden=man["hidden"]))
-        except KeyError as exc:
-            raise ConfigError(f"tagger manifest is missing key {exc}") from None
-        arrays = load_arrays(path)
-        for p in model.parameters():
-            p.data = arrays[p.name]
-        return model
+        return load_checkpoint(path, lambda c: cls(vocab, TaggerConfig(**c)),
+                               vocabulary=vocab.tokens)
 
 
 @dataclass
@@ -192,7 +179,7 @@ def train_tagger(train_pairs, config: TaggerConfig, vocab: Vocabulary,
             entry["valid_span_accuracy"] = acc
             if acc > best_acc:
                 best_acc = acc
-                best_state = {p.name: p.data.copy() for p in params}
+                best_state = nn.snapshot(params)
                 stale = 0
             else:
                 stale += 1
@@ -203,6 +190,5 @@ def train_tagger(train_pairs, config: TaggerConfig, vocab: Vocabulary,
         if valid_pairs and stale >= config.patience:
             break
     if best_state is not None:
-        for p in params:
-            p.data = best_state[p.name]
+        nn.restore(params, best_state)
     return model, history

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Rng, init_embedding
+from .autodiff import Parameter, Rng, init_embedding
+from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError
-from .checkpoint import load_arrays, load_manifest, save_arrays, save_manifest
 from .kb import KnowledgeBase
 from .kernels import transe_ops
 
@@ -50,24 +50,23 @@ class EmbeddingSet:
     relations: list[str]
     norm: str = "l2"
 
+    def parameters(self) -> list[Parameter]:
+        """The two tables as parameters that share their memory."""
+        return [Parameter("transe.entity", self.entity), Parameter("transe.relation", self.relation)]
+
     def save(self, path) -> None:
-        save_arrays(path, {"transe.entity": self.entity, "transe.relation": self.relation})
-        save_manifest(str(path) + ".json", {
-            "dim": int(self.relation.shape[1]),
-            "norm": self.norm,
-            "entities": self.entities,
-            "relations": self.relations,
-        })
+        save_checkpoint(path, self.parameters(), {
+            "dim": int(self.relation.shape[1]), "norm": self.norm,
+            "entities": self.entities, "relations": self.relations})
 
     @classmethod
     def load(cls, path) -> "EmbeddingSet":
-        arrays = load_arrays(path)
-        man = load_manifest(str(path) + ".json")
-        try:
-            return cls(entity=arrays["transe.entity"], relation=arrays["transe.relation"],
-                       entities=man["entities"], relations=man["relations"], norm=man["norm"])
-        except KeyError as exc:
-            raise ConfigError(f"embedding checkpoint is missing key {exc}") from None
+        def build(c):
+            return cls(np.zeros((len(c["entities"]), c["dim"])),
+                       np.zeros((len(c["relations"]), c["dim"])),
+                       list(c["entities"]), list(c["relations"]), c["norm"])
+
+        return load_checkpoint(path, build)
 
 
 def triple_score(h: int, r: int, t: int, emb: EmbeddingSet, norm: str | None = None) -> float:

@@ -1,12 +1,14 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from ksaqa.checkpoint import (MAGIC, load_arrays, load_manifest, save_arrays,
-                              save_manifest)
-from ksaqa.errors import (BadMagicError, DuplicateNameError,
-                          TruncatedCheckpointError)
+from ksaqa.autodiff import Parameter
+from ksaqa.checkpoint import (MAGIC, load_arrays, load_checkpoint, save_arrays,
+                              save_checkpoint)
+from ksaqa.errors import (BadMagicError, CheckpointError, DuplicateNameError,
+                          NonFiniteError, TruncatedCheckpointError)
 
 
 def _sample():
@@ -105,7 +107,36 @@ def test_save_rejects_duplicate_names(tmp_path):
         save_arrays(tmp_path / "s.ckpt", Sneaky())
 
 
+class Owner:
+    """The smallest checkpoint owner: a config and one parameter."""
+
+    def __init__(self, config, x=(0.0, 0.0)):
+        self.config = config
+        self.x = Parameter("x", np.array(x))
+
+    def parameters(self):
+        return [self.x]
+
+
 def test_manifest_round_trip(tmp_path):
     man = {"variant": "KSA-BiGRU", "dims": [3, 4], "lambda": 0.5}
-    save_manifest(tmp_path / "m.json", man)
-    assert load_manifest(tmp_path / "m.json") == man
+    save_checkpoint(tmp_path / "m.ckpt", Owner(man).parameters(), man, vocabulary=["a", "b"])
+    assert json.loads((tmp_path / "m.ckpt.json").read_text())["config"] == man
+    assert load_checkpoint(tmp_path / "m.ckpt", Owner, vocabulary=["a", "b"]).config == man
+    with pytest.raises(CheckpointError, match="different vocabulary"):
+        load_checkpoint(tmp_path / "m.ckpt", Owner, vocabulary=["a", "c"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e39])   # 1e39 overflows float32
+def test_refused_save_keeps_the_previous_checkpoint(tmp_path, bad):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Owner({"k": 1}, [1.0, 2.0]).parameters(), {"k": 1})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    diverged = Owner({"k": 2})
+    diverged.x.data[1] = bad
+    with pytest.raises(NonFiniteError, match="x"):
+        save_checkpoint(path, diverged.parameters(), {"k": 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == before == ["m.ckpt", "m.ckpt.json"]
+    back = load_checkpoint(path, Owner)
+    assert back.config == {"k": 1} and back.x.data.tolist() == [1.0, 2.0]

@@ -8,9 +8,12 @@ exercise the read-only subcommands and the documented exit codes against it.
 import io
 import json
 import shutil
+import warnings
 
 import pytest
 
+from ksaqa import kernels
+from ksaqa.checkpoint import load_arrays, save_arrays
 from ksaqa.cli import main
 
 CFG_TEMPLATE = """
@@ -287,3 +290,110 @@ def test_corrupt_checkpoint_exits_8(pipeline, tmp_path, capsys):
                "--question", "where was john smith born"])
     assert rc == 8
     assert "checkpoint error" in capsys.readouterr().err
+
+
+# -- every bad artifact or divergence: documented code, one stderr line ----------
+
+PREDICT = ["predict", "--question", "where was john smith born"]
+
+
+def _write(name, text):
+    return lambda work: (work / name).write_text(text)
+
+
+def _delete(name):
+    return lambda work: (work / name).unlink()
+
+
+def _edit_tensors(name, edit):
+    def mutate(work):
+        arrays = load_arrays(work / name)
+        edit(arrays)
+        save_arrays(work / name, arrays)
+    return mutate
+
+
+def _edit_manifest(name, edit):
+    def mutate(work):
+        manifest = json.loads((work / name).read_text())
+        edit(manifest)
+        (work / name).write_text(json.dumps(manifest))
+    return mutate
+
+
+def _truncate(name):
+    def mutate(work):
+        blob = (work / name).read_bytes()
+        (work / name).write_bytes(blob[: len(blob) // 2])
+    return mutate
+
+
+def _keep(work):
+    pass
+
+
+FAULTS = [
+    # corrupt or mismatched checkpoints
+    ("model-manifest-not-json", PREDICT, _write("model.ckpt.json", "{"), 8),
+    ("tagger-manifest-not-json", PREDICT, _write("tagger.ckpt.json", "{"), 8),
+    ("transe-manifest-not-json", ["train", "--epochs", "1"],
+     _write("transe.ckpt.json", "{"), 8),
+    ("manifest-not-an-object", PREDICT, _write("model.ckpt.json", "[1]"), 8),
+    ("manifest-missing-key", PREDICT,
+     _edit_manifest("model.ckpt.json", lambda m: m.pop("relations_sha256")), 8),
+    ("manifest-missing-config", PREDICT,
+     _edit_manifest("tagger.ckpt.json", lambda m: m.pop("config")), 8),
+    ("manifest-config-unusable", PREDICT,
+     _edit_manifest("tagger.ckpt.json", lambda m: m["config"].update(hidden="x")), 8),
+    ("tagger-tensor-missing", PREDICT,
+     _edit_tensors("tagger.ckpt", lambda a: a.pop("tagger.crf.stop")), 8),
+    ("tagger-tensor-extra", PREDICT,
+     _edit_tensors("tagger.ckpt", lambda a: a.update({"tagger.extra": a["tagger.crf.stop"]})), 8),
+    ("tagger-tensor-misshaped", PREDICT,
+     _edit_tensors("tagger.ckpt", lambda a: a.update({"tagger.emit.w": a["tagger.emit.w"].T})), 8),
+    ("transe-tensor-misshaped", ["train", "--epochs", "1"],
+     _edit_tensors("transe.ckpt", lambda a: a.update({"transe.entity": a["transe.entity"][:1]})), 8),
+    ("foreign-vocabulary", PREDICT,
+     lambda work: (work / "vocab.txt").write_text((work / "vocab.txt").read_text() + "extra\n"), 8),
+    # other corrupt artifacts
+    ("kb-truncated", ["stats"], _truncate("kb.npz"), 8),
+    ("vocab-empty", PREDICT, _write("vocab.txt", ""), 8),
+    # a checkpoint without its manifest
+    ("model-manifest-absent", PREDICT, _delete("model.ckpt.json"), 6),
+    ("tagger-manifest-absent", PREDICT, _delete("tagger.ckpt.json"), 6),
+    ("transe-manifest-absent", ["train", "--epochs", "1"], _delete("transe.ckpt.json"), 6),
+    # lambda outside (0, 1), by flag or by config file
+    ("predict-lambda", PREDICT + ["--lambda", "1.5"], _keep, 3),
+    ("eval-lambda", ["eval", "--gold-spans", "--lambda", "1.5"], _keep, 3),
+    ("answer-lambda", ["answer", "--lambda", "1.5", "where was john smith born"], _keep, 3),
+    ("attention-lambda", ["attention", "--lambda", "0", "--question", "what did john smith write"],
+     _keep, 3),
+    ("config-lambda", ["stats", "--config", "{work}/lam.cfg"],
+     _write("lam.cfg", "lambda = 1.5\n"), 3),
+    # a kernel lane that is not installed
+    ("absent-numba-backend", ["stats", "--backend", "numba"], _keep, 3),
+    # training divergence
+    ("transe-diverges", ["pretrain-transe", "--transe-lr", "1e300"], _keep, 3),
+    ("tagger-diverges", ["train-tagger", "--tagger-lr", "1e30"], _keep, 3),
+]
+
+
+@pytest.mark.parametrize("argv,mutate,code", [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
+def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, argv, mutate, code):
+    if "numba" in argv and kernels.HAVE_NUMBA:
+        pytest.skip("numba is installed")
+    cfg, _, work = pipeline
+    broken = tmp_path / "work"
+    shutil.copytree(work, broken)
+    mutate(broken)
+    before = {p.name: p.read_bytes() for p in broken.glob("*.ckpt*")}
+    argv = [a.format(work=broken) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv[:1] + ["--config", str(cfg), "--workdir", str(broken)] + argv[1:])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert not caught, [str(w.message) for w in caught]
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    # a refused or failed run leaves every checkpoint as it was, and no temp file
+    assert {p.name: p.read_bytes() for p in broken.glob("*.ckpt*")} == before

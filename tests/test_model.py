@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from ksaqa import autodiff as ad
+from ksaqa import nn
 from ksaqa.autodiff import Rng, Tape
 from ksaqa.dataset import build_vocabulary
-from ksaqa.errors import ConfigError, ShapeError
+from ksaqa.errors import CheckpointError, ConfigError, ShapeError
 from ksaqa.model import (KsaModel, ModelConfig, VARIANTS, build_training_items,
                          train_model, valid_macro_f1)
 
@@ -296,23 +297,23 @@ def test_checkpoint_rejects_foreign_vocabulary(world, tmp_path):
     path = tmp_path / "model.ckpt"
     model.save(path)
     other = build_vocabulary([["entirely", "different", "words"]])
-    with pytest.raises(ConfigError, match="vocabulary"):
+    with pytest.raises(CheckpointError, match="vocabulary"):
         KsaModel.load(path, other, kb.relations)
-    with pytest.raises(ConfigError, match="relation"):
+    with pytest.raises(CheckpointError, match="relation"):
         KsaModel.load(path, vocab, kb.relations[:-1])
 
 
 def test_load_state_validates_names_and_shapes(world):
     model = _model(world)
-    state = model.state_dict()
+    state = nn.snapshot(model.parameters())
     missing = dict(state)
     missing.pop("ksa.out.w")
-    with pytest.raises(ConfigError, match="missing"):
-        model.load_state(missing)
+    with pytest.raises(CheckpointError, match="missing"):
+        nn.restore(model.parameters(), missing)
     bad = dict(state)
     bad["ksa.out.w"] = np.zeros((1, 1))
-    with pytest.raises(ShapeError, match="ksa.out.w"):
-        model.load_state(bad)
+    with pytest.raises(CheckpointError, match="ksa.out.w"):
+        nn.restore(model.parameters(), bad)
 
 
 # -- training -------------------------------------------------------------------
@@ -354,8 +355,8 @@ def test_training_is_deterministic_per_seed(world):
     h1 = train_model(m1, examples, kb, valid_examples=examples)
     h2 = train_model(m2, examples, kb, valid_examples=examples)
     assert h1 == h2
-    for name, arr in m1.state_dict().items():
-        np.testing.assert_array_equal(arr, m2.state_dict()[name])
+    for name, arr in nn.snapshot(m1.parameters()).items():
+        np.testing.assert_array_equal(arr, nn.snapshot(m2.parameters())[name])
 
 
 def test_training_loss_decreases_on_the_micro_world(world):

@@ -6,7 +6,7 @@ import pytest
 
 from ksaqa.autodiff import Tape, backward
 from ksaqa.dataset import ENT, build_vocabulary
-from ksaqa.errors import ConfigError
+from ksaqa.errors import CheckpointError, ConfigError
 from ksaqa.kernels import crf
 from ksaqa.tagger import (SpanPrediction, TaggerConfig, TaggerModel,
                           longest_run, predict_span, span_accuracy,
@@ -206,7 +206,7 @@ def test_tagger_load_rejects_other_vocab(tmp_path, trained_tagger):
     model, _, _ = trained_tagger
     model.save(tmp_path / "t.ckpt")
     other = build_vocabulary([["completely", "different"]])
-    with pytest.raises(ConfigError):
+    with pytest.raises(CheckpointError):
         TaggerModel.load(tmp_path / "t.ckpt", other)
 
 
