@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import Rng
-from .config import PipelineConfig, load_config
+from .config import KEYS, PipelineConfig, load_config, stage_config, stage_keys
 from .dataset import build_vocabulary, parse_simplequestions, write_formatted_tsv, Vocabulary
 from .errors import CheckpointError, ConfigError, IngestError, KsaqaError, NonFiniteError
 from .evaluation import diff_report, evaluate, export_attention, random_baseline
@@ -144,11 +144,7 @@ def cmd_relabel(args, cfg: PipelineConfig) -> int:
                 raise ConfigError(
                     f"--full expects {want} {split} records, got {len(records)}")
 
-    pattern_splits = [s.strip() for s in cfg.pattern_splits.split(",") if s.strip()]
-    for s in pattern_splits:
-        if s not in ("train", "valid"):
-            raise ConfigError(f"pattern_splits may name train/valid only, got {s!r}")
-
+    pattern_splits = cfg.pattern_split_names
     from .dataset import format_question
     formatted = {split: [format_question(r, aliases) for r in records]
                  for split, records in splits.items()}
@@ -193,10 +189,7 @@ def cmd_stats(args, cfg: PipelineConfig) -> int:
 def cmd_pretrain_transe(args, cfg: PipelineConfig) -> int:
     work = _work(cfg)
     kb, _ = _load_kb(work)
-    tcfg = TransEConfig(dim=cfg.transe_dim, margin=cfg.transe_margin,
-                        norm=cfg.transe_norm, lr=cfg.transe_lr,
-                        epochs=cfg.transe_epochs, batch_size=cfg.transe_batch_size,
-                        seed=cfg.seed)
+    tcfg = stage_config(cfg, TransEConfig)
     emb, history = train_transe(kb, tcfg, log=_log)
     emb.save(work / "transe.ckpt")
     _log(f"saved transe.ckpt (dim={tcfg.dim}, final epoch loss {history[-1]:.4f})")
@@ -215,10 +208,8 @@ def cmd_train_tagger(args, cfg: PipelineConfig) -> int:
         valid_pairs = [(ex.record.tokens,
                         tags_for_span(len(ex.record.tokens), ex.formatted.mention_span))
                        for ex in load_jsonl(valid_path, "valid")]
-    tcfg = TaggerConfig(d_word=cfg.tagger_d_word, hidden=cfg.tagger_hidden,
-                        lr=cfg.tagger_lr, epochs=cfg.tagger_epochs,
-                        patience=cfg.tagger_patience, seed=cfg.seed)
-    model, history = train_tagger(pairs, tcfg, vocab, valid_pairs, log=_log)
+    model, history = train_tagger(pairs, stage_config(cfg, TaggerConfig), vocab, valid_pairs,
+                                  log=_log)
     model.save(work / "tagger.ckpt")
     (work / "tagger_history.json").write_text(json.dumps(history, indent=2) + "\n")
     _log("saved tagger.ckpt")
@@ -233,7 +224,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     valid_examples = None
     if (work / "valid.jsonl").exists():
         valid_examples = load_jsonl(work / "valid.jsonl", "valid")
-    mcfg = ModelConfig(**{f: getattr(cfg, f) for f in ModelConfig.__dataclass_fields__})
+    mcfg = stage_config(cfg, ModelConfig)
     model = KsaModel(vocab, kb.relations, mcfg)
     transe_path = work / "transe.ckpt"
     if args.no_transe_init:
@@ -392,22 +383,21 @@ def cmd_answer(args, cfg: PipelineConfig) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-# (flag, config key, type) triplets; None type = string
-_COMMON = [("--workdir", "workdir", str), ("--seed", "seed", int),
-           ("--backend", "backend", str)]
-_MODEL_FLAGS = [
-    ("--variant", "variant", str), ("--d-word", "d_word", int),
-    ("--d-rel", "d_rel", int), ("--d-hidden", "d_hidden", int),
-    ("--attention-hidden", "attention_hidden", int),
-    ("--dropout", "dropout", float), ("--lambda", "lam", float),
-    ("--negatives", "negatives_per_positive", int), ("--lr", "lr", float),
-    ("--epochs", "epochs", int), ("--batch-size", "batch_size", int),
-]
+# every config key is the flag "--" + key with "_" -> "-"; these keys also
+# keep a second, shorter spelling
+_FLAG_ALIASES = {"lam": "--lambda", "negatives_per_positive": "--negatives",
+                 "kb_triples": "--triples", "kb_aliases": "--aliases",
+                 "train_file": "--train", "valid_file": "--valid", "test_file": "--test"}
 
 
-def _add_flags(sub, triplets):
-    for flag, key, kind in triplets:
-        sub.add_argument(flag, dest=key, type=kind, default=None)
+def _add_key_flags(sub, keys):
+    for key in keys:
+        flags = ["--" + key.replace("_", "-")]
+        if key in _FLAG_ALIASES:
+            flags.append(_FLAG_ALIASES[key])
+        parse = ({"action": argparse.BooleanOptionalAction} if KEYS[key] is bool
+                 else {"type": KEYS[key]})
+        sub.add_argument(*flags, dest=key, default=None, **parse)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,60 +408,34 @@ def build_parser() -> argparse.ArgumentParser:
                "input, 6 missing artifact, 7 detection failure, 8 bad checkpoint.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, func, helptext):
+    def sub(name, func, helptext, keys=()):
         s = subs.add_parser(name, help=helptext)
         s.add_argument("--config", default=None)
-        _add_flags(s, _COMMON)
+        _add_key_flags(s, ("workdir", "seed", "backend", *keys))
         s.set_defaults(func=func)
         return s
 
-    s = sub("ingest-kb", cmd_ingest_kb, "build the KB and alias indexes")
-    s.add_argument("--triples", dest="kb_triples", default=None)
-    s.add_argument("--aliases", dest="kb_aliases", default=None)
+    s = sub("ingest-kb", cmd_ingest_kb, "build the KB and alias indexes",
+            ("kb_triples", "kb_aliases"))
     s.add_argument("--full", action="store_true",
                    help="assert full Freebase-2M ingest counts")
 
-    s = sub("relabel", cmd_relabel, "format questions and compute plausible sets")
-    s.add_argument("--train", dest="train_file", default=None)
-    s.add_argument("--valid", dest="valid_file", default=None)
-    s.add_argument("--test", dest="test_file", default=None)
-    s.add_argument("--pattern-splits", dest="pattern_splits", default=None)
-    s.add_argument("--min-count", dest="min_count", type=int, default=None)
+    s = sub("relabel", cmd_relabel, "format questions and compute plausible sets",
+            ("train_file", "valid_file", "test_file", "pattern_splits", "min_count"))
     s.add_argument("--full", action="store_true",
                    help="assert full SimpleQuestions split sizes")
 
     sub("stats", cmd_stats, "print KB and relabeled-dataset statistics")
-
-    s = sub("pretrain-transe", cmd_pretrain_transe, "pretrain relation embeddings")
-    _add_flags(s, [("--transe-dim", "transe_dim", int),
-                   ("--transe-margin", "transe_margin", float),
-                   ("--transe-norm", "transe_norm", str),
-                   ("--transe-lr", "transe_lr", float),
-                   ("--transe-epochs", "transe_epochs", int),
-                   ("--transe-batch-size", "transe_batch_size", int)])
-
-    s = sub("train-tagger", cmd_train_tagger, "train the subject-span tagger")
-    _add_flags(s, [("--tagger-d-word", "tagger_d_word", int),
-                   ("--tagger-hidden", "tagger_hidden", int),
-                   ("--tagger-lr", "tagger_lr", float),
-                   ("--tagger-epochs", "tagger_epochs", int),
-                   ("--tagger-patience", "tagger_patience", int)])
-
-    s = sub("train", cmd_train, "train the relation predictor")
-    _add_flags(s, _MODEL_FLAGS)
-    s.add_argument("--shuffle-augment", dest="shuffle_augment",
-                   action=argparse.BooleanOptionalAction, default=None)
+    sub("pretrain-transe", cmd_pretrain_transe, "pretrain relation embeddings",
+        stage_keys(TransEConfig))
+    sub("train-tagger", cmd_train_tagger, "train the subject-span tagger",
+        stage_keys(TaggerConfig))
+    s = sub("train", cmd_train, "train the relation predictor", stage_keys(ModelConfig))
     s.add_argument("--no-transe-init", action="store_true")
-    s.add_argument("--full", action="store_true",
-                   help="paper-scale defaults (they are the config defaults)")
 
-    s = sub("eval", cmd_eval, "evaluate a trained model")
+    s = sub("eval", cmd_eval, "evaluate a trained model",
+            ("gold_spans", "skip_detection_failures", "lam"))
     s.add_argument("--split", default="test", choices=("train", "valid", "test"))
-    s.add_argument("--gold-spans", dest="gold_spans",
-                   action=argparse.BooleanOptionalAction, default=None)
-    s.add_argument("--skip-detection-failures", dest="skip_detection_failures",
-                   action=argparse.BooleanOptionalAction, default=None)
-    s.add_argument("--lambda", dest="lam", type=float, default=None)
     s.add_argument("--baseline", action="store_true",
                    help="also print the seeded random baseline")
 
@@ -479,20 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
             ("predict", cmd_predict, "score all interpretations of one question"),
             ("attention", cmd_attention, "export the attention map for one question"),
             ("answer", cmd_answer, "interactive clarification flow")):
-        s = sub(name, func, helptext)
+        s = sub(name, func, helptext, ("lam",))
         if name == "answer":
             s.add_argument("question")
             s.add_argument("--non-interactive", action="store_true")
         else:
             s.add_argument("--question", required=True)
         s.add_argument("--mention", default=None)
-        s.add_argument("--lambda", dest="lam", type=float, default=None)
         if name == "attention":
             s.add_argument("--subject", default=None)
     return parser
 
-
-_CONFIG_KEYS = {f for f in PipelineConfig.__dataclass_fields__}
 
 # (error class, exit code, stderr prefix), as in the module docstring
 _EXITS = [(ConfigError, 3, "config error"),
@@ -504,8 +465,7 @@ _EXITS = [(ConfigError, 3, "config error"),
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k in _CONFIG_KEYS and v is not None}
+    overrides = {k: v for k, v in vars(args).items() if k in KEYS}
     try:
         cfg = load_config(args.config, overrides)
         try:

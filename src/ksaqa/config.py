@@ -2,21 +2,45 @@
 
 One ``key = value`` per line, ``#`` starts a comment, blank lines ignored.
 Unknown keys are rejected so typos fail loudly.  CLI flags override file
-values; both override the defaults below.
+values; both override the defaults.
+
+Each stage dataclass (``ModelConfig``, ``TaggerConfig``, ``TransEConfig``)
+is the only declaration of its knobs: name, type, default and valid range.
+A stage field's key is the stage's ``key_prefix`` plus the field name
+(``d_word``, ``tagger_hidden``, ``transe_batch_size``); every stage's
+``seed`` is the pipeline ``seed``.  ``PipelineConfig`` declares only the
+keys no stage owns and derives the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, fields, make_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .model import ModelConfig
+from .tagger import TaggerConfig
+from .transe import TransEConfig
+
+STAGES = (ModelConfig, TaggerConfig, TransEConfig)
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def stage_keys(stage) -> dict[str, str]:
+    """{pipeline key: field name} for ``stage``'s knobs, all but its seed."""
+    return {stage.key_prefix + f.name: f.name for f in fields(stage) if f.name != "seed"}
+
+
+def stage_config(cfg, stage):
+    """``stage``'s config built from the pipeline config ``cfg``."""
+    return stage(seed=cfg.seed, **{name: getattr(cfg, key)
+                                   for key, name in stage_keys(stage).items()})
+
+
 @dataclass
-class PipelineConfig:
+class _SharedKeys:
     # paths
     kb_triples: str = ""
     kb_aliases: str = ""
@@ -30,71 +54,68 @@ class PipelineConfig:
     backend: str = "auto"            # kernels lane: auto | numba | numpy
     # relabeler
     pattern_splits: str = "train"    # or "train,valid"
-    # model
-    variant: str = "KSA-BiGRU"
-    d_word: int = 500
-    d_rel: int = 300
-    d_hidden: int = 300
-    question_layers: int = 2
-    attention_hidden: int = 650
-    dropout: float = 0.1
-    lam: float = 0.5
-    negatives_per_positive: int = 5
-    lr: float = 0.001
-    epochs: int = 45
-    batch_size: int = 64
-    shuffle_augment: bool = False
-    negatives_from_empty_candidates: bool = False
-    # transe
-    transe_dim: int = 300
-    transe_margin: float = 1.0
-    transe_norm: str = "l2"
-    transe_lr: float = 0.01
-    transe_epochs: int = 100
-    transe_batch_size: int = 128
-    # tagger
-    tagger_d_word: int = 500
-    tagger_hidden: int = 300
-    tagger_lr: float = 0.001
-    tagger_epochs: int = 20
-    tagger_patience: int = 5
     # evaluation
     gold_spans: bool = False
     skip_detection_failures: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ConfigError(f"lambda must lie in (0, 1), got {self.lam}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.min_count < 1:
+            raise ConfigError(f"min_count must be at least 1, got {self.min_count}")
+        for s in self.pattern_split_names:
+            if s not in ("train", "valid"):
+                raise ConfigError(f"pattern_splits may name train/valid only, got {s!r}")
+        for stage in STAGES:
+            stage_config(self, stage)
 
+    @property
+    def pattern_split_names(self) -> list[str]:
+        return [s.strip() for s in self.pattern_splits.split(",") if s.strip()]
+
+
+PipelineConfig = make_dataclass(
+    "PipelineConfig",
+    [(key, typing.get_type_hints(stage)[name], stage.__dataclass_fields__[name].default)
+     for stage in STAGES for key, name in stage_keys(stage).items()],
+    bases=(_SharedKeys,), namespace={"__module__": __name__})
+
+# every key and its type
+KEYS: dict[str, type] = typing.get_type_hints(PipelineConfig)
 
 # "lambda" is the natural config-file spelling; the dataclass field is lam
 _ALIASES = {"lambda": "lam"}
 
 
-def _coerce(name: str, kind, raw: str):
-    raw = raw.strip()
-    try:
-        if kind is bool:
-            if raw.lower() not in _BOOLS:
-                raise ValueError(raw)
-            return _BOOLS[raw.lower()]
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {kind.__name__}") from None
+def _coerce(key: str, value):
+    """``value`` as ``key``'s type: strings are parsed, ints widen to float."""
+    kind = KEYS[key]
+    if isinstance(value, str):
+        raw = value.strip()
+        try:
+            if kind is bool:
+                return _BOOLS[raw.lower()]
+            return kind(raw)
+        except (KeyError, ValueError):
+            pass
+    elif type(value) is kind:
+        return value
+    elif kind is float and type(value) is int:
+        return float(value)
+    raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {kind.__name__}")
 
 
 def parse_config(path) -> dict:
-    """Read a flat config file into a {field: typed value} dict."""
+    """Read a flat config file into a {key: typed value} dict."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    py_types = {f.name: type(getattr(PipelineConfig(), f.name)) for f in fields(PipelineConfig)}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     out: dict = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -102,22 +123,20 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = _ALIASES.get(key, key)
-        if key not in py_types:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-        out[key] = _coerce(key, py_types[key], value)
+        out[key] = _coerce(key, value)
     return out
 
 
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Defaults, then file values, then overrides; later sources win."""
-    values: dict = {}
-    if path is not None:
-        values.update(parse_config(path))
-    for key, val in (overrides or {}).items():
-        if val is None:
+    values = parse_config(path) if path is not None else {}
+    for key, value in (overrides or {}).items():
+        if value is None:
             continue
         key = _ALIASES.get(key, key)
-        if key not in {f.name for f in fields(PipelineConfig)}:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = val
+        values[key] = _coerce(key, value)
     return PipelineConfig(**values)

@@ -22,7 +22,19 @@ class NonFiniteError(KsaqaError):
 
 
 class ConfigError(KsaqaError):
-    """Unreadable, unknown-key, or ill-typed configuration."""
+    """Unreadable, unknown-key, ill-typed or out-of-range configuration."""
+
+
+def require_positive(config, *names: str) -> None:
+    """ConfigError for the first knob not above 0, named by its pipeline key.
+
+    ``config`` is a stage dataclass; its ``key_prefix`` turns a field name
+    into the key (``hidden`` -> ``tagger_hidden``).
+    """
+    for name in names:
+        value = getattr(config, name)
+        if not value > 0:
+            raise ConfigError(f"{config.key_prefix}{name} must be positive, got {value}")
 
 
 class CheckpointError(KsaqaError):

@@ -2,15 +2,13 @@
 
 Every kernel is written once as a plain numpy function and registered with
 the :func:`kernel` decorator, which also keeps an ``@njit`` twin when numba
-is importable.  The active lane is chosen by the ``KSAQA_BACKEND``
-environment variable (``numba`` | ``numpy`` | ``auto``, default ``auto`` =
-numba when available) and can be switched at runtime with
-:func:`set_backend` — used by the test suite and by
-``benchmarks/bench_kernels.py`` to compare both lanes in one process.
+is importable.  The active lane starts as ``auto`` (numba when available)
+and is switched with :func:`set_backend` — by the CLI's ``backend`` key,
+and by the test suite and ``benchmarks/bench_kernels.py`` to compare both
+lanes in one process.
 """
 
 import functools
-import os
 
 try:
     from numba import njit
@@ -33,7 +31,7 @@ def _resolve(name: str) -> str:
     return name
 
 
-_ACTIVE = _resolve(os.environ.get("KSAQA_BACKEND", "auto").lower())
+_ACTIVE = _resolve("auto")
 
 
 def active_backend() -> str:

@@ -24,7 +24,7 @@ from . import nn
 from .autodiff import Parameter, Rng, Tape, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import Vocabulary
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_positive
 from .evaluation import prf1
 from .kb import KnowledgeBase
 from .optim import Adam
@@ -35,10 +35,11 @@ VARIANTS = ("BiGRU", "KS-BiGRU", "KSA-BiGRU")
 
 @dataclass
 class ModelConfig:
+    key_prefix = ""          # pipeline keys are the field names
+
     d_word: int = 500
     d_rel: int = 300
     d_hidden: int = 300
-    question_layers: int = 2
     attention_hidden: int = 650
     dropout: float = 0.1
     lam: float = 0.5
@@ -54,14 +55,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("d_word", "d_rel", "d_hidden", "attention_hidden",
-                     "question_layers", "batch_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        require_positive(self, "d_word", "d_rel", "d_hidden", "attention_hidden",
+                         "negatives_per_positive", "lr", "epochs", "batch_size")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0.0 < self.lam < 1.0:
             raise ConfigError(f"lambda must lie in (0, 1), got {self.lam}")
-        if self.question_layers != 2:
-            raise ConfigError("the question encoder is fixed at 2 layers")
 
 
 @dataclass
@@ -85,6 +84,7 @@ class KsaModel:
         self.word_emb = Parameter("ksa.word_emb", ad.init_embedding(rng, (v, dw)))
         # final row is the <_start> decoder input
         self.rel_emb = Parameter("ksa.rel_emb", ad.init_embedding(rng, (nr + 1, dr)))
+        # the question encoder is fixed at the paper's two BiGRU layers
         self.q0f = nn.gru_params("ksa.q0f", dw, h, rng)
         self.q0b = nn.gru_params("ksa.q0b", dw, h, rng)
         self.q1f = nn.gru_params("ksa.q1f", 2 * h, h, rng)

@@ -17,19 +17,24 @@ from . import nn
 from .autodiff import Parameter, Rng, Tape, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import ENT, FormattedQuestion, Vocabulary
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 from .kernels import crf as crf_k
 from .optim import Adam
 
 
 @dataclass
 class TaggerConfig:
+    key_prefix = "tagger_"
+
     d_word: int = 500
     hidden: int = 300
     lr: float = 0.001
     epochs: int = 20
     patience: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        require_positive(self, "d_word", "hidden", "lr", "epochs")
 
 
 class TaggerModel:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Parameter, Rng, init_embedding
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 from .kb import KnowledgeBase
 from .kernels import transe_ops
 
@@ -25,6 +25,8 @@ _RETRIES = 8
 
 @dataclass
 class TransEConfig:
+    key_prefix = "transe_"
+
     dim: int = 300
     margin: float = 1.0
     norm: str = "l2"          # "l1" or "l2"
@@ -34,12 +36,9 @@ class TransEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise ConfigError("transe dim must be positive")
-        if self.margin <= 0:
-            raise ConfigError("transe margin must be positive")
+        require_positive(self, "dim", "margin", "lr", "epochs", "batch_size")
         if self.norm not in ("l1", "l2"):
-            raise ConfigError(f"transe norm must be l1 or l2, got {self.norm!r}")
+            raise ConfigError(f"transe_norm must be l1 or l2, got {self.norm!r}")
 
 
 @dataclass

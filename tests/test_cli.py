@@ -5,6 +5,7 @@ pretrain -> tag -> train) into a shared work directory; the tests then
 exercise the read-only subcommands and the documented exit codes against it.
 """
 
+import argparse
 import io
 import json
 import shutil
@@ -12,9 +13,10 @@ import warnings
 
 import pytest
 
-from ksaqa import kernels
+from ksaqa import cli, kernels
 from ksaqa.checkpoint import load_arrays, save_arrays
-from ksaqa.cli import main
+from ksaqa.cli import build_parser, main
+from ksaqa.config import KEYS
 
 CFG_TEMPLATE = """
 kb_triples = {data}/triples.txt
@@ -370,8 +372,21 @@ FAULTS = [
      _keep, 3),
     ("config-lambda", ["stats", "--config", "{work}/lam.cfg"],
      _write("lam.cfg", "lambda = 1.5\n"), 3),
-    # a kernel lane that is not installed
+    # knobs out of range are refused when the config loads
+    ("transe-epochs-zero", ["pretrain-transe", "--transe-epochs", "0"], _keep, 3),
+    ("transe-batch-size-zero", ["pretrain-transe", "--transe-batch-size", "0"], _keep, 3),
+    ("tagger-hidden-zero", ["train-tagger", "--tagger-hidden", "0"], _keep, 3),
+    ("dropout-above-one", ["train", "--dropout", "1.5"], _keep, 3),
+    ("min-count-zero", ["relabel", "--min-count", "0"], _keep, 3),
+    ("lr-negative", ["train", "--lr", "-1"], _keep, 3),
+    ("transe-lr-negative", ["pretrain-transe", "--transe-lr", "-1"], _keep, 3),
+    # a kernel lane that is not installed, or not a lane at all
     ("absent-numba-backend", ["stats", "--backend", "numba"], _keep, 3),
+    ("config-backend", ["stats", "--config", "{work}/backend.cfg"],
+     _write("backend.cfg", "backend = bogus\n"), 3),
+    # a manifest from before question_layers was removed
+    ("manifest-question-layers", PREDICT,
+     _edit_manifest("model.ckpt.json", lambda m: m["config"].update(question_layers=2)), 8),
     # training divergence
     ("transe-diverges", ["pretrain-transe", "--transe-lr", "1e300"], _keep, 3),
     ("tagger-diverges", ["train-tagger", "--tagger-lr", "1e30"], _keep, 3),
@@ -397,3 +412,110 @@ def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, argv, mutate, cod
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
     # a refused or failed run leaves every checkpoint as it was, and no temp file
     assert {p.name: p.read_bytes() for p in broken.glob("*.ckpt*")} == before
+
+
+# -- flags: each sets the config key (or argument) it set before the flags ----
+# -- were derived from the config fields -------------------------------------
+
+SUBCOMMANDS = ("ingest-kb", "relabel", "stats", "pretrain-transe", "train-tagger",
+               "train", "eval", "predict", "attention", "answer")
+REQUIRED = {"predict": ["--question", "q"], "attention": ["--question", "q"], "answer": ["q"]}
+
+# (subcommand, flag and value, config key or argument name, expected value):
+# every flag of the hand-written parser but `train --full`, which did nothing
+FLAGS = [(sub, flag, key, want) for sub in SUBCOMMANDS for flag, key, want in (
+    (["--workdir", "w2"], "workdir", "w2"), (["--seed", "7"], "seed", 7),
+    (["--backend", "numpy"], "backend", "numpy"), (["--config", "{cfg}"], "config", "{cfg}"))]
+FLAGS += [(sub, flag, key, want) for sub, flag, key, want in (
+    ("ingest-kb", ["--triples", "t.txt"], "kb_triples", "t.txt"),
+    ("ingest-kb", ["--aliases", "a.txt"], "kb_aliases", "a.txt"),
+    ("ingest-kb", ["--full"], "full", True),
+    ("relabel", ["--train", "tr.txt"], "train_file", "tr.txt"),
+    ("relabel", ["--valid", "va.txt"], "valid_file", "va.txt"),
+    ("relabel", ["--test", "te.txt"], "test_file", "te.txt"),
+    ("relabel", ["--pattern-splits", "train,valid"], "pattern_splits", "train,valid"),
+    ("relabel", ["--min-count", "3"], "min_count", 3),
+    ("relabel", ["--full"], "full", True),
+    ("pretrain-transe", ["--transe-dim", "8"], "transe_dim", 8),
+    ("pretrain-transe", ["--transe-margin", "2.5"], "transe_margin", 2.5),
+    ("pretrain-transe", ["--transe-norm", "l1"], "transe_norm", "l1"),
+    ("pretrain-transe", ["--transe-lr", "0.5"], "transe_lr", 0.5),
+    ("pretrain-transe", ["--transe-epochs", "3"], "transe_epochs", 3),
+    ("pretrain-transe", ["--transe-batch-size", "16"], "transe_batch_size", 16),
+    ("train-tagger", ["--tagger-d-word", "8"], "tagger_d_word", 8),
+    ("train-tagger", ["--tagger-hidden", "6"], "tagger_hidden", 6),
+    ("train-tagger", ["--tagger-lr", "0.5"], "tagger_lr", 0.5),
+    ("train-tagger", ["--tagger-epochs", "3"], "tagger_epochs", 3),
+    ("train-tagger", ["--tagger-patience", "2"], "tagger_patience", 2),
+    ("train", ["--variant", "BiGRU"], "variant", "BiGRU"),
+    ("train", ["--d-word", "8"], "d_word", 8),
+    ("train", ["--d-rel", "6"], "d_rel", 6),
+    ("train", ["--d-hidden", "5"], "d_hidden", 5),
+    ("train", ["--attention-hidden", "4"], "attention_hidden", 4),
+    ("train", ["--dropout", "0.25"], "dropout", 0.25),
+    ("train", ["--lambda", "0.3"], "lam", 0.3),
+    ("train", ["--negatives", "2"], "negatives_per_positive", 2),
+    ("train", ["--lr", "0.5"], "lr", 0.5),
+    ("train", ["--epochs", "3"], "epochs", 3),
+    ("train", ["--batch-size", "16"], "batch_size", 16),
+    ("train", ["--shuffle-augment"], "shuffle_augment", True),
+    ("train", ["--no-shuffle-augment"], "shuffle_augment", False),
+    ("train", ["--no-transe-init"], "no_transe_init", True),
+    ("eval", ["--split", "valid"], "split", "valid"),
+    ("eval", ["--gold-spans"], "gold_spans", True),
+    ("eval", ["--no-gold-spans"], "gold_spans", False),
+    ("eval", ["--skip-detection-failures"], "skip_detection_failures", True),
+    ("eval", ["--no-skip-detection-failures"], "skip_detection_failures", False),
+    ("eval", ["--lambda", "0.3"], "lam", 0.3),
+    ("eval", ["--baseline"], "baseline", True),
+    ("predict", ["--question", "who"], "question", "who"),
+    ("predict", ["--mention", "john"], "mention", "john"),
+    ("predict", ["--lambda", "0.3"], "lam", 0.3),
+    ("attention", ["--question", "who"], "question", "who"),
+    ("attention", ["--mention", "john"], "mention", "john"),
+    ("attention", ["--lambda", "0.3"], "lam", 0.3),
+    ("attention", ["--subject", "01"], "subject", "01"),
+    ("answer", ["who"], "question", "who"),
+    ("answer", ["--non-interactive"], "non_interactive", True),
+    ("answer", ["--mention", "john"], "mention", "john"),
+    ("answer", ["--lambda", "0.3"], "lam", 0.3))]
+
+
+@pytest.fixture
+def resolved(tmp_path, monkeypatch):
+    """Run ``main`` with the subcommand stubbed; returns the (args, config) it got."""
+    seen = []
+    for sub in SUBCOMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + sub.replace("-", "_"),
+                            lambda args, cfg: seen.append((args, cfg)) or 0)
+    previous = kernels.active_backend()
+
+    def run(argv):
+        assert main(argv) == 0
+        return seen.pop()
+
+    yield run, tmp_path / "base.cfg"
+    kernels.set_backend(previous)
+
+
+@pytest.mark.parametrize("sub,flag,key,want", FLAGS, ids=[f"{f[0]} {f[1][0]}" for f in FLAGS])
+def test_flag_sets_the_same_key(resolved, sub, flag, key, want):
+    run, base = resolved
+    # a --no- flag must undo a value that the config file turned on
+    base.write_text("".join(f"{k} = yes\n" for k, kind in KEYS.items() if kind is bool))
+    flag = [a.format(cfg=base) for a in flag]
+    want = want.format(cfg=base) if isinstance(want, str) else want
+    argv = flag if flag[0] in ("--question", "who") else flag + REQUIRED.get(sub, [])
+    if flag[0].startswith("--no-"):
+        argv = ["--config", str(base)] + argv
+    args, cfg = run([sub] + argv)
+    got = getattr(cfg, key) if key in KEYS else getattr(args, key)
+    assert got == want and type(got) is type(want)
+
+
+def test_every_config_key_has_its_flag():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    named = {a.dest for parser in subs.choices.values() for a in parser._actions
+             if "--" + a.dest.replace("_", "-") in a.option_strings}
+    assert set(KEYS) <= named

@@ -2,8 +2,11 @@
 
 import pytest
 
-from ksaqa.config import PipelineConfig, load_config, parse_config
+from ksaqa.config import PipelineConfig, load_config, parse_config, stage_config
 from ksaqa.errors import ConfigError
+from ksaqa.model import ModelConfig
+from ksaqa.tagger import TaggerConfig
+from ksaqa.transe import TransEConfig
 
 
 def _write(tmp_path, text):
@@ -16,7 +19,6 @@ def test_defaults_match_the_paper_scale_model():
     cfg = PipelineConfig()
     assert (cfg.d_word, cfg.d_rel, cfg.d_hidden) == (500, 300, 300)
     assert cfg.attention_hidden == 650
-    assert cfg.question_layers == 2
     assert cfg.dropout == 0.1
     assert cfg.lam == 0.5
     assert cfg.negatives_per_positive == 5
@@ -108,3 +110,26 @@ def test_override_with_unknown_key_is_rejected():
 def test_value_may_contain_equals_sign(tmp_path):
     path = _write(tmp_path, "workdir = out/run=2\n")
     assert parse_config(path)["workdir"] == "out/run=2"
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("d_word", 0), ("d_rel", -3), ("d_hidden", 0), ("attention_hidden", 0),
+    ("negatives_per_positive", 0), ("epochs", 0), ("batch_size", 0),
+    ("dropout", 1.0), ("dropout", -0.1), ("lr", 0.0), ("lr", float("nan")),
+    ("tagger_d_word", 0), ("tagger_hidden", 0), ("tagger_epochs", 0), ("tagger_lr", -1.0),
+    ("transe_dim", 0), ("transe_epochs", 0), ("transe_batch_size", 0),
+    ("transe_lr", -1.0), ("transe_margin", 0.0), ("transe_norm", "l3"),
+    ("min_count", 0), ("seed", -1), ("seed", 2 ** 64), ("pattern_splits", "test"),
+])
+def test_out_of_range_values_are_refused_by_key(key, bad):
+    with pytest.raises(ConfigError, match=key):
+        load_config(None, {key: bad})
+
+
+def test_stage_keys_take_the_stage_prefix():
+    tagger = stage_config(PipelineConfig(seed=4, tagger_hidden=7), TaggerConfig)
+    assert (tagger.hidden, tagger.seed) == (7, 4)
+    transe = stage_config(PipelineConfig(transe_batch_size=9), TransEConfig)
+    assert transe.batch_size == 9
+    model = stage_config(PipelineConfig(seed=2, lam=0.25), ModelConfig)
+    assert (model.lam, model.seed) == (0.25, 2)

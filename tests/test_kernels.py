@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -120,24 +116,6 @@ def test_set_backend_returns_previous_and_validates():
             kernels.set_backend("bogus")
     finally:
         kernels.set_backend(prev)
-
-
-def test_env_flag_selects_lane_subprocess():
-    env = dict(os.environ, KSAQA_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from ksaqa import kernels; print(kernels.active_backend())"],
-        capture_output=True, text=True, env=env)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_lane_subprocess():
-    env = dict(os.environ, KSAQA_BACKEND="nonsense")
-    out = subprocess.run(
-        [sys.executable, "-c", "import ksaqa.kernels"],
-        capture_output=True, text=True, env=env)
-    assert out.returncode != 0
-    assert "nonsense" in out.stderr
 
 
 def test_gru_zero_weights_zero_output():

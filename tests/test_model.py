@@ -56,11 +56,6 @@ def test_config_rejects_nonpositive_dimensions(field):
         ModelConfig(**{field: 0})
 
 
-def test_config_pins_two_question_layers():
-    with pytest.raises(ConfigError, match="2 layers"):
-        ModelConfig(question_layers=3)
-
-
 # -- zero-weight closed forms -------------------------------------------------
 
 
@@ -279,8 +274,8 @@ def test_checkpoint_round_trip_preserves_scores(world, tmp_path):
     model.save(path)
     first = KsaModel.load(path, vocab, kb.relations)
     second = KsaModel.load(path, vocab, kb.relations)
-    for field in ("variant", "d_word", "d_rel", "d_hidden", "question_layers",
-                  "attention_hidden", "dropout", "lam", "negatives_per_positive"):
+    for field in ("variant", "d_word", "d_rel", "d_hidden", "attention_hidden",
+                  "dropout", "lam", "negatives_per_positive"):
         assert getattr(first.config, field) == getattr(model.config, field)
     after = first.score_pairs(["who", "wrote", "<e>"], ["01", "02"], kb)
     assert [s.pair for s in after] == [s.pair for s in before]
