@@ -339,31 +339,6 @@ def flip0(a: Tensor) -> Tensor:
     return _make(a.data[::-1].copy(), (a,), bwd, "flip0")
 
 
-def binary_cross_entropy(prob: Tensor, label) -> Tensor:
-    """Elementwise BCE. When ``prob`` came from :func:`sigmoid`, the loss is
-    computed from the underlying logits (softplus form) so saturated
-    probabilities never hit log(0); gradient then flows to the logits node
-    directly, which is the same value the chain rule gives through sigmoid.
-    """
-    y = np.asarray(label, dtype=np.float64)
-    if prob.op == "sigmoid" and prob.parents:
-        logits = prob.parents[0]
-        x = logits.data
-        data = np.logaddexp(0.0, x) - x * y
-
-        def bwd(g):
-            logits.accumulate(g * (1.0 / (1.0 + np.exp(-x)) - y))
-
-        return _make(data, (logits,), bwd, "bce")
-    p = np.clip(prob.data, 1e-12, 1.0 - 1e-12)
-    data = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-
-    def bwd(g):
-        prob.accumulate(g * (p - y) / (p * (1.0 - p)))
-
-    return _make(data, (prob,), bwd, "bce")
-
-
 def bce_with_logits_sum(logits: Tensor, labels) -> Tensor:
     """Summed binary cross entropy straight from logits (log-space, stable)."""
     y = np.asarray(labels, dtype=np.float64)

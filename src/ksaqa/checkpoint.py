@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -91,9 +92,12 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             raise DuplicateNameError(f"{path}: duplicate entry {name!r}")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = take(4 * n, f"payload of {name!r}")
-        arrays[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+        payload = take(4 * math.prod(dims), f"payload of {name!r}")   # Python ints: no wrap
+        flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        try:
+            arrays[name] = flat.reshape(dims)
+        except ValueError:     # a 0 among dims whose other product overflows
+            raise CheckpointError(f"{path}: no array has the dims {dims} of {name!r}") from None
     return arrays
 
 

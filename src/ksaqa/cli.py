@@ -14,7 +14,7 @@ Exit codes:
     2  usage error (bad flags or unknown subcommand)
     3  configuration error (unreadable config, unknown key, bad value, divergence)
     4  missing input file
-    5  malformed input data (parse error with line number)
+    5  malformed input data (bad or non-UTF-8 line, with its number; KB too large)
     6  missing pipeline artifact (run the earlier stage first)
     7  detection failure (no subject mention or no matching entity)
     8  corrupt or incompatible checkpoint, unreadable kb.npz or vocab.txt
@@ -32,15 +32,15 @@ import numpy as np
 from . import kernels
 from .autodiff import Rng
 from .config import KEYS, PipelineConfig, load_config, stage_config, stage_keys
-from .dataset import build_vocabulary, parse_simplequestions, write_formatted_tsv, Vocabulary
+from .dataset import (build_vocabulary, format_question, parse_simplequestions,
+                      span_to_formatted, write_formatted_tsv, Vocabulary)
 from .errors import CheckpointError, ConfigError, IngestError, KsaqaError, NonFiniteError
 from .evaluation import diff_report, evaluate, export_attention, random_baseline
 from .kb import AliasTable, KnowledgeBase, ingest_aliases, ingest_triples, tokenize
 from .model import KsaModel, ModelConfig, train_model
 from .relabel import (build_pattern_index, load_jsonl, export_jsonl,
                       relabel_dataset, ambiguity_rate, write_report)
-from .tagger import TaggerConfig, TaggerModel, predict_span, span_to_formatted, \
-    tags_for_span, train_tagger
+from .tagger import TaggerConfig, TaggerModel, predict_span, tags_for_span, train_tagger
 from .transe import EmbeddingSet, TransEConfig, export_relation_embeddings, train_transe
 
 FULL_KB_COUNTS = (2_150_604, 6_701, 14_180_937)
@@ -145,7 +145,6 @@ def cmd_relabel(args, cfg: PipelineConfig) -> int:
                     f"--full expects {want} {split} records, got {len(records)}")
 
     pattern_splits = cfg.pattern_split_names
-    from .dataset import format_question
     formatted = {split: [format_question(r, aliases) for r in records]
                  for split, records in splits.items()}
     index = build_pattern_index(
@@ -159,7 +158,7 @@ def cmd_relabel(args, cfg: PipelineConfig) -> int:
     _log(f"vocabulary {len(vocab)} tokens (min_count={cfg.min_count})")
 
     for split, records in splits.items():
-        examples, skipped = relabel_dataset(records, kb, aliases, index)
+        examples, skipped = relabel_dataset(records, formatted[split], kb, aliases, index)
         export_jsonl(examples, work / f"{split}.jsonl")
         write_formatted_tsv(work / f"{split}_formatted.tsv", records, formatted[split])
         rate = ambiguity_rate(examples)
@@ -274,21 +273,21 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _resolve_mention(cfg, work, vocab, tokens, mention_flag):
-    """Mention from --mention or the tagger; raises DetectionFailureError."""
+def _resolve_mention(work, vocab, tokens, mention_flag):
+    """Question formatted at --mention or the tagger's span; raises DetectionFailureError."""
     if mention_flag:
         mention_tokens = tokenize(mention_flag)
         for start in range(len(tokens) - len(mention_tokens) + 1):
             if tokens[start : start + len(mention_tokens)] == mention_tokens:
-                return (start, start + len(mention_tokens))
+                return span_to_formatted(tokens, (start, start + len(mention_tokens)))
         raise DetectionFailureError(
             f"--mention {mention_flag!r} does not occur in the question")
     tagger = TaggerModel.load(
         _checkpoint(work, "tagger.ckpt", "train-tagger` or pass `--mention"), vocab)
-    sp = predict_span(tagger, tokens)
-    if sp.failed:
+    fq = predict_span(tagger, tokens)
+    if fq is None:
         raise DetectionFailureError("the tagger found no subject mention")
-    return sp.span
+    return fq
 
 
 def _question_setup(args, cfg):
@@ -299,8 +298,7 @@ def _question_setup(args, cfg):
     tokens = tokenize(args.question)
     if not tokens:
         raise ConfigError("empty question")
-    span = _resolve_mention(cfg, work, vocab, tokens, args.mention)
-    fq = span_to_formatted(tokens, span)
+    fq = _resolve_mention(work, vocab, tokens, args.mention)
     candidates = aliases.entities_for_alias(fq.mention_text)
     if not candidates:
         raise DetectionFailureError(

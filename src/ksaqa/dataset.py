@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, IngestError
-from .kb import AliasTable, _iter_lines, strip_id_prefix, tokenize
+from .kb import AliasTable, read_tsv, strip_id_prefix, tokenize
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -56,14 +56,7 @@ class FormattedQuestion:
 def parse_simplequestions(source, split: str = "train") -> list[QuestionRecord]:
     """Parse subject<TAB>relation<TAB>object<TAB>question lines."""
     records = []
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise IngestError(line_no, f"expected 4 tab-separated fields, got {len(parts)}")
-        subj, rel, obj, question = parts
+    for line_no, (subj, rel, obj, question) in read_tsv(source, 4):
         tokens = tokenize(question)
         if not tokens:
             raise IngestError(line_no, "empty question")
@@ -99,10 +92,16 @@ def format_question(record: QuestionRecord, aliases: AliasTable) -> FormattedQue
     if best is None:
         return None
     n, start = best
+    return span_to_formatted(q, (start, start + n))
+
+
+def span_to_formatted(tokens: list[str], span: tuple[int, int]) -> FormattedQuestion:
+    """``tokens`` with the [start, end) span collapsed to ``<e>``."""
+    lo, hi = span
     return FormattedQuestion(
-        tokens=q[:start] + [ENT] + q[start + n:],
-        mention_span=(start, start + n),
-        mention_text=" ".join(q[start:start + n]),
+        tokens=tokens[:lo] + [ENT] + tokens[hi:],
+        mention_span=span,
+        mention_text=" ".join(tokens[lo:hi]),
     )
 
 

@@ -6,10 +6,10 @@ class KsaqaError(Exception):
 
 
 class IngestError(KsaqaError):
-    """Malformed input line; carries the 1-based line number."""
+    """Malformed input; carries the 1-based line number, or None for the whole input."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .autodiff import Rng
 from .errors import ConfigError
+from .tagger import predict_span
 
 
 def prf1(predicted: set, gold: set) -> tuple[float, float, float]:
@@ -108,14 +109,13 @@ def summarize(results: list[QuestionResult], total_questions: int | None = None,
     )
 
 
-def _score_question(model, kb, ex, fq_tokens, candidates, lam,
-                    detection_failed: bool = False) -> QuestionResult:
-    if detection_failed or not candidates:
+def _score_question(model, kb, ex, fq, candidates, lam) -> QuestionResult:
+    if not candidates:
         return QuestionResult(
             question=ex.record.text, predicted=set(), gold_pairs=set(ex.positives),
             gold_pair=ex.gold, precision=0.0, recall=0.0, f1=0.0,
             top1=None, detection_failed=True)
-    scores = model.score_pairs(fq_tokens, candidates, kb)
+    scores = model.score_pairs(fq.tokens, candidates, kb)
     threshold = model.config.lam if lam is None else lam
     predicted = {s.pair for s in scores if s.probability > threshold}
     top1 = scores[0].pair if scores else None
@@ -130,28 +130,20 @@ def evaluate(examples, model, kb, aliases=None, tagger=None,
              skip_detection_failures: bool = False) -> EvalReport:
     """Score every labeled example; spans from gold formatting or the tagger.
 
-    In tagger mode a question whose decoded span is empty, or whose mention
-    matches no alias, is a detection failure: scored (0,0,0) by default or
-    dropped from the averages under ``skip_detection_failures``.
+    A question without candidate subjects is a detection failure: in tagger
+    mode, one whose decoded span is empty or whose mention matches no alias.
+    It is scored (0,0,0) by default or dropped from the averages under
+    ``skip_detection_failures``.
     """
     if not gold_spans and (tagger is None or aliases is None):
         raise ConfigError("tagger-mode evaluation needs a tagger and an alias table")
     results = []
     for ex in examples:
-        if gold_spans:
-            results.append(_score_question(
-                model, kb, ex, ex.formatted.tokens, ex.candidates, lam))
-            continue
-        from .tagger import predict_span
-        sp = predict_span(tagger, ex.record.tokens)
-        if sp.failed:
-            results.append(_score_question(model, kb, ex, None, None, lam,
-                                           detection_failed=True))
-            continue
-        candidates = aliases.entities_for_alias(sp.mention_text)
-        results.append(_score_question(
-            model, kb, ex, sp.formatted_tokens, candidates, lam,
-            detection_failed=not candidates))
+        fq, candidates = ex.formatted, ex.candidates
+        if not gold_spans:
+            fq = predict_span(tagger, ex.record.tokens)
+            candidates = aliases.entities_for_alias(fq.mention_text) if fq else set()
+        results.append(_score_question(model, kb, ex, fq, candidates, lam))
     return summarize(results, len(examples), skip_detection_failures)
 
 
@@ -167,10 +159,7 @@ def random_baseline(examples, kb, rng: Rng,
     for ex in examples:
         pairs = []
         for s in sorted(ex.candidates):
-            si = kb.entity_id(s)
-            if si < 0:
-                continue
-            pairs.extend((s, kb.relations[ri]) for ri in kb.subgraph_relations(si))
+            pairs.extend((s, kb.relations[ri]) for ri in kb.subgraph_relations(kb.entity_id(s)))
         predicted = {p for p in pairs if rng.random() < 0.5}
         top1 = pairs[int(rng.integers(0, len(pairs)))] if pairs else None
         p, r, f1 = prf1(predicted, set(ex.positives))
@@ -202,10 +191,7 @@ def export_attention(model, fq_tokens: list[str], subject: str, kb,
     """Attention weights for one (question, subject); KSA variant only."""
     if model.config.variant != "KSA-BiGRU":
         raise ConfigError(f"variant {model.config.variant} produces no attention map")
-    si = kb.entity_id(subject)
-    rel_ids = kb.subgraph_relations(si) if si >= 0 else np.empty(0, dtype=np.int64)
-    rows = np.array([model.rel_index[kb.relations[ri]] for ri in rel_ids], dtype=np.int64)
-    _, alpha = model.encoder_output(fq_tokens, rows)
+    _, alpha = model.encoder_output(fq_tokens, model.subject_rows(kb, subject))
     amap = AttentionMap(tokens=list(fq_tokens), weights=alpha.data.copy(), subject=subject)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -6,7 +6,8 @@ searchsorted scans.  Key layouts (NE entities, NR relations interned):
     pair key    s * NR + r
     triple key  (s * NR + r) * NE + t
 
-which fits int64 comfortably at Freebase-2M scale (~3.1e16 < 2**63).
+which fits int64 while NE**2 * NR <= 2**63 (Freebase-2M: ~3.1e16); ingest
+refuses a larger KB.
 Relation indices are remapped after ingest so index order equals ascending
 lexicographic order of the relation text; subgraph lists are then sorted in
 canonical order for free.
@@ -69,12 +70,45 @@ class Interner:
         return len(self.texts)
 
 
-def _iter_lines(source):
+def read_tsv(source, fields: int):
+    """(line number, fields) for each non-blank line of a tab-separated source.
+
+    ``source`` is a UTF-8 file path or an iterable of str lines.  A line that
+    is not UTF-8 or does not hold ``fields`` fields raises IngestError with
+    its 1-based number.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            yield from fh
-    else:
-        yield from source
+        # bytes that are not UTF-8 become lone surrogates, refused on their own line
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
+            yield from read_tsv(fh, fields)
+        return
+    for line_no, raw in enumerate(source, start=1):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise IngestError(line_no, f"not UTF-8 at column {exc.start + 1}") from None
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != fields:
+            raise IngestError(line_no, f"expected {fields} tab-separated fields, got {len(parts)}")
+        yield line_no, parts
+
+
+_KEY_LIMIT = 2 ** 63     # the largest key, NE**2 * NR - 1, must fit int64
+
+
+def triple_keys(s, r, t, ne: int, nr: int):
+    """Triple keys (s * NR + r) * NE + t as int64, for NE entities and NR relations.
+
+    Refuses, before touching the indices, a KB whose keys would overflow.
+    """
+    if ne * ne * nr > _KEY_LIMIT:
+        raise IngestError(None, f"{ne} entities and {nr} relations overflow the int64 "
+                                f"triple key (entities**2 * relations > 2**63)")
+    return (np.asarray(s, dtype=np.int64) * nr + r) * ne + t
 
 
 class KnowledgeBase:
@@ -129,15 +163,24 @@ class KnowledgeBase:
         """All t with (e, r, t) in the KB, ascending by entity index."""
         if not (0 <= e < self._ne and 0 <= r < self._nr):
             return np.empty(0, dtype=np.int64)
-        base = (np.int64(e) * self._nr + r) * self._ne
+        base = triple_keys(e, r, 0, self._ne, self._nr)
         lo = np.searchsorted(self.triple_keys, base, side="left")
         hi = np.searchsorted(self.triple_keys, base + self._ne, side="left")
         return (self.triple_keys[lo:hi] - base).astype(np.int64)
 
-    def decode_triple(self, key: int) -> tuple[int, int, int]:
-        t = int(key % self._ne)
-        pair = key // self._ne
-        return int(pair // self._nr), int(pair % self._nr), t
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h, r, t) index arrays of every triple, in key order."""
+        pair, t = np.divmod(self.triple_keys, self._ne)
+        h, r = np.divmod(pair, self._nr)
+        return h, r, t
+
+    def contains(self, h, r, t) -> np.ndarray:
+        """Elementwise membership of the triples (h[i], r[i], t[i]) in the KB."""
+        key = triple_keys(h, r, t, self._ne, self._nr)
+        if self.triple_keys.size == 0:
+            return np.zeros(np.shape(key), dtype=bool)
+        pos = np.minimum(np.searchsorted(self.triple_keys, key), self.triple_keys.size - 1)
+        return self.triple_keys[pos] == key
 
     def save(self, path) -> None:
         np.savez_compressed(
@@ -172,14 +215,7 @@ def ingest_triples(source) -> KnowledgeBase:
     ss: list[int] = []
     rs: list[int] = []
     ts: list[int] = []
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise IngestError(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-        subj, rel, objs = parts
+    for line_no, (subj, rel, objs) in read_tsv(source, 3):
         if not subj.strip() or not rel.strip() or not objs.strip():
             raise IngestError(line_no, "empty field")
         s = ents.intern(strip_id_prefix(subj))
@@ -202,7 +238,7 @@ def ingest_triples(source) -> KnowledgeBase:
         s_arr = np.asarray(ss, dtype=np.int64)
         r_arr = remap[np.asarray(rs, dtype=np.int64)]
         t_arr = np.asarray(ts, dtype=np.int64)
-        keys = np.unique((s_arr * nr + r_arr) * ne + t_arr)
+        keys = np.unique(triple_keys(s_arr, r_arr, t_arr, ne, nr))
     else:
         keys = np.empty(0, dtype=np.int64)
     return KnowledgeBase(ents.texts, relations, keys)
@@ -249,14 +285,7 @@ class AliasTable:
 def ingest_aliases(source) -> AliasTable:
     """Build an AliasTable from entity<TAB>alias lines."""
     table = AliasTable()
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise IngestError(line_no, f"expected 2 tab-separated fields, got {len(parts)}")
-        entity, alias = parts
+    for line_no, (entity, alias) in read_tsv(source, 2):
         if not entity.strip():
             raise IngestError(line_no, "empty entity field")
         table.add(strip_id_prefix(entity), alias)

@@ -25,7 +25,7 @@ from .autodiff import Parameter, Rng, Tape, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import Vocabulary
 from .errors import ConfigError, ShapeError, require_positive
-from .evaluation import prf1
+from .evaluation import evaluate
 from .kb import KnowledgeBase
 from .optim import Adam
 from .relabel import LabeledExample, negative_pool, sample_negatives
@@ -191,6 +191,11 @@ class KsaModel:
 
     # -- inference ----------------------------------------------------------
 
+    def subject_rows(self, kb: KnowledgeBase, s: str) -> np.ndarray:
+        """Relation-table rows of R(s) in canonical order; empty for an unknown s."""
+        return np.array([self.rel_index[kb.relations[ri]]
+                         for ri in kb.subgraph_relations(kb.entity_id(s))], dtype=np.int64)
+
     def score_pairs(self, fq_tokens: list[str], candidates, kb: KnowledgeBase
                     ) -> list[InterpretationScore]:
         """Probabilities for every (s, r) with s a candidate and r in R(s).
@@ -199,19 +204,14 @@ class KsaModel:
         """
         results = []
         for s in sorted(set(candidates)):
-            si = kb.entity_id(s)
-            if si < 0:
+            rows = self.subject_rows(kb, s)
+            if rows.size == 0:
                 continue
-            rel_ids = kb.subgraph_relations(si)
-            if rel_ids.size == 0:
-                continue
-            rows = np.array([self.rel_index[kb.relations[ri]] for ri in rel_ids],
-                            dtype=np.int64)
             enc, _ = self.encoder_output(fq_tokens, rows)
             probs = self.decode_scores(enc).data
-            for row, ri in zip(rows, rel_ids):
+            for row in rows:
                 results.append(InterpretationScore(
-                    pair=(s, kb.relations[ri]), probability=float(probs[row])))
+                    pair=(s, self.relations[row]), probability=float(probs[row])))
         results.sort(key=lambda r: (-r.probability, r.pair))
         return results
 
@@ -266,14 +266,6 @@ class KsaModel:
 # ---------------------------------------------------------------------------
 
 
-def _subject_rel_rows(model: KsaModel, kb: KnowledgeBase, subject: str) -> np.ndarray:
-    si = kb.entity_id(subject)
-    if si < 0:
-        return np.empty(0, dtype=np.int64)
-    return np.array([model.rel_index[kb.relations[ri]] for ri in kb.subgraph_relations(si)],
-                    dtype=np.int64)
-
-
 def build_training_items(model: KsaModel, examples: list[LabeledExample],
                          kb: KnowledgeBase, rng: Rng) -> list[tuple]:
     """Positive/negative scored rows per (question, subject), fresh negatives.
@@ -291,7 +283,7 @@ def build_training_items(model: KsaModel, examples: list[LabeledExample],
         for s, r in sorted(ex.positives):
             by_subject.setdefault(s, []).append(r)
         for s, pos_rels in by_subject.items():
-            rel_rows = _subject_rel_rows(model, kb, s)
+            rel_rows = model.subject_rows(kb, s)
             pool = negative_pool(ex, s, kb)
             scored: list[int] = []
             labels: list[float] = []
@@ -309,7 +301,7 @@ def build_training_items(model: KsaModel, examples: list[LabeledExample],
                               np.array(labels)))
         if cfg.negatives_from_empty_candidates:
             for s in sorted(ex.candidates - {p[0] for p in ex.positives}):
-                rel_rows = _subject_rel_rows(model, kb, s)
+                rel_rows = model.subject_rows(kb, s)
                 pool = negative_pool(ex, s, kb)
                 negs = sample_negatives(pool, k, rng)
                 if negs:
@@ -322,13 +314,7 @@ def build_training_items(model: KsaModel, examples: list[LabeledExample],
 def valid_macro_f1(model: KsaModel, examples: list[LabeledExample],
                    kb: KnowledgeBase, lam: float | None = None) -> float:
     """Gold-span macro F1 of thresholded predictions against SR(q)."""
-    if not examples:
-        return 0.0
-    total = 0.0
-    for ex in examples:
-        pred = model.predict(ex.formatted.tokens, ex.candidates, kb, lam)
-        total += prf1(pred, ex.positives)[2]
-    return total / len(examples)
+    return evaluate(examples, model, kb, gold_spans=True, lam=lam).macro_f1
 
 
 def train_model(model: KsaModel, train_examples: list[LabeledExample],

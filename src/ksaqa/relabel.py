@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .autodiff import Rng
-from .dataset import ENT, FormattedQuestion, QuestionRecord, format_question
+from .dataset import ENT, FormattedQuestion, QuestionRecord
 from .kb import AliasTable, KnowledgeBase
 
 
@@ -93,13 +93,15 @@ def is_ambiguous(ps) -> bool:
     return len(pairs) >= 2
 
 
-def relabel_dataset(records, kb: KnowledgeBase, aliases: AliasTable,
+def relabel_dataset(records, formatted, kb: KnowledgeBase, aliases: AliasTable,
                     index: PatternIndex) -> tuple[list[LabeledExample], int]:
-    """Relabel every formatable record; returns (examples, skipped_count)."""
+    """Relabel every formatable record; returns (examples, skipped_count).
+
+    ``formatted`` runs parallel to ``records``, as in ``build_pattern_index``.
+    """
     examples = []
     skipped = 0
-    for rec in records:
-        fq = format_question(rec, aliases)
+    for rec, fq in zip(records, formatted):
         if fq is None:
             skipped += 1
             continue
@@ -161,11 +163,8 @@ def write_report(examples, alias_path, pattern_path) -> None:
 
 def negative_pool(example: LabeledExample, s: str, kb: KnowledgeBase) -> list[str]:
     """R(s) minus every relation plausible for s, canonical order."""
-    si = kb.entity_id(s)
-    if si < 0:
-        return []
     plausible = {r for (e, r) in example.positives if e == s}
-    return [kb.relations[ri] for ri in kb.subgraph_relations(si)
+    return [kb.relations[ri] for ri in kb.subgraph_relations(kb.entity_id(s))
             if kb.relations[ri] not in plausible]
 
 

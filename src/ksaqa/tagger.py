@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Parameter, Rng, Tape, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import ENT, FormattedQuestion, Vocabulary
+from .dataset import FormattedQuestion, Vocabulary, span_to_formatted
 from .errors import ConfigError, require_positive
 from .kernels import crf as crf_k
 from .optim import Adam
@@ -83,18 +83,6 @@ class TaggerModel:
                                vocabulary=vocab.tokens)
 
 
-@dataclass
-class SpanPrediction:
-    tags: np.ndarray
-    span: tuple[int, int] | None     # [start, end) or None on failure
-    mention_text: str
-    formatted_tokens: list[str] | None
-
-    @property
-    def failed(self) -> bool:
-        return self.span is None
-
-
 def longest_run(tags: np.ndarray) -> tuple[int, int] | None:
     """Longest contiguous run of 1s, leftmost on ties; None if no 1s."""
     best = None
@@ -109,26 +97,10 @@ def longest_run(tags: np.ndarray) -> tuple[int, int] | None:
     return best
 
 
-def predict_span(model: TaggerModel, tokens: list[str]) -> SpanPrediction:
-    tags = model.decode(tokens)
-    span = longest_run(tags)
-    if span is None:
-        return SpanPrediction(tags=tags, span=None, mention_text="", formatted_tokens=None)
-    lo, hi = span
-    return SpanPrediction(
-        tags=tags, span=span,
-        mention_text=" ".join(tokens[lo:hi]),
-        formatted_tokens=tokens[:lo] + [ENT] + tokens[hi:],
-    )
-
-
-def span_to_formatted(tokens: list[str], span: tuple[int, int]) -> FormattedQuestion:
-    lo, hi = span
-    return FormattedQuestion(
-        tokens=tokens[:lo] + [ENT] + tokens[hi:],
-        mention_span=span,
-        mention_text=" ".join(tokens[lo:hi]),
-    )
+def predict_span(model: TaggerModel, tokens: list[str]) -> FormattedQuestion | None:
+    """The question formatted at the decoded mention; None on a detection failure."""
+    span = longest_run(model.decode(tokens))
+    return None if span is None else span_to_formatted(tokens, span)
 
 
 def tags_for_span(n: int, span: tuple[int, int]) -> np.ndarray:

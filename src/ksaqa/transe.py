@@ -76,16 +76,6 @@ def triple_score(h: int, r: int, t: int, emb: EmbeddingSet, norm: str | None = N
     return float(np.linalg.norm(v))
 
 
-def decode_all_triples(kb: KnowledgeBase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decode of the KB's sorted triple keys into (h, r, t)."""
-    keys = kb.triple_keys
-    ne = max(kb.entity_count, 1)
-    nr = max(kb.relation_count, 1)
-    t = keys % ne
-    pair = keys // ne
-    return (pair // nr).astype(np.int64), (pair % nr).astype(np.int64), t.astype(np.int64)
-
-
 def mean_tail_rank(kb: KnowledgeBase, emb: EmbeddingSet) -> float:
     """Average rank of the true tail among all entities, 1-based.
 
@@ -93,7 +83,7 @@ def mean_tail_rank(kb: KnowledgeBase, emb: EmbeddingSet) -> float:
     tails by ||E[h] + R[r] - E[e]||; the gold tail's rank (ties counted
     optimistically low, as usual for link prediction) is averaged.
     """
-    hs, rs, ts = decode_all_triples(kb)
+    hs, rs, ts = kb.triples()
     if hs.size == 0:
         raise ConfigError("mean_tail_rank needs a non-empty KB")
     ranks = []
@@ -116,10 +106,8 @@ def _draw_negatives(kb, h, r, t, rng):
     overlapping rows simply accumulate.
     """
     nb = h.shape[0]
-    ne = max(kb.entity_count, 1)
-    nr = max(kb.relation_count, 1)
     corrupt_head = rng.random(nb) < 0.5
-    cand = rng.integers(0, ne, size=(nb, _RETRIES)).astype(np.int64)
+    cand = rng.integers(0, kb.entity_count, size=(nb, _RETRIES)).astype(np.int64)
     nh = h.copy()
     nt = t.copy()
     valid = np.zeros(nb, dtype=np.int64)
@@ -128,13 +116,7 @@ def _draw_negatives(kb, h, r, t, rng):
         if not pending.any():
             break
         cj = cand[:, j]
-        key_head = (cj * nr + r) * ne + t
-        key_tail = (h * nr + r) * ne + cj
-        key = np.where(corrupt_head, key_head, key_tail)
-        pos = np.searchsorted(kb.triple_keys, key)
-        pos = np.minimum(pos, max(kb.triple_keys.size - 1, 0))
-        present = kb.triple_keys.size > 0
-        in_kb = (kb.triple_keys[pos] == key) if present else np.zeros(nb, dtype=bool)
+        in_kb = kb.contains(np.where(corrupt_head, cj, h), r, np.where(corrupt_head, t, cj))
         ok = pending & ~in_kb
         nh[ok & corrupt_head] = cj[ok & corrupt_head]
         nt[ok & ~corrupt_head] = cj[ok & ~corrupt_head]
@@ -156,7 +138,7 @@ def train_transe(kb: KnowledgeBase, config: TransEConfig,
     rel /= np.maximum(np.linalg.norm(rel, axis=1, keepdims=True), 1e-12)
     ent /= np.maximum(np.linalg.norm(ent, axis=1, keepdims=True), 1e-12)
 
-    h_all, r_all, t_all = decode_all_triples(kb)
+    h_all, r_all, t_all = kb.triples()
     n = h_all.shape[0]
     use_l2 = 1 if config.norm == "l2" else 0
     history = []

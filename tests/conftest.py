@@ -29,7 +29,7 @@ def world(micro):
     kb, aliases, records = micro
     formatted = [format_question(r, aliases) for r in records]
     index = build_pattern_index(records, formatted)
-    examples, skipped = relabel_dataset(records, kb, aliases, index)
+    examples, skipped = relabel_dataset(records, formatted, kb, aliases, index)
     assert skipped == 0
     streams = [r.tokens for r in records]
     streams.extend(f.tokens for f in formatted if f is not None)

@@ -9,12 +9,14 @@ import argparse
 import io
 import json
 import shutil
+import struct
 import warnings
 
 import pytest
 
 from ksaqa import cli, kernels
-from ksaqa.checkpoint import load_arrays, save_arrays
+from ksaqa import kb as kb_module
+from ksaqa.checkpoint import MAGIC, load_arrays, save_arrays
 from ksaqa.cli import build_parser, main
 from ksaqa.config import KEYS
 
@@ -299,16 +301,21 @@ def test_corrupt_checkpoint_exits_8(pipeline, tmp_path, capsys):
 PREDICT = ["predict", "--question", "where was john smith born"]
 
 
+# each mutation takes the copied work directory and the test's monkeypatch
 def _write(name, text):
-    return lambda work: (work / name).write_text(text)
+    return lambda work, mp: (work / name).write_text(text)
+
+
+def _write_bytes(name, blob):
+    return lambda work, mp: (work / name).write_bytes(blob)
 
 
 def _delete(name):
-    return lambda work: (work / name).unlink()
+    return lambda work, mp: (work / name).unlink()
 
 
 def _edit_tensors(name, edit):
-    def mutate(work):
+    def mutate(work, mp):
         arrays = load_arrays(work / name)
         edit(arrays)
         save_arrays(work / name, arrays)
@@ -316,7 +323,7 @@ def _edit_tensors(name, edit):
 
 
 def _edit_manifest(name, edit):
-    def mutate(work):
+    def mutate(work, mp):
         manifest = json.loads((work / name).read_text())
         edit(manifest)
         (work / name).write_text(json.dumps(manifest))
@@ -324,14 +331,26 @@ def _edit_manifest(name, edit):
 
 
 def _truncate(name):
-    def mutate(work):
+    def mutate(work, mp):
         blob = (work / name).read_bytes()
         (work / name).write_bytes(blob[: len(blob) // 2])
     return mutate
 
 
-def _keep(work):
+def _keep(work, mp):
     pass
+
+
+def _key_limit(limit):
+    return lambda work, mp: mp.setattr(kb_module, "_KEY_LIMIT", limit)
+
+
+def _dims(*dims):
+    """A checkpoint holding one tensor entry with these dims and no payload."""
+    return MAGIC + struct.pack("<II", 1, 1) + b"w" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+
+
+NOT_UTF8 = b"caf\xe9\tbar\n"
 
 
 FAULTS = [
@@ -356,7 +375,12 @@ FAULTS = [
     ("transe-tensor-misshaped", ["train", "--epochs", "1"],
      _edit_tensors("transe.ckpt", lambda a: a.update({"transe.entity": a["transe.entity"][:1]})), 8),
     ("foreign-vocabulary", PREDICT,
-     lambda work: (work / "vocab.txt").write_text((work / "vocab.txt").read_text() + "extra\n"), 8),
+     lambda work, mp: (work / "vocab.txt").write_text((work / "vocab.txt").read_text() + "extra\n"),
+     8),
+    # dims whose product wraps to 0 in int64, or that no array can take around a 0
+    ("model-dims-overflow", PREDICT, _write_bytes("model.ckpt", _dims(2 ** 31, 2 ** 31, 2 ** 31)), 8),
+    ("model-dims-unallocatable", PREDICT,
+     _write_bytes("model.ckpt", _dims(0, 2 ** 32 - 1, 2 ** 32 - 1)), 8),
     # other corrupt artifacts
     ("kb-truncated", ["stats"], _truncate("kb.npz"), 8),
     ("vocab-empty", PREDICT, _write("vocab.txt", ""), 8),
@@ -387,6 +411,12 @@ FAULTS = [
     # a manifest from before question_layers was removed
     ("manifest-question-layers", PREDICT,
      _edit_manifest("model.ckpt.json", lambda m: m["config"].update(question_layers=2)), 8),
+    # input files that are not UTF-8, and a KB too large for the int64 triple key
+    ("triples-not-utf8", ["ingest-kb", "--triples", "{work}/bad.txt"],
+     _write_bytes("bad.txt", NOT_UTF8), 5),
+    ("questions-not-utf8", ["relabel", "--train", "{work}/bad.txt"],
+     _write_bytes("bad.txt", NOT_UTF8), 5),
+    ("kb-key-overflow", ["ingest-kb"], _key_limit(8), 5),
     # training divergence
     ("transe-diverges", ["pretrain-transe", "--transe-lr", "1e300"], _keep, 3),
     ("tagger-diverges", ["train-tagger", "--tagger-lr", "1e30"], _keep, 3),
@@ -394,13 +424,13 @@ FAULTS = [
 
 
 @pytest.mark.parametrize("argv,mutate,code", [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
-def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, argv, mutate, code):
+def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, monkeypatch, argv, mutate, code):
     if "numba" in argv and kernels.HAVE_NUMBA:
         pytest.skip("numba is installed")
     cfg, _, work = pipeline
     broken = tmp_path / "work"
     shutil.copytree(work, broken)
-    mutate(broken)
+    mutate(broken, monkeypatch)
     before = {p.name: p.read_bytes() for p in broken.glob("*.ckpt*")}
     argv = [a.format(work=broken) for a in argv]
     with warnings.catch_warnings(record=True) as caught:

@@ -3,7 +3,7 @@ import pytest
 
 from ksaqa.errors import IngestError
 from ksaqa.kb import (AliasTable, KnowledgeBase, ingest_aliases, ingest_triples,
-                      normalize_text, strip_id_prefix, tokenize)
+                      normalize_text, strip_id_prefix, tokenize, triple_keys)
 
 from corpus_util import EPREFIX, RPREFIX, micro_world
 
@@ -76,12 +76,26 @@ def test_has_fact_and_objects(micro):
     assert kb.objects(s, kb.relation_id("music/artist/genre")).size == 0
 
 
-def test_decode_triple_round_trip(micro):
+def test_triples_and_contains_round_trip(micro):
     kb, _, _ = micro
-    for key in kb.triple_keys[:5]:
-        s, r, t = kb.decode_triple(int(key))
-        assert kb.has_fact(s, r)
-        assert t in kb.objects(s, r)
+    hs, rs, ts = kb.triples()
+    assert hs.size == kb.triple_count
+    for h, r, t in zip(hs, rs, ts):
+        assert kb.has_fact(int(h), int(r))
+        assert int(t) in kb.objects(int(h), int(r)).tolist()
+    assert kb.contains(hs, rs, ts).all()
+    # every other tail of a present (h, r) pair is absent
+    others = (ts + 1) % kb.entity_count
+    want = [int(o) in kb.objects(int(h), int(r)).tolist() for h, r, o in zip(hs, rs, others)]
+    assert kb.contains(hs, rs, others).tolist() == want
+    assert kb.contains(hs[:0], rs[:0], ts[:0]).shape == (0,)
+
+
+def test_triple_keys_refuse_an_int64_overflow():
+    # checked before any index is read: no array of 2**31 entities is built
+    with pytest.raises(IngestError, match="2147483648 entities and 4 relations"):
+        triple_keys(0, 0, 0, 2 ** 31, 4)
+    assert triple_keys(2 ** 31 - 1, 1, 2 ** 31 - 1, 2 ** 31, 2) == 2 ** 63 - 1
 
 
 def test_kb_save_load_round_trip(tmp_path, micro):

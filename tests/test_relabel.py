@@ -20,7 +20,7 @@ def labeled(micro_module):
     kb, aliases, records = micro_module
     formatted = [format_question(r, aliases) for r in records]
     index = build_pattern_index(records, formatted)
-    examples, skipped = relabel_dataset(records, kb, aliases, index)
+    examples, skipped = relabel_dataset(records, formatted, kb, aliases, index)
     return kb, aliases, records, index, examples, skipped
 
 
@@ -151,7 +151,7 @@ def test_skipped_count_for_unformatable():
     kb, aliases, records = world.build()
     formatted = [format_question(r, aliases) for r in records]
     index = build_pattern_index(records, formatted)
-    examples, skipped = relabel_dataset(records, kb, aliases, index)
+    examples, skipped = relabel_dataset(records, formatted, kb, aliases, index)
     assert skipped == 1
     assert len(examples) == len(records) - 1
 
@@ -162,7 +162,7 @@ def test_oracle_equivalence_one_seed():
     formatted = [format_question(r, aliases) for r in records]
     index = build_pattern_index(records, formatted)
     oracle_index = oracle_pattern_index(records, formatted)
-    examples, skipped = relabel_dataset(records, kb, aliases, index)
+    examples, skipped = relabel_dataset(records, formatted, kb, aliases, index)
     assert skipped == sum(1 for f in formatted if f is None)
     it = iter(examples)
     for rec, fq in zip(records, formatted):

@@ -8,7 +8,7 @@ from ksaqa.autodiff import Tape, backward
 from ksaqa.dataset import ENT, build_vocabulary
 from ksaqa.errors import CheckpointError, ConfigError
 from ksaqa.kernels import crf
-from ksaqa.tagger import (SpanPrediction, TaggerConfig, TaggerModel,
+from ksaqa.tagger import (TaggerConfig, TaggerModel,
                           longest_run, predict_span, span_accuracy,
                           span_to_formatted, tags_for_span, train_tagger)
 
@@ -176,11 +176,11 @@ def test_tagger_history_records_loss_and_accuracy(trained_tagger):
 
 def test_predict_span_on_trained_model(trained_tagger):
     model, _, _ = trained_tagger
-    sp = predict_span(model, ["what", "is", "zorg04", "made", "?"])
-    assert not sp.failed
-    assert sp.span == (2, 3)
-    assert sp.mention_text == "zorg04"
-    assert sp.formatted_tokens == ["what", "is", ENT, "made", "?"]
+    fq = predict_span(model, ["what", "is", "zorg04", "made", "?"])
+    assert fq is not None
+    assert fq.mention_span == (2, 3)
+    assert fq.mention_text == "zorg04"
+    assert fq.tokens == ["what", "is", ENT, "made", "?"]
 
 
 def test_predict_span_failure_flag():
@@ -189,9 +189,7 @@ def test_predict_span_failure_flag():
     # force all-zero decode by heavily biasing the start/emission scores
     model.start.data[:] = np.array([50.0, -50.0])
     model.trans.data[:] = np.array([[50.0, -50.0], [-50.0, -50.0]])
-    sp = predict_span(model, ["a", "a"])
-    assert sp.failed
-    assert sp.span is None and not sp.mention_text
+    assert predict_span(model, ["a", "a"]) is None
 
 
 def test_tagger_checkpoint_round_trip(tmp_path, trained_tagger):

@@ -5,9 +5,8 @@ from ksaqa.errors import ConfigError
 from ksaqa.kb import ingest_triples
 from ksaqa.kernels import transe_ops
 from ksaqa.autodiff import Rng
-from ksaqa.transe import (EmbeddingSet, TransEConfig, decode_all_triples,
-                          export_relation_embeddings, mean_tail_rank,
-                          train_transe, triple_score)
+from ksaqa.transe import (EmbeddingSet, TransEConfig, export_relation_embeddings,
+                          mean_tail_rank, train_transe, triple_score)
 
 from corpus_util import EPREFIX, RPREFIX, chain_kb
 
@@ -32,15 +31,6 @@ def test_triple_score_oracle():
     assert triple_score(1, 0, 0, emb, norm="l1") == pytest.approx(4.0)
 
 
-def test_decode_all_triples_matches_kb():
-    kb = chain_kb()
-    hs, rs, ts = decode_all_triples(kb)
-    assert hs.size == kb.triple_count
-    for h, r, t in zip(hs, rs, ts):
-        assert kb.has_fact(int(h), int(r))
-        assert int(t) in kb.objects(int(h), int(r)).tolist()
-
-
 def test_training_reduces_loss_and_ranks():
     kb = chain_kb()
     cfg = TransEConfig(dim=8, margin=1.0, epochs=100, batch_size=4, lr=0.05, seed=0)
@@ -57,7 +47,7 @@ def test_entity_norms_stay_unit_after_every_batch():
     ent /= np.linalg.norm(ent, axis=1, keepdims=True)
     rel = rng.standard_normal((kb.relation_count, dim))
     rel /= np.linalg.norm(rel, axis=1, keepdims=True)
-    hs, rs, ts = decode_all_triples(kb)
+    hs, rs, ts = kb.triples()
     g = np.random.default_rng(1)
     for step in range(25):
         idx = g.integers(0, hs.size, 6)
