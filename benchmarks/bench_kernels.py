@@ -1,53 +1,21 @@
-"""Compare the numpy and numba kernel lanes on representative workloads.
+"""Kernel benchmark cases: one representative input per ``ksaqa.kernels`` kernel.
 
-Run:  python3 benchmarks/bench_kernels.py [--repeats N] [--scale small|full]
+``build_benchmarks(scale)`` returns ``(name, fn, check)`` triples: ``fn()``
+runs the kernel on fixed seeded inputs in whichever lane is active, and
+``check(out_a, out_b)`` says whether two lanes' outputs agree.  The
+``small`` shapes are near the desk dims, the ``full`` shapes are the paper
+dims.  ``perfbench/kernel_section.py`` times every case in every lane that
+can be imported and checks that the lanes agree; a traced benchmark run
+prints that section:
 
-Each kernel family is timed in both lanes on identical inputs (best of N
-runs after a warm-up call so numba JIT compilation is excluded), and the
-table reports the numpy/numba speedup.  The lanes must also agree
-numerically; the script asserts allclose before printing.
+    python3 perfbench/run.py --workload ask-paper --seed 1 --seconds 50 --trace 1
 """
 
 from __future__ import annotations
 
-import argparse
-import time
-
 import numpy as np
 
-from ksaqa import kernels
 from ksaqa.kernels import adam_ops, crf, gru, transe_ops
-
-
-def _time(fn, repeats: int) -> float:
-    fn()  # warm-up (JIT compile / cache load)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _bench(name, fn, check, repeats):
-    """Time ``fn`` in both lanes and verify ``check(out_numpy, out_numba)``."""
-    rows = {}
-    outs = {}
-    for lane in ("numpy", "numba"):
-        try:
-            kernels.set_backend(lane)
-        except ValueError:
-            rows[lane] = None
-            continue
-        if kernels.active_backend() != lane:
-            rows[lane] = None  # numba unavailable; auto fell back
-            continue
-        outs[lane] = fn()
-        rows[lane] = _time(fn, repeats)
-    kernels.set_backend("auto")
-    if len(outs) == 2 and not check(outs["numpy"], outs["numba"]):
-        raise AssertionError(f"{name}: lanes disagree")
-    return name, rows.get("numpy"), rows.get("numba")
 
 
 def _allclose(a, b):
@@ -127,26 +95,3 @@ def build_benchmarks(scale: str):
 
     benches.append(("transe_batch", transe_run, _allclose))
     return benches
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--scale", choices=("small", "full"), default="small")
-    args = ap.parse_args()
-
-    if not kernels.HAVE_NUMBA:
-        print("numba is not importable; only the numpy lane will be timed")
-
-    print(f"scale={args.scale}  repeats={args.repeats} (best run kept)")
-    print(f"{'kernel':<14} {'numpy (ms)':>12} {'numba (ms)':>12} {'speedup':>9}")
-    for name, fn, check in build_benchmarks(args.scale):
-        name, t_np, t_nb = _bench(name, fn, check, args.repeats)
-        np_ms = f"{t_np * 1e3:10.3f}" if t_np else "n/a"
-        nb_ms = f"{t_nb * 1e3:10.3f}" if t_nb else "       n/a"
-        speed = f"{t_np / t_nb:8.2f}x" if (t_np and t_nb) else "      n/a"
-        print(f"{name:<14} {np_ms:>12} {nb_ms:>12} {speed:>9}")
-
-
-if __name__ == "__main__":
-    main()

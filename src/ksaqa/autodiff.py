@@ -300,9 +300,9 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     return _make(data, (table,), bwd, "embedding_lookup")
 
 
-def dropout(a: Tensor, rate: float, train: bool, rng: Rng | None) -> Tensor:
-    """Inverted dropout: identity when not training or rate == 0."""
-    if not train or rate == 0.0:
+def dropout(a: Tensor, rate: float, rng: Rng | None) -> Tensor:
+    """Inverted dropout drawing its mask from ``rng``; identity without one or at rate 0."""
+    if rng is None or rate == 0.0:
         return a
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")

@@ -29,10 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .autodiff import Rng
 from .config import KEYS, PipelineConfig, load_config, stage_config, stage_keys
-from .dataset import (build_vocabulary, format_question, parse_simplequestions,
+from .dataset import (build_vocabulary, find_span, format_question, parse_simplequestions,
                       span_to_formatted, write_formatted_tsv, Vocabulary)
 from .errors import CheckpointError, ConfigError, IngestError, KsaqaError, NonFiniteError
 from .evaluation import diff_report, evaluate, export_attention, random_baseline
@@ -276,12 +275,11 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 def _resolve_mention(work, vocab, tokens, mention_flag):
     """Question formatted at --mention or the tagger's span; raises DetectionFailureError."""
     if mention_flag:
-        mention_tokens = tokenize(mention_flag)
-        for start in range(len(tokens) - len(mention_tokens) + 1):
-            if tokens[start : start + len(mention_tokens)] == mention_tokens:
-                return span_to_formatted(tokens, (start, start + len(mention_tokens)))
-        raise DetectionFailureError(
-            f"--mention {mention_flag!r} does not occur in the question")
+        span = find_span(tokens, tokenize(mention_flag))
+        if span is None:
+            raise DetectionFailureError(
+                f"--mention {mention_flag!r} does not occur in the question")
+        return span_to_formatted(tokens, span)
     tagger = TaggerModel.load(
         _checkpoint(work, "tagger.ckpt", "train-tagger` or pass `--mention"), vocab)
     fq = predict_span(tagger, tokens)
@@ -409,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     def sub(name, func, helptext, keys=()):
         s = subs.add_parser(name, help=helptext)
         s.add_argument("--config", default=None)
-        _add_key_flags(s, ("workdir", "seed", "backend", *keys))
+        _add_key_flags(s, ("workdir", "seed", *keys))
         s.set_defaults(func=func)
         return s
 
@@ -466,10 +464,6 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k in KEYS}
     try:
         cfg = load_config(args.config, overrides)
-        try:
-            kernels.set_backend(cfg.backend)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         # a diverging run ends in NonFiniteError below; numpy's own float
         # warnings on the way there would only add stderr lines
         with np.errstate(all="ignore"):

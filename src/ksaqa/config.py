@@ -51,7 +51,6 @@ class _SharedKeys:
     # shared
     seed: int = 0
     min_count: int = 1
-    backend: str = "auto"            # kernels lane: auto | numba | numpy
     # relabeler
     pattern_splits: str = "train"    # or "train,valid"
     # evaluation

@@ -77,22 +77,29 @@ def format_question(record: QuestionRecord, aliases: AliasTable) -> FormattedQue
     subsequence of the question.
     """
     q = record.tokens
-    best = None   # (length, start)
+    spans = []
     for alias in aliases.aliases_of(record.subject):
-        a = alias.split()
-        n = len(a)
-        if n == 0 or n > len(q):
-            continue
-        for start in range(len(q) - n + 1):
-            if q[start:start + n] == a:
-                cand = (n, start)
-                if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                    best = cand
-                break   # leftmost occurrence of this alias is enough
-    if best is None:
+        span = find_span(q, alias.split())
+        if span is not None:
+            spans.append(span)
+    if not spans:
         return None
-    n, start = best
-    return span_to_formatted(q, (start, start + n))
+    # longest, then leftmost
+    return span_to_formatted(q, min(spans, key=lambda sp: (sp[0] - sp[1], sp[0])))
+
+
+def find_span(tokens: list[str], part: list[str]) -> tuple[int, int] | None:
+    """[start, end) of the leftmost occurrence of ``part`` in ``tokens``.
+
+    None when ``part`` does not occur or is empty.
+    """
+    n = len(part)
+    if n == 0:
+        return None
+    for start in range(len(tokens) - n + 1):
+        if tokens[start:start + n] == part:
+            return start, start + n
+    return None
 
 
 def span_to_formatted(tokens: list[str], span: tuple[int, int]) -> FormattedQuestion:

@@ -6,11 +6,18 @@ class KsaqaError(Exception):
 
 
 class IngestError(KsaqaError):
-    """Malformed input; carries the 1-based line number, or None for the whole input."""
+    """Malformed input; carries the 1-based line number, or None for the whole input.
 
-    def __init__(self, line_no: int | None, message: str):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+    ``path`` names the file the line came from, when one is known.
+    """
+
+    def __init__(self, line_no: int | None, message: str, path=None):
+        prefix = "" if path is None else f"{path}: "
+        if line_no is not None:
+            prefix += f"line {line_no}: "
+        super().__init__(prefix + message)
         self.line_no = line_no
+        self.message = message
 
 
 class ShapeError(KsaqaError):

@@ -75,12 +75,15 @@ def read_tsv(source, fields: int):
 
     ``source`` is a UTF-8 file path or an iterable of str lines.  A line that
     is not UTF-8 or does not hold ``fields`` fields raises IngestError with
-    its 1-based number.
+    its 1-based number, and with the path when ``source`` is one.
     """
     if isinstance(source, (str, Path)):
         # bytes that are not UTF-8 become lone surrogates, refused on their own line
         with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-            yield from read_tsv(fh, fields)
+            try:
+                yield from read_tsv(fh, fields)
+            except IngestError as exc:
+                raise IngestError(exc.line_no, exc.message, source) from None
         return
     for line_no, raw in enumerate(source, start=1):
         if not raw.isascii():

@@ -2,10 +2,10 @@
 
 Every kernel is written once as a plain numpy function and registered with
 the :func:`kernel` decorator, which also keeps an ``@njit`` twin when numba
-is importable.  The active lane starts as ``auto`` (numba when available)
-and is switched with :func:`set_backend` — by the CLI's ``backend`` key,
-and by the test suite and ``benchmarks/bench_kernels.py`` to compare both
-lanes in one process.
+is importable.  The lane follows the platform: numba when it can be
+imported, else numpy.  :func:`set_backend` switches lanes in-process, so
+that the test suite and the benchmark's kernel section can run both lanes
+on the same inputs.
 """
 
 import functools
@@ -18,20 +18,7 @@ except ImportError:
     njit = None
     HAVE_NUMBA = False
 
-_VALID = ("numba", "numpy", "auto")
-
-
-def _resolve(name: str) -> str:
-    if name not in _VALID:
-        raise ValueError(f"unknown backend {name!r}; expected one of {_VALID}")
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("backend 'numba' requested but numba is not importable")
-    return name
-
-
-_ACTIVE = _resolve("auto")
+_ACTIVE = "numba" if HAVE_NUMBA else "numpy"
 
 
 def active_backend() -> str:
@@ -40,10 +27,13 @@ def active_backend() -> str:
 
 
 def set_backend(name: str) -> str:
-    """Switch lanes at runtime; returns the previously active lane."""
+    """Switch to lane ``numba`` or ``numpy``; returns the previously active lane."""
     global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = _resolve(name)
+    if name not in ("numba", "numpy"):
+        raise ValueError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")
+    if name == "numba" and not HAVE_NUMBA:
+        raise ValueError("backend 'numba' requested but numba is not importable")
+    previous, _ACTIVE = _ACTIVE, name
     return previous
 
 
@@ -53,26 +43,14 @@ def kernel(fn):
 
     @functools.wraps(fn)
     def dispatch(*args):
-        if _ACTIVE == "numba" and compiled is not None:
+        if _ACTIVE == "numba":
             return compiled(*args)
         return fn(*args)
 
-    dispatch.py_func = fn
-    dispatch.nb_func = compiled
     return dispatch
 
 
 from . import adam_ops, crf, gru, transe_ops  # noqa: E402,F401
-
-_ALL_KERNELS = {
-    "gru_forward": gru.gru_forward,
-    "gru_backward": gru.gru_backward,
-    "crf_logz": crf.crf_logz,
-    "crf_marginals": crf.crf_marginals,
-    "crf_viterbi": crf.crf_viterbi,
-    "adam_update": adam_ops.adam_update,
-    "transe_batch": transe_ops.transe_batch,
-}
 
 
 def warm_up() -> None:

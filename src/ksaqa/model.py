@@ -50,7 +50,6 @@ class ModelConfig:
     batch_size: int = 64
     seed: int = 0
     shuffle_augment: bool = False
-    negatives_from_empty_candidates: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -120,11 +119,11 @@ class KsaModel:
 
     # -- encoder ------------------------------------------------------------
 
-    def encode_subgraph(self, rel_rows, train: bool = False, rng: Rng | None = None) -> Tensor:
+    def encode_subgraph(self, rel_rows, rng: Rng | None = None) -> Tensor:
         """u_KS: final GRU state over the relation sequence, zero init state.
 
-        ``rel_rows`` are relation-table row indices in canonical order;
-        training may shuffle them when the augmentation flag is set.
+        ``rel_rows`` are relation-table row indices in canonical order; in
+        training (an ``rng`` given) ``shuffle_augment`` permutes them.
         """
         h = self.config.d_hidden
         rows = np.asarray(rel_rows, dtype=np.int64)
@@ -132,21 +131,24 @@ class KsaModel:
             return Tensor(np.zeros(h))
         if rows.min() < 0 or rows.max() >= len(self.relations):
             raise ShapeError(f"relation row out of range 0..{len(self.relations) - 1}")
-        if train and self.config.shuffle_augment and rows.size > 1:
+        if rng is not None and self.config.shuffle_augment and rows.size > 1:
             rows = rows[rng.permutation(rows.size)]
         x = ad.embedding_lookup(self.rel_emb, rows)
         states = nn.run_gru(self.subgraph, x)
         return states[rows.size - 1]
 
-    def encode_question(self, tokens: list[str], train: bool = False,
-                        rng: Rng | None = None) -> tuple[Tensor, Tensor]:
-        """(h_1..h_m as [m, 2H], u_Q as [2H]) from the top BiGRU layer."""
+    def encode_question(self, tokens: list[str], rng: Rng | None = None
+                        ) -> tuple[Tensor, Tensor]:
+        """(h_1..h_m as [m, 2H], u_Q as [2H]) from the top BiGRU layer.
+
+        In training (an ``rng`` given) dropout runs between the two layers.
+        """
         if not tokens:
             raise ShapeError("cannot encode an empty question")
         ids = self.vocab.encode(tokens)
         x = ad.embedding_lookup(self.word_emb, ids)
         hs0, _ = nn.bigru(self.q0f, self.q0b, x)
-        hs0 = ad.dropout(hs0, self.config.dropout, train, rng)
+        hs0 = ad.dropout(hs0, self.config.dropout, rng)
         return nn.bigru(self.q1f, self.q1b, hs0)
 
     def attend(self, hs: Tensor, u_ks: Tensor) -> tuple[Tensor, Tensor]:
@@ -162,14 +164,18 @@ class KsaModel:
         p = ad.matmul(alpha, hs)
         return p, alpha
 
-    def encoder_output(self, tokens: list[str], rel_rows, train: bool = False,
-                       rng: Rng | None = None) -> tuple[Tensor, Tensor | None]:
-        """Variant-dispatched encoder; returns (state [H], alpha or None)."""
-        hs, u_q = self.encode_question(tokens, train, rng)
+    def encoder_output(self, tokens: list[str], rel_rows, rng: Rng | None = None
+                       ) -> tuple[Tensor, Tensor | None]:
+        """Variant-dispatched encoder; returns (state [H], alpha or None).
+
+        An ``rng`` means training: it draws the dropout masks and the
+        ``shuffle_augment`` permutation.  Without one the pass is inference.
+        """
+        hs, u_q = self.encode_question(tokens, rng)
         variant = self.config.variant
         if variant == "BiGRU":
             return nn.linear(self.proj, u_q), None
-        u_ks = self.encode_subgraph(rel_rows, train, rng)
+        u_ks = self.encode_subgraph(rel_rows, rng)
         if variant == "KS-BiGRU":
             return nn.linear(self.proj, ad.concat([u_q, u_ks], axis=0)), None
         p, alpha = self.attend(hs, u_ks)
@@ -229,16 +235,17 @@ class KsaModel:
 
     # -- loss ---------------------------------------------------------------
 
-    def loss(self, batch) -> Tensor:
+    def loss(self, batch, rng: Rng | None = None) -> Tensor:
         """Eq.-style summed BCE over a batch of scored interpretation items.
 
         Each item is (tokens, rel_rows_of_subject, scored_rows, labels):
         one encoder/decoder pass per (question, subject), with the loss read
-        at the scored relation rows.
+        at the scored relation rows.  ``rng`` is the training stream (see
+        :meth:`encoder_output`); without it the loss is the inference pass's.
         """
         terms = []
         for tokens, rel_rows, scored_rows, labels in batch:
-            enc, _ = self.encoder_output(tokens, rel_rows, train=True, rng=self._train_rng)
+            enc, _ = self.encoder_output(tokens, rel_rows, rng)
             logits = self.decode_logits(enc)
             picked = logits[np.asarray(scored_rows, dtype=np.int64)]
             terms.append(ad.bce_with_logits_sum(picked, labels))
@@ -246,8 +253,6 @@ class KsaModel:
         for t in terms[1:]:
             total = ad.add(total, t)
         return total
-
-    _train_rng: Rng | None = None
 
     # -- persistence ----------------------------------------------------------
 
@@ -272,11 +277,8 @@ def build_training_items(model: KsaModel, examples: list[LabeledExample],
 
     Every plausible (s, r+) contributes a positive label, and draws
     ``negatives_per_positive`` relations from R(s) minus the plausible set.
-    Candidate subjects without any positive contribute pure-negative items
-    only when the config flag asks for them.
     """
-    cfg = model.config
-    k = cfg.negatives_per_positive
+    k = model.config.negatives_per_positive
     items = []
     for ex in examples:
         by_subject: dict[str, list[str]] = {}
@@ -299,15 +301,6 @@ def build_training_items(model: KsaModel, examples: list[LabeledExample],
                 items.append((ex.formatted.tokens, rel_rows,
                               np.array(scored, dtype=np.int64),
                               np.array(labels)))
-        if cfg.negatives_from_empty_candidates:
-            for s in sorted(ex.candidates - {p[0] for p in ex.positives}):
-                rel_rows = model.subject_rows(kb, s)
-                pool = negative_pool(ex, s, kb)
-                negs = sample_negatives(pool, k, rng)
-                if negs:
-                    items.append((ex.formatted.tokens, rel_rows,
-                                  np.array([model.rel_index[r] for r in negs], dtype=np.int64),
-                                  np.zeros(len(negs))))
     return items
 
 
@@ -337,17 +330,15 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
     for epoch in range(cfg.epochs):
         items = build_training_items(model, train_examples, kb, rng)
         order = rng.permutation(len(items))
-        model._train_rng = rng
         total = 0.0
         for lo in range(0, len(items), cfg.batch_size):
             batch = [items[int(i)] for i in order[lo : lo + cfg.batch_size]]
             with Tape():
-                loss = model.loss(batch)
+                loss = model.loss(batch, rng)
                 opt.zero_grad()
                 ad.backward(loss)
             opt.step()
             total += float(loss.data)
-        model._train_rng = None
         entry = {"epoch": epoch + 1, "train_loss": total}
         if valid_examples:
             f1 = valid_macro_f1(model, valid_examples, kb)

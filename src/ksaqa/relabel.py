@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .autodiff import Rng
-from .dataset import ENT, FormattedQuestion, QuestionRecord
+from .dataset import ENT, FormattedQuestion, QuestionRecord, span_to_formatted
 from .kb import AliasTable, KnowledgeBase
 
 
@@ -203,16 +203,10 @@ def load_jsonl(path, split: str = "train") -> list[LabeledExample]:
             obj = json.loads(line)
             gold_s, gold_r = obj["gold"]
             q_tokens = obj["question"].split()
-            f_tokens = obj["formatted"].split()
-            start = f_tokens.index(ENT)
-            mention = obj["mention"]
+            start = obj["formatted"].split().index(ENT)
             rec = QuestionRecord(tokens=q_tokens, subject=gold_s,
                                  relation=gold_r, object="", split=split)
-            fq = FormattedQuestion(
-                tokens=f_tokens,
-                mention_span=(start, start + len(mention.split())),
-                mention_text=mention,
-            )
+            fq = span_to_formatted(q_tokens, (start, start + len(obj["mention"].split())))
             examples.append(LabeledExample(
                 record=rec, formatted=fq,
                 candidates=set(obj["candidates"]),

@@ -97,7 +97,7 @@ def _primitive_checks():
     chk(lambda t: ad.sum_all(ad.flip0(t[0])), [a])
     labels = np.array([1.0, 0.0, 1.0])
     chk(lambda t: ad.bce_with_logits_sum(t[0], labels), [vec])
-    chk(lambda t: ad.sum_all(ad.dropout(t[0], 0.5, True, Rng(5))), [a])
+    chk(lambda t: ad.sum_all(ad.dropout(t[0], 0.5, Rng(5))), [a])
     x, h0 = p("x", 4, 3), p("h0", 2)
     wx, wh, bg = p("wx", 3, 6), p("wh", 2, 6), p("bg", 6)
     chk(lambda t: ad.sum_all(ad.gru_sequence(t[0], ad.Tensor(np.zeros(2)),

@@ -181,10 +181,10 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
 def test_dropout_inference_identity_and_train_scaling():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((50, 40)))
-    assert dropout(x, 0.5, train=False, rng=None) is not x or True
-    assert np.array_equal(dropout(x, 0.5, False, None).data, x.data)
-    assert np.array_equal(dropout(x, 0.0, True, Rng(1)).data, x.data)
-    d = dropout(x, 0.5, True, Rng(2)).data
+    assert dropout(x, 0.5, rng=None) is x
+    assert np.array_equal(dropout(x, 0.5, None).data, x.data)
+    assert np.array_equal(dropout(x, 0.0, Rng(1)).data, x.data)
+    d = dropout(x, 0.5, Rng(2)).data
     kept = d != 0
     assert 0.3 < kept.mean() < 0.7
     assert np.allclose(d[kept], x.data[kept] / 0.5)
@@ -192,8 +192,8 @@ def test_dropout_inference_identity_and_train_scaling():
 
 def test_dropout_replay_determinism():
     x = Tensor(np.ones((8, 8)))
-    a = dropout(x, 0.3, True, Rng(5)).data
-    b = dropout(x, 0.3, True, Rng(5)).data
+    a = dropout(x, 0.3, Rng(5)).data
+    b = dropout(x, 0.3, Rng(5)).data
     assert np.array_equal(a, b)
 
 

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from ksaqa import cli, kernels
+from ksaqa import cli
 from ksaqa import kb as kb_module
 from ksaqa.checkpoint import MAGIC, load_arrays, save_arrays
 from ksaqa.cli import build_parser, main
@@ -217,12 +217,6 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_bad_backend_exits_3(pipeline, capsys):
-    cfg, _, _ = pipeline
-    assert main(["stats", "--config", str(cfg), "--backend", "cuda"]) == 3
-    assert "cuda" in capsys.readouterr().err
-
-
 def test_full_flag_rejects_micro_counts(pipeline, capsys):
     cfg, _, _ = pipeline
     assert main(["ingest-kb", "--config", str(cfg), "--full"]) == 3
@@ -281,6 +275,14 @@ def test_unresolvable_mention_exits_7(pipeline, capsys):
                "--question", "where was john smith born"])
     assert rc == 7
     assert "detection failure" in capsys.readouterr().err
+
+
+def test_blank_mention_exits_7(pipeline, capsys):
+    cfg, _, _ = pipeline
+    rc = main(["predict", "--config", str(cfg), "--mention", " ",
+               "--question", "where was john smith born"])
+    assert rc == 7
+    assert "--mention ' ' does not occur in the question" in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_8(pipeline, tmp_path, capsys):
@@ -404,18 +406,23 @@ FAULTS = [
     ("min-count-zero", ["relabel", "--min-count", "0"], _keep, 3),
     ("lr-negative", ["train", "--lr", "-1"], _keep, 3),
     ("transe-lr-negative", ["pretrain-transe", "--transe-lr", "-1"], _keep, 3),
-    # a kernel lane that is not installed, or not a lane at all
-    ("absent-numba-backend", ["stats", "--backend", "numba"], _keep, 3),
+    # the kernel lane follows the platform: `backend` is an unknown key
     ("config-backend", ["stats", "--config", "{work}/backend.cfg"],
      _write("backend.cfg", "backend = bogus\n"), 3),
-    # a manifest from before question_layers was removed
+    # manifests from before question_layers or negatives_from_empty_candidates was removed
     ("manifest-question-layers", PREDICT,
      _edit_manifest("model.ckpt.json", lambda m: m["config"].update(question_layers=2)), 8),
-    # input files that are not UTF-8, and a KB too large for the int64 triple key
+    ("manifest-negatives-from-empty-candidates", PREDICT,
+     _edit_manifest("model.ckpt.json",
+                    lambda m: m["config"].update(negatives_from_empty_candidates=False)), 8),
+    # input files that are not UTF-8 or hold a short line, and a KB too large for the
+    # int64 triple key
     ("triples-not-utf8", ["ingest-kb", "--triples", "{work}/bad.txt"],
      _write_bytes("bad.txt", NOT_UTF8), 5),
     ("questions-not-utf8", ["relabel", "--train", "{work}/bad.txt"],
      _write_bytes("bad.txt", NOT_UTF8), 5),
+    ("triples-two-fields", ["ingest-kb", "--triples", "{work}/bad.txt"],
+     _write("bad.txt", "m/01\tr\tm/02\nm/03\tr\n"), 5),
     ("kb-key-overflow", ["ingest-kb"], _key_limit(8), 5),
     # training divergence
     ("transe-diverges", ["pretrain-transe", "--transe-lr", "1e300"], _keep, 3),
@@ -423,10 +430,13 @@ FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("argv,mutate,code", [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
-def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, monkeypatch, argv, mutate, code):
-    if "numba" in argv and kernels.HAVE_NUMBA:
-        pytest.skip("numba is installed")
+# faults in the input file bad.txt: the stderr line names the file
+NAMES_BAD_TXT = {"triples-not-utf8", "questions-not-utf8", "triples-two-fields"}
+
+
+@pytest.mark.parametrize("name,argv,mutate,code", FAULTS, ids=[f[0] for f in FAULTS])
+def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, monkeypatch, name, argv, mutate,
+                                   code):
     cfg, _, work = pipeline
     broken = tmp_path / "work"
     shutil.copytree(work, broken)
@@ -440,6 +450,8 @@ def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, monkeypatch, argv
     assert rc == code, err
     assert not caught, [str(w.message) for w in caught]
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    if name in NAMES_BAD_TXT:
+        assert f"{broken / 'bad.txt'}: line " in err, err
     # a refused or failed run leaves every checkpoint as it was, and no temp file
     assert {p.name: p.read_bytes() for p in broken.glob("*.ckpt*")} == before
 
@@ -455,7 +467,7 @@ REQUIRED = {"predict": ["--question", "q"], "attention": ["--question", "q"], "a
 # every flag of the hand-written parser but `train --full`, which did nothing
 FLAGS = [(sub, flag, key, want) for sub in SUBCOMMANDS for flag, key, want in (
     (["--workdir", "w2"], "workdir", "w2"), (["--seed", "7"], "seed", 7),
-    (["--backend", "numpy"], "backend", "numpy"), (["--config", "{cfg}"], "config", "{cfg}"))]
+    (["--config", "{cfg}"], "config", "{cfg}"))]
 FLAGS += [(sub, flag, key, want) for sub, flag, key, want in (
     ("ingest-kb", ["--triples", "t.txt"], "kb_triples", "t.txt"),
     ("ingest-kb", ["--aliases", "a.txt"], "kb_aliases", "a.txt"),
@@ -518,14 +530,12 @@ def resolved(tmp_path, monkeypatch):
     for sub in SUBCOMMANDS:
         monkeypatch.setattr(cli, "cmd_" + sub.replace("-", "_"),
                             lambda args, cfg: seen.append((args, cfg)) or 0)
-    previous = kernels.active_backend()
 
     def run(argv):
         assert main(argv) == 0
         return seen.pop()
 
-    yield run, tmp_path / "base.cfg"
-    kernels.set_backend(previous)
+    return run, tmp_path / "base.cfg"
 
 
 @pytest.mark.parametrize("sub,flag,key,want", FLAGS, ids=[f"{f[0]} {f[1][0]}" for f in FLAGS])
@@ -549,3 +559,12 @@ def test_every_config_key_has_its_flag():
     named = {a.dest for parser in subs.choices.values() for a in parser._actions
              if "--" + a.dest.replace("_", "-") in a.option_strings}
     assert set(KEYS) <= named
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_backend_flag_is_gone(capsys, sub):
+    """The kernel lane follows the platform; no subcommand takes --backend."""
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--backend", "numpy"] + REQUIRED.get(sub, []))
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err

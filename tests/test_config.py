@@ -23,7 +23,6 @@ def test_defaults_match_the_paper_scale_model():
     assert cfg.lam == 0.5
     assert cfg.negatives_per_positive == 5
     assert cfg.variant == "KSA-BiGRU"
-    assert cfg.backend == "auto"
     assert cfg.pattern_splits == "train"
 
 

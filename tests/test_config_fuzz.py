@@ -62,7 +62,7 @@ POSITIVE = st.floats(0, 1e6, exclude_min=True)
 TEXT = st.text("abcxyz019_./-", max_size=12)
 IN_RANGE = {
     "kb_triples": TEXT, "kb_aliases": TEXT, "train_file": TEXT, "valid_file": TEXT,
-    "test_file": TEXT, "workdir": TEXT, "backend": st.sampled_from(["auto", "numpy", "numba"]),
+    "test_file": TEXT, "workdir": TEXT,
     "seed": st.integers(0, 2 ** 64 - 1), "min_count": SIZE,
     "pattern_splits": st.sampled_from(["train", "valid", "train,valid", "valid , train"]),
     "gold_spans": st.booleans(), "skip_detection_failures": st.booleans(),
@@ -71,7 +71,7 @@ IN_RANGE = {
     "dropout": st.floats(0, 1, exclude_max=True), "lam": st.floats(0, 1, exclude_min=True,
                                                                     exclude_max=True),
     "negatives_per_positive": SIZE, "lr": POSITIVE, "epochs": SIZE, "batch_size": SIZE,
-    "shuffle_augment": st.booleans(), "negatives_from_empty_candidates": st.booleans(),
+    "shuffle_augment": st.booleans(),
     "tagger_d_word": SIZE, "tagger_hidden": SIZE, "tagger_lr": POSITIVE,
     "tagger_epochs": SIZE, "tagger_patience": st.integers(-10, 10 ** 6),
     "transe_dim": SIZE, "transe_margin": POSITIVE, "transe_norm": st.sampled_from(["l1", "l2"]),

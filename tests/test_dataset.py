@@ -1,7 +1,7 @@
 import pytest
 
 from ksaqa.dataset import (ENT, PAD, RESERVED, START, UNK, Vocabulary,
-                           build_vocabulary, format_question,
+                           build_vocabulary, find_span, format_question,
                            parse_simplequestions, write_formatted_tsv)
 from ksaqa.errors import IngestError
 from ksaqa.kb import ingest_aliases
@@ -28,6 +28,24 @@ def test_parse_rejects_wrong_field_count():
     with pytest.raises(IngestError) as exc:
         parse_simplequestions(["a\tb\tc\n"], "train")
     assert exc.value.line_no == 1
+
+
+def test_parse_errors_in_a_file_name_the_file(tmp_path):
+    path = tmp_path / "questions.txt"
+    path.write_text(f"{EPREFIX}s1\t{RPREFIX}r/x\t{EPREFIX}o1\tok\na\tb\tc\n")
+    with pytest.raises(IngestError) as exc:
+        parse_simplequestions(path, "train")
+    assert exc.value.line_no == 2
+    assert str(exc.value) == f"{path}: line 2: expected 4 tab-separated fields, got 3"
+
+
+def test_find_span_is_the_leftmost_occurrence():
+    tokens = ["a", "b", "a", "b", "c"]
+    assert find_span(tokens, ["a", "b"]) == (0, 2)
+    assert find_span(tokens, ["b", "c"]) == (3, 5)
+    assert find_span(tokens, ["c", "a"]) is None
+    assert find_span(tokens, tokens + ["d"]) is None
+    assert find_span(tokens, []) is None
 
 
 def test_format_replaces_mention_with_placeholder():

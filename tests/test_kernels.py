@@ -112,8 +112,9 @@ def test_set_backend_returns_previous_and_validates():
     prev = kernels.set_backend("numpy")
     try:
         assert kernels.active_backend() == "numpy"
-        with pytest.raises(ValueError):
-            kernels.set_backend("bogus")
+        for name in ("bogus", "auto"):
+            with pytest.raises(ValueError):
+                kernels.set_backend(name)
     finally:
         kernels.set_backend(prev)
 

@@ -176,9 +176,9 @@ def test_shuffle_augment_permutes_only_in_training(world):
     rows = np.array([0, 1, 2, 3], dtype=np.int64)
     perm = Rng(5).permutation(rows.size)
     assert not np.array_equal(perm, np.arange(rows.size))  # seed guard
-    shuffled = model.encode_subgraph(rows, train=True, rng=Rng(5))
-    canonical = model.encode_subgraph(rows, train=False)
-    reference = model.encode_subgraph(rows[perm], train=False)
+    shuffled = model.encode_subgraph(rows, Rng(5))
+    canonical = model.encode_subgraph(rows)
+    reference = model.encode_subgraph(rows[perm])
     assert not np.array_equal(shuffled.data, canonical.data)
     np.testing.assert_array_equal(shuffled.data, reference.data)
 
@@ -208,6 +208,26 @@ def test_loss_matches_per_term_bce_oracle(world, variant):
         enc, _ = model.encoder_output(tokens, rel_rows)
         logits = model.decode_logits(enc).data
         expect += _bce_sum(logits[scored], labels)
+    assert abs(total - expect) < 1e-10
+
+
+def test_training_loss_outside_train_model_follows_its_rng(world):
+    """An rng turns on dropout and the shuffle, drawn item by item in batch order."""
+    model = _model(world, dropout=0.3, shuffle_augment=True)
+    batch = [
+        (["who", "wrote", "<e>"], np.array([0, 2, 4]), np.array([0, 2, 3]),
+         np.array([1.0, 0.0, 0.0])),
+        (["where", "was", "<e>", "born"], np.array([1, 2, 3]), np.array([4, 1]),
+         np.array([1.0, 0.0])),
+    ]
+    total = float(model.loss(batch, Rng(4)).data)
+    assert math.isfinite(total)
+    assert total == float(model.loss(batch, Rng(4)).data)
+    assert total != float(model.loss(batch).data)
+    rng, expect = Rng(4), 0.0
+    for tokens, rel_rows, scored, labels in batch:
+        enc, _ = model.encoder_output(tokens, rel_rows, rng)
+        expect += _bce_sum(model.decode_logits(enc).data[scored], labels)
     assert abs(total - expect) < 1e-10
 
 
