@@ -46,7 +46,11 @@ class Rng:
 
 
 class Tape:
-    """Ordered record of op nodes; creation order is topological order."""
+    """Ordered record of op nodes; creation order is topological order.
+
+    :func:`backward` runs inside the ``with`` block: closing the tape
+    unlinks its nodes from it.
+    """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
@@ -57,6 +61,11 @@ class Tape:
 
     def __exit__(self, *exc):
         _TAPES.pop()
+        # each node points back at its tape; unlinking them breaks that
+        # cycle, so the graph is freed as soon as the caller drops it rather
+        # than at some later full collection by the cycle collector
+        for node in self.nodes:
+            node.tape = None
         return False
 
     def record(self, t: "Tensor"):
@@ -245,11 +254,17 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def _getitem(a: Tensor, key) -> Tensor:
     data = a.data[key]
+    # a key of ints and slices picks each element at most once; an index
+    # array may repeat one, so its gradient must accumulate (add.at, far slower)
+    basic = all(isinstance(k, (int, np.integer, slice))
+                for k in (key if isinstance(key, tuple) else (key,)))
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        # add.at accumulates across duplicate indices in fancy-index keys
-        np.add.at(full, key, g)
+        if basic:
+            full[key] = g
+        else:
+            np.add.at(full, key, g)
         a.accumulate(full)
 
     return _make(data, (a,), bwd, "slice")
@@ -331,6 +346,19 @@ def tile_rows(a: Tensor, m: int) -> Tensor:
     return _make(data, (a,), bwd, "tile_rows")
 
 
+def reshape(a: Tensor, shape) -> Tensor:
+    """The same values viewed under another shape of equal size."""
+    try:
+        data = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: {a.data.shape} to {shape}") from None
+
+    def bwd(g):
+        a.accumulate(g.reshape(a.data.shape))
+
+    return _make(data, (a,), bwd, "reshape")
+
+
 def flip0(a: Tensor) -> Tensor:
     """Reverse along axis 0 (used for the backward GRU direction)."""
     def bwd(g):
@@ -352,7 +380,11 @@ def bce_with_logits_sum(logits: Tensor, labels) -> Tensor:
 
 
 def gru_sequence(x: Tensor, h0: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """All hidden states [m, H] of a GRU run over ``x`` [m, d_in] (fused)."""
+    """All hidden states of a GRU run over ``x`` [m, d_in] (fused).
+
+    From one state ``h0`` [H] the result is [m, H]; from a batch of states
+    [n, H], each reading the same ``x``, it is [m, n, H].
+    """
     if x.data.ndim != 2 or x.data.shape[1] != wx.data.shape[0]:
         raise ShapeError(f"gru_sequence: input {x.data.shape} vs Wx {wx.data.shape}")
     hs, zs, rs, ns, hwn = gru_k.gru_forward(x.data, h0.data, wx.data, wh.data, b.data)

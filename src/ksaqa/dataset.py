@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, IngestError
+from .errors import CheckpointError
 from .kb import AliasTable, read_tsv, strip_id_prefix, tokenize
 
 PAD = "<pad>"
@@ -56,12 +56,11 @@ class FormattedQuestion:
 def parse_simplequestions(source, split: str = "train") -> list[QuestionRecord]:
     """Parse subject<TAB>relation<TAB>object<TAB>question lines."""
     records = []
-    for line_no, (subj, rel, obj, question) in read_tsv(source, 4):
-        tokens = tokenize(question)
-        if not tokens:
-            raise IngestError(line_no, "empty question")
+    # a question tokenizes to nothing exactly when it is blank
+    for subj, rel, obj, question in read_tsv(
+            source, 4, lambda f: None if f[3].strip() else "empty question"):
         records.append(QuestionRecord(
-            tokens=tokens,
+            tokens=tokenize(question),
             subject=strip_id_prefix(subj),
             relation=strip_id_prefix(rel),
             object=strip_id_prefix(obj),

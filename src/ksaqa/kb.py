@@ -70,18 +70,19 @@ class Interner:
         return len(self.texts)
 
 
-def read_tsv(source, fields: int):
-    """(line number, fields) for each non-blank line of a tab-separated source.
+def read_tsv(source, fields: int, check):
+    """The fields of each non-blank line of a tab-separated source.
 
     ``source`` is a UTF-8 file path or an iterable of str lines.  A line that
-    is not UTF-8 or does not hold ``fields`` fields raises IngestError with
+    is not UTF-8, does not hold ``fields`` fields, or for which
+    ``check(fields)`` returns a message (not None) raises IngestError with
     its 1-based number, and with the path when ``source`` is one.
     """
     if isinstance(source, (str, Path)):
         # bytes that are not UTF-8 become lone surrogates, refused on their own line
         with open(source, encoding="utf-8", errors="surrogateescape") as fh:
             try:
-                yield from read_tsv(fh, fields)
+                yield from read_tsv(fh, fields, check)
             except IngestError as exc:
                 raise IngestError(exc.line_no, exc.message, source) from None
         return
@@ -97,7 +98,10 @@ def read_tsv(source, fields: int):
         parts = line.split("\t")
         if len(parts) != fields:
             raise IngestError(line_no, f"expected {fields} tab-separated fields, got {len(parts)}")
-        yield line_no, parts
+        fault = check(parts)
+        if fault is not None:
+            raise IngestError(line_no, fault)
+        yield parts
 
 
 _KEY_LIMIT = 2 ** 63     # the largest key, NE**2 * NR - 1, must fit int64
@@ -218,9 +222,8 @@ def ingest_triples(source) -> KnowledgeBase:
     ss: list[int] = []
     rs: list[int] = []
     ts: list[int] = []
-    for line_no, (subj, rel, objs) in read_tsv(source, 3):
-        if not subj.strip() or not rel.strip() or not objs.strip():
-            raise IngestError(line_no, "empty field")
+    for subj, rel, objs in read_tsv(source, 3, lambda f: None if (
+            f[0].strip() and f[1].strip() and f[2].strip()) else "empty field"):
         s = ents.intern(strip_id_prefix(subj))
         r = rels.intern(strip_id_prefix(rel))
         for obj in objs.split():
@@ -288,8 +291,7 @@ class AliasTable:
 def ingest_aliases(source) -> AliasTable:
     """Build an AliasTable from entity<TAB>alias lines."""
     table = AliasTable()
-    for line_no, (entity, alias) in read_tsv(source, 2):
-        if not entity.strip():
-            raise IngestError(line_no, "empty entity field")
+    for entity, alias in read_tsv(
+            source, 2, lambda f: None if f[0].strip() else "empty entity field"):
         table.add(strip_id_prefix(entity), alias)
     return table

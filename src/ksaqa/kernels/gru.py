@@ -20,27 +20,29 @@ from . import kernel
 def gru_forward(x, h0, wx, wh, b):
     """Run the cell over ``x`` [m, d_in]; returns (hs, zs, rs, ns, hwn).
 
-    hs is [m+1, H] with hs[0] = h0; the other stashes are the per-step gate
-    activations and the h-contribution to the candidate, kept for backward.
+    ``h0`` is one state [H] or a batch of states [n, H] that all read the
+    same ``x``.  hs is [m+1, *h0.shape] with hs[0] = h0; the other stashes
+    are the per-step gate activations and the h-contribution to the
+    candidate, kept for backward.
     """
     m = x.shape[0]
-    h = h0.shape[0]
+    h = h0.shape[-1]
     xw = x @ wx
-    hs = np.empty((m + 1, h))
+    hs = np.empty((m + 1,) + h0.shape)
     hs[0] = h0
-    zs = np.empty((m, h))
-    rs = np.empty((m, h))
-    ns = np.empty((m, h))
-    hwn = np.empty((m, h))
+    zs = np.empty((m,) + h0.shape)
+    rs = np.empty((m,) + h0.shape)
+    ns = np.empty((m,) + h0.shape)
+    hwn = np.empty((m,) + h0.shape)
     for t in range(m):
         hw = hs[t] @ wh
-        z = 1.0 / (1.0 + np.exp(-(xw[t, :h] + hw[:h] + b[:h])))
-        r = 1.0 / (1.0 + np.exp(-(xw[t, h:2 * h] + hw[h:2 * h] + b[h:2 * h])))
-        n = np.tanh(xw[t, 2 * h:] + r * hw[2 * h:] + b[2 * h:])
+        z = 1.0 / (1.0 + np.exp(-(xw[t, :h] + hw[..., :h] + b[:h])))
+        r = 1.0 / (1.0 + np.exp(-(xw[t, h:2 * h] + hw[..., h:2 * h] + b[h:2 * h])))
+        n = np.tanh(xw[t, 2 * h:] + r * hw[..., 2 * h:] + b[2 * h:])
         zs[t] = z
         rs[t] = r
         ns[t] = n
-        hwn[t] = hw[2 * h:]
+        hwn[t] = hw[..., 2 * h:]
         hs[t + 1] = z * hs[t] + (1.0 - z) * n
     return hs, zs, rs, ns, hwn
 
@@ -49,15 +51,15 @@ def gru_forward(x, h0, wx, wh, b):
 def gru_backward(dout, x, wx, wh, hs, zs, rs, ns, hwn):
     """Backward through :func:`gru_forward`.
 
-    ``dout`` [m, H] holds the loss gradient w.r.t. every output state h_t.
-    Returns (dx, dh0, dwx, dwh, db).
+    ``dout`` [m, *state shape] holds the loss gradient w.r.t. every output
+    state h_t.  Returns (dx, dh0, dwx, dwh, db); dh0 has the state's shape.
     """
     m = x.shape[0]
-    h = dout.shape[1]
+    h = dout.shape[-1]
     whT = np.ascontiguousarray(wh.T)
-    dxw = np.empty((m, 3 * h))
-    dhw = np.empty((m, 3 * h))
-    dh = np.zeros(h)
+    dxw = np.empty(dout.shape[:-1] + (3 * h,))
+    dhw = np.empty(dout.shape[:-1] + (3 * h,))
+    dh = np.zeros(dout.shape[1:])
     for t in range(m - 1, -1, -1):
         dh = dh + dout[t]
         z = zs[t]
@@ -66,17 +68,19 @@ def gru_backward(dout, x, wx, wh, hs, zs, rs, ns, hwn):
         dz = dh * (hs[t] - n) * z * (1.0 - z)
         dc = dh * (1.0 - z) * (1.0 - n * n)
         dr = dc * hwn[t] * r * (1.0 - r)
-        dxw[t, :h] = dz
-        dxw[t, h:2 * h] = dr
-        dxw[t, 2 * h:] = dc
-        dhw[t, :h] = dz
-        dhw[t, h:2 * h] = dr
-        dhw[t, 2 * h:] = dc * r
+        dxw[t, ..., :h] = dz
+        dxw[t, ..., h:2 * h] = dr
+        dxw[t, ..., 2 * h:] = dc
+        dhw[t, ..., :h] = dz
+        dhw[t, ..., h:2 * h] = dr
+        dhw[t, ..., 2 * h:] = dc * r
         dh = dh * z + dhw[t] @ whT
+    # a batch of states reads one x, so their input-side gradients add up
+    dxs = dxw.reshape(m, -1, 3 * h).sum(axis=1)
     xT = np.ascontiguousarray(x.T)
-    hsT = np.ascontiguousarray(hs[:m].T)
-    dwx = xT @ dxw
-    dwh = hsT @ dhw
-    dx = dxw @ np.ascontiguousarray(wx.T)
-    db = np.sum(dxw, axis=0)
+    hsT = np.ascontiguousarray(hs[:m].reshape(-1, h).T)
+    dwx = xT @ dxs
+    dwh = hsT @ dhw.reshape(-1, 3 * h)
+    dx = dxs @ np.ascontiguousarray(wx.T)
+    db = np.sum(dxs, axis=0)
     return dx, dh, dwx, dwh, db

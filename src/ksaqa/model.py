@@ -6,7 +6,9 @@ attends over question states conditioned on u_KS and projects concat(p, u_KS)
 to the decoder width; KS-BiGRU projects concat(u_Q, u_KS); BiGRU projects
 u_Q alone and never reads the subgraph.  Decoder: one GRU-cell step from the
 encoder output with the <_start> embedding as input, then an affine map to
-one sigmoid score per relation.
+one sigmoid score per relation.  A question is encoded once and its candidate
+subjects go through attention and the decoder as one batch; only the logits
+of the relation rows that are read are computed.
 
 Loss: summed binary cross entropy over plausible positives and, per
 positive, a fresh sample of negatives drawn from the subject's non-plausible
@@ -152,48 +154,62 @@ class KsaModel:
         return nn.bigru(self.q1f, self.q1b, hs0)
 
     def attend(self, hs: Tensor, u_ks: Tensor) -> tuple[Tensor, Tensor]:
-        """(p, alpha): additive attention over question states given u_KS."""
+        """(p [n, 2H], alpha [n, m]): additive attention over the question
+        states ``hs`` [m, 2H], once per subject state in ``u_ks`` [n, H].
+
+        Token j scores v . tanh(h_j W_h + u_i W_u + b) for subject i, where
+        W_h and W_u are the first 2H and the last H rows of the weight: each
+        product is taken once per token or per subject, not per pair.
+        """
         if self.attention is None:
             raise ConfigError(f"variant {self.config.variant} has no attention layer")
-        m = hs.data.shape[0]
-        hu = ad.concat([hs, ad.tile_rows(u_ks, m)], axis=1)
-        scores = ad.matmul(ad.tanh(ad.add(ad.matmul(hu, self.attention["w"]),
-                                          self.attention["b"])),
-                           self.attention["v"])
-        alpha = ad.softmax(scores)
-        p = ad.matmul(alpha, hs)
-        return p, alpha
+        w = self.attention["w"]
+        (m, two_h), n, c = hs.data.shape, u_ks.data.shape[0], w.data.shape[1]
+        hw = ad.matmul(hs, w[:two_h])
+        uw = ad.reshape(ad.matmul(u_ks, w[two_h:]), (n, 1, c))
+        pre = ad.tanh(ad.add(ad.add(uw, hw), self.attention["b"]))
+        scores = ad.matmul(ad.reshape(pre, (n * m, c)), self.attention["v"])
+        alpha = ad.softmax(ad.reshape(scores, (n, m)))
+        return ad.matmul(alpha, hs), alpha
 
-    def encoder_output(self, tokens: list[str], rel_rows, rng: Rng | None = None
+    def encoder_output(self, tokens: list[str], subject_rows, rng: Rng | None = None
                        ) -> tuple[Tensor, Tensor | None]:
-        """Variant-dispatched encoder; returns (state [H], alpha or None).
+        """Variant-dispatched encoder for one question and n subjects.
 
-        An ``rng`` means training: it draws the dropout masks and the
-        ``shuffle_augment`` permutation.  Without one the pass is inference.
+        ``subject_rows`` holds each subject's R(s) rows.  The question is
+        encoded once; returns (state [n, H], alpha [n, m] or None).  An
+        ``rng`` means training: it draws the dropout masks and then, subject
+        by subject, the ``shuffle_augment`` permutations.  Without one the
+        pass is inference.
         """
         hs, u_q = self.encode_question(tokens, rng)
+        n = len(subject_rows)
         variant = self.config.variant
         if variant == "BiGRU":
-            return nn.linear(self.proj, u_q), None
-        u_ks = self.encode_subgraph(rel_rows, rng)
+            return ad.tile_rows(nn.linear(self.proj, u_q), n), None
+        h = self.config.d_hidden
+        u_ks = ad.concat([ad.reshape(self.encode_subgraph(rows, rng), (1, h))
+                          for rows in subject_rows], axis=0)
         if variant == "KS-BiGRU":
-            return nn.linear(self.proj, ad.concat([u_q, u_ks], axis=0)), None
+            return nn.linear(self.proj, ad.concat([ad.tile_rows(u_q, n), u_ks], axis=1)), None
         p, alpha = self.attend(hs, u_ks)
-        return nn.linear(self.proj, ad.concat([p, u_ks], axis=0)), alpha
+        return nn.linear(self.proj, ad.concat([p, u_ks], axis=1)), alpha
 
     # -- decoder ------------------------------------------------------------
 
-    def decode_logits(self, encoder_out: Tensor) -> Tensor:
-        """One GRU-cell step from the encoder state, then the output affine."""
-        start = self.rel_emb[len(self.relations)]
-        x = ad.tile_rows(start, 1)
-        states = ad.gru_sequence(x, encoder_out,
-                                 self.decoder["wx"], self.decoder["wh"], self.decoder["b"])
-        return nn.linear(self.out, states[0])
+    def decode_logits(self, encoder_out: Tensor, rows) -> Tensor:
+        """One GRU-cell step from each encoder state, then the output affine.
 
-    def decode_scores(self, encoder_out: Tensor) -> Tensor:
-        """Per-relation probabilities, sigmoid of the decoder logits."""
-        return ad.sigmoid(self.decode_logits(encoder_out))
+        ``encoder_out`` is [n, H] and ``rows[i]`` lists the relation rows read
+        from state i; only those columns of the affine are computed, and the
+        logits come back concatenated in that order.
+        """
+        start = self.rel_emb[len(self.relations)]
+        states = ad.gru_sequence(ad.tile_rows(start, 1), encoder_out, self.decoder["wx"],
+                                 self.decoder["wh"], self.decoder["b"])[0]
+        w = self.out["w"]
+        logits = ad.concat([ad.matmul(states[i], w[:, r]) for i, r in enumerate(rows)])
+        return ad.add(logits, self.out["b"][np.concatenate(rows)])
 
     # -- inference ----------------------------------------------------------
 
@@ -206,18 +222,22 @@ class KsaModel:
                     ) -> list[InterpretationScore]:
         """Probabilities for every (s, r) with s a candidate and r in R(s).
 
-        Sorted by descending probability, then (entity, relation) text.
+        One encoder and decoder pass serves all the candidates.  Sorted by
+        descending probability, then (entity, relation) text.
         """
-        results = []
+        subjects, rows = [], []
         for s in sorted(set(candidates)):
-            rows = self.subject_rows(kb, s)
-            if rows.size == 0:
-                continue
-            enc, _ = self.encoder_output(fq_tokens, rows)
-            probs = self.decode_scores(enc).data
-            for row in rows:
-                results.append(InterpretationScore(
-                    pair=(s, self.relations[row]), probability=float(probs[row])))
+            r = self.subject_rows(kb, s)
+            if r.size:
+                subjects.append(s)
+                rows.append(r)
+        if not subjects:
+            return []
+        enc, _ = self.encoder_output(fq_tokens, rows)
+        probs = ad.sigmoid(self.decode_logits(enc, rows)).data
+        pairs = [(s, self.relations[row]) for s, r in zip(subjects, rows) for row in r]
+        results = [InterpretationScore(pair=pair, probability=float(p))
+                   for pair, p in zip(pairs, probs)]
         results.sort(key=lambda r: (-r.probability, r.pair))
         return results
 
@@ -239,16 +259,16 @@ class KsaModel:
         """Eq.-style summed BCE over a batch of scored interpretation items.
 
         Each item is (tokens, rel_rows_of_subject, scored_rows, labels):
-        one encoder/decoder pass per (question, subject), with the loss read
-        at the scored relation rows.  ``rng`` is the training stream (see
-        :meth:`encoder_output`); without it the loss is the inference pass's.
+        one encoder/decoder pass per (question, subject), with logits taken
+        at the scored relation rows only.  ``rng`` is the training stream
+        (see :meth:`encoder_output`); without it the loss is the inference
+        pass's.
         """
         terms = []
         for tokens, rel_rows, scored_rows, labels in batch:
-            enc, _ = self.encoder_output(tokens, rel_rows, rng)
-            logits = self.decode_logits(enc)
-            picked = logits[np.asarray(scored_rows, dtype=np.int64)]
-            terms.append(ad.bce_with_logits_sum(picked, labels))
+            enc, _ = self.encoder_output(tokens, [rel_rows], rng)
+            logits = self.decode_logits(enc, [np.asarray(scored_rows, dtype=np.int64)])
+            terms.append(ad.bce_with_logits_sum(logits, labels))
         total = terms[0]
         for t in terms[1:]:
             total = ad.add(total, t)

@@ -92,6 +92,9 @@ def _primitive_checks():
     chk(lambda t: ad.sum_all(ad.sigmoid(t[0])), [a])
     chk(lambda t: ad.sum_all(ad.tanh(t[0])), [a])
     chk(lambda t: ad.sum_all(ad.mul(ad.softmax(t[0]), t[0])), [vec])
+    chk(lambda t: ad.sum_all(ad.mul(ad.softmax(t[0]), t[0])), [a])        # per row
+    chk(lambda t: ad.sum_all(ad.tanh(ad.add(ad.reshape(t[0], (3, 1, 4)), t[1]))),
+        [a, p("hw", 2, 4)])                                                # [3, 2, 4]
     chk(lambda t: ad.sum_all(ad.embedding_lookup(t[0], idx)), [a])
     chk(lambda t: ad.sum_all(ad.tile_rows(t[0], 4)), [vec])
     chk(lambda t: ad.sum_all(ad.flip0(t[0])), [a])
@@ -103,6 +106,9 @@ def _primitive_checks():
     chk(lambda t: ad.sum_all(ad.gru_sequence(t[0], ad.Tensor(np.zeros(2)),
                                              t[1], t[2], t[3])),
         [x, wx, wh, bg], h=1e-4)
+    hn = p("hn", 3, 2)                                                     # [n, H] state
+    chk(lambda t: ad.sum_all(ad.tanh(ad.gru_sequence(t[0], t[1], t[2], t[3], t[4]))),
+        [x, hn, wx, wh, bg], h=1e-4)
     em, tr = p("em", 4, 2), p("tr", 2, 2)
     st, en = p("st", 2), p("en", 2)
     tags = np.array([0, 1, 1, 0])

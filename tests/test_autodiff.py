@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from ksaqa.autodiff import (Parameter, Rng, Tape, Tensor, backward,
                             bce_with_logits_sum, concat,
                             crf_log_likelihood, dropout, embedding_lookup,
                             flip0, grad_check, gru_sequence, init_embedding,
-                            init_weight, matmul, mul, scale, sigmoid, softmax,
-                            sum_all, tanh, tile_rows)
+                            init_weight, matmul, mul, reshape, scale, sigmoid,
+                            softmax, sum_all, tanh, tile_rows)
 from ksaqa.errors import NonFiniteError, ShapeError
 from ksaqa.optim import Adam
 
@@ -61,6 +63,10 @@ def test_fd_concat_both_axes_and_getitem():
     assert grad_check(lambda t: sum_all(t[0][1]), [a]) < TOL
     idx = np.array([0, 1, 1, 0])  # duplicates must accumulate
     assert grad_check(lambda t: sum_all(t[0][idx]), [a]) < TOL
+    cols = np.array([2, 0, 2, 1])  # column 2 read twice, under a tuple key
+    wc, ws = Tensor(_rand(rng, 2, 4)), Tensor(_rand(rng, 1, 2))
+    assert grad_check(lambda t: sum_all(mul(t[0][:, cols], wc)), [a]) < TOL
+    assert grad_check(lambda t: sum_all(mul(t[0][1:, 1:], ws)), [a]) < TOL
 
 
 def test_fd_nonlinearities():
@@ -71,6 +77,24 @@ def test_fd_nonlinearities():
     w = _p("w", _rand(rng, 5))
     assert grad_check(
         lambda t: sum_all(mul(softmax(t[0]), Tensor(np.arange(5.0)))), [w]) < TOL
+    rows = _p("rows", _rand(rng, 3, 5))        # one softmax per row
+    weights = Tensor(_rand(rng, 3, 5))
+    assert grad_check(lambda t: sum_all(mul(softmax(t[0]), weights)), [rows]) < TOL
+
+
+def test_fd_reshape_and_broadcast_add():
+    """[n, c] viewed as [n, 1, c] and added to [m, c]: the batched attention sum."""
+    rng = np.random.default_rng(10)
+    u, hw = _p("u", _rand(rng, 3, 4)), _p("hw", _rand(rng, 2, 4))
+    weights = Tensor(_rand(rng, 6, 4))
+
+    def f(t):
+        both = ad.add(reshape(t[0], (3, 1, 4)), t[1])
+        return sum_all(mul(reshape(tanh(both), (6, 4)), weights))
+
+    assert grad_check(f, [u, hw]) < TOL
+    with pytest.raises(ShapeError, match="reshape"):
+        reshape(u, (5, 2))
 
 
 def test_fd_embedding_tile_flip():
@@ -104,6 +128,23 @@ def test_fd_gru_sequence():
     wh = _p("wh", _rand(rng, h, 3 * h) * 0.4)
     b = _p("b", _rand(rng, 3 * h) * 0.1)
     wread = Tensor(_rand(rng, 5, h))
+
+    def f(t):
+        return sum_all(mul(gru_sequence(t[0], t[1], t[2], t[3], t[4]), wread))
+
+    assert grad_check(f, [x, h0, wx, wh, b], h=1e-4) < TOL
+
+
+def test_fd_gru_sequence_from_a_batch_of_states():
+    """h0 [n, H]: every state reads the same x; the result is [m, n, H]."""
+    rng = np.random.default_rng(11)
+    h, n = 4, 3
+    x = _p("x", _rand(rng, 2, 3))
+    h0 = _p("h0", _rand(rng, n, h) * 0.5)
+    wx = _p("wx", _rand(rng, 3, 3 * h) * 0.4)
+    wh = _p("wh", _rand(rng, h, 3 * h) * 0.4)
+    b = _p("b", _rand(rng, 3 * h) * 0.1)
+    wread = Tensor(_rand(rng, 2, n, h))
 
     def f(t):
         return sum_all(mul(gru_sequence(t[0], t[1], t[2], t[3], t[4]), wread))
@@ -213,6 +254,21 @@ def test_backward_requires_scalar_and_tape():
             backward(out)
     with pytest.raises(ShapeError):
         backward(Tensor(np.array(1.0)))  # untracked: no tape recorded it
+
+
+def test_a_closed_tape_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        with Tape() as tape:
+            out = sum_all(tanh(Parameter("p", np.ones(3))))
+            backward(out)
+        closed = weakref.ref(tape)
+        del tape
+        assert closed() is None          # no node keeps its tape alive
+        with pytest.raises(ShapeError):
+            backward(out)                 # the graph no longer has a tape
+    finally:
+        gc.enable()
 
 
 def test_nonfinite_data_rejected():

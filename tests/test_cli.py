@@ -423,6 +423,12 @@ FAULTS = [
      _write_bytes("bad.txt", NOT_UTF8), 5),
     ("triples-two-fields", ["ingest-kb", "--triples", "{work}/bad.txt"],
      _write("bad.txt", "m/01\tr\tm/02\nm/03\tr\n"), 5),
+    ("triples-empty-field", ["ingest-kb", "--triples", "{work}/bad.txt"],
+     _write("bad.txt", "m/01\tr\tm/02\nm/03\tr\t \n"), 5),
+    ("aliases-empty-entity", ["ingest-kb", "--aliases", "{work}/bad.txt"],
+     _write("bad.txt", "m/01\tjohn\n \tsmith\n"), 5),
+    ("questions-empty", ["relabel", "--train", "{work}/bad.txt"],
+     _write("bad.txt", "m/01\tr\tm/02\twho\nm/01\tr\tm/02\t  \n"), 5),
     ("kb-key-overflow", ["ingest-kb"], _key_limit(8), 5),
     # training divergence
     ("transe-diverges", ["pretrain-transe", "--transe-lr", "1e300"], _keep, 3),
@@ -431,7 +437,8 @@ FAULTS = [
 
 
 # faults in the input file bad.txt: the stderr line names the file
-NAMES_BAD_TXT = {"triples-not-utf8", "questions-not-utf8", "triples-two-fields"}
+NAMES_BAD_TXT = {"triples-not-utf8", "questions-not-utf8", "triples-two-fields",
+                 "triples-empty-field", "aliases-empty-entity", "questions-empty"}
 
 
 @pytest.mark.parametrize("name,argv,mutate,code", FAULTS, ids=[f[0] for f in FAULTS])

@@ -126,3 +126,26 @@ def test_gru_zero_weights_zero_output():
                              np.zeros((h, 3 * h)), np.zeros(3 * h))
     # stash holds h0 in row 0, then the m output states
     assert np.array_equal(hs, np.zeros((m + 1, h)))
+
+
+def test_gru_batch_of_states_matches_one_run_per_state():
+    """h0 [n, H]: row i runs as gru_forward(x, h0[i]); shared x and weight
+    gradients are the sums over the rows."""
+    x, _, wx, wh, b = _gru_inputs(7, m=3)
+    rng = np.random.default_rng(8)
+    h0 = rng.standard_normal((5, 4)) * 0.5
+    hs, zs, rs, ns, hwn = gru.gru_forward(x, h0, wx, wh, b)
+    assert hs.shape == (4, 5, 4)
+    dout = rng.standard_normal((3, 5, 4))
+    dx, dh0, dwx, dwh, db = gru.gru_backward(dout, x, wx, wh, hs, zs, rs, ns, hwn)
+    shared = [np.zeros_like(g) for g in (dx, dwx, dwh, db)]
+    for i in range(5):
+        one = gru.gru_forward(x, h0[i], wx, wh, b)
+        for batched, single in zip((hs, zs, rs, ns, hwn), one):
+            assert np.allclose(batched[:, i], single, rtol=0, atol=1e-12)
+        dx_i, dh0_i, dwx_i, dwh_i, db_i = gru.gru_backward(
+            np.ascontiguousarray(dout[:, i]), x, wx, wh, *one)
+        assert np.allclose(dh0[i], dh0_i, rtol=0, atol=1e-12)
+        shared = [s + g for s, g in zip(shared, (dx_i, dwx_i, dwh_i, db_i))]
+    for batched, summed in zip((dx, dwx, dwh, db), shared):
+        assert np.allclose(batched, summed, rtol=0, atol=1e-12)

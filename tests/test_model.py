@@ -3,7 +3,9 @@
 The zero-weight closed forms pin the architecture: a zeroed model must
 produce u_KS = 0, probability 1/2 for every relation, and a summed BCE of
 n*ln(2) over n scored rows.  The variant contract is behavioural: BiGRU
-must be bit-for-bit blind to the subgraph while KS/KSA must not be.
+must be bit-for-bit blind to the subgraph while KS/KSA must not be.  The
+batched scoring and training pass is checked against the per-subject pass
+it replaced (``per_subject_oracle``).
 """
 
 import math
@@ -16,8 +18,11 @@ from ksaqa import nn
 from ksaqa.autodiff import Rng, Tape
 from ksaqa.dataset import build_vocabulary
 from ksaqa.errors import CheckpointError, ConfigError, ShapeError
+from ksaqa.evaluation import export_attention
 from ksaqa.model import (KsaModel, ModelConfig, VARIANTS, build_training_items,
                          train_model, valid_macro_f1)
+
+import per_subject_oracle as oracle
 
 SMALL = dict(d_word=10, d_rel=8, d_hidden=6, attention_hidden=5,
              dropout=0.0, lr=0.05, epochs=2, batch_size=8, seed=3)
@@ -86,8 +91,8 @@ def test_encode_subgraph_rejects_out_of_range_rows(world):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_zero_weights_score_exactly_half(world, variant):
     model = _zeroed(_model(world, variant=variant))
-    enc, _ = model.encoder_output(["who", "wrote", "<e>"], np.array([0, 1]))
-    probs = model.decode_scores(enc).data
+    enc, _ = model.encoder_output(["who", "wrote", "<e>"], [np.array([0, 1])])
+    probs = ad.sigmoid(model.decode_logits(enc, [np.arange(len(model.relations))])).data
     assert probs.shape == (len(model.relations),)
     assert np.all(probs == 0.5)
 
@@ -107,24 +112,28 @@ def test_zero_weight_loss_is_n_ln2(world):
 # -- attention ----------------------------------------------------------------
 
 
+def _subject_states(model, *rows):
+    """u_KS of each row list, stacked as [n, H]."""
+    return ad.Tensor(np.stack([model.encode_subgraph(np.array(r)).data for r in rows]))
+
+
 def test_attention_weights_sum_to_one(world):
     model = _model(world)
     hs, _ = model.encode_question(["who", "wrote", "<e>", "first"])
-    u_ks = model.encode_subgraph(np.array([0, 3]))
-    p, alpha = model.attend(hs, u_ks)
-    assert alpha.data.shape == (4,)
-    assert abs(float(alpha.data.sum()) - 1.0) < 1e-12
+    p, alpha = model.attend(hs, _subject_states(model, [0, 3], [2]))
+    assert alpha.data.shape == (2, 4)
+    assert np.all(np.abs(alpha.data.sum(axis=1) - 1.0) < 1e-12)
     assert np.all(alpha.data > 0.0)
-    assert p.data.shape == (2 * SMALL["d_hidden"],)
+    assert p.data.shape == (2, 2 * SMALL["d_hidden"])
 
 
 def test_attention_over_one_token_is_identity(world):
     model = _model(world)
     hs, _ = model.encode_question(["<e>"])
-    p, alpha = model.attend(hs, model.encode_subgraph(np.array([1])))
-    assert alpha.data.shape == (1,)
-    assert float(alpha.data[0]) == 1.0
-    np.testing.assert_array_equal(p.data, hs.data[0])
+    p, alpha = model.attend(hs, _subject_states(model, [1]))
+    assert alpha.data.shape == (1, 1)
+    assert float(alpha.data[0, 0]) == 1.0
+    np.testing.assert_array_equal(p.data[0], hs.data[0])
 
 
 @pytest.mark.parametrize("variant", ["BiGRU", "KS-BiGRU"])
@@ -132,7 +141,7 @@ def test_attend_requires_the_full_variant(world, variant):
     model = _model(world, variant=variant)
     hs, _ = model.encode_question(["who", "wrote", "<e>"])
     with pytest.raises(ConfigError, match="attention"):
-        model.attend(hs, ad.Tensor(np.zeros(SMALL["d_hidden"])))
+        model.attend(hs, ad.Tensor(np.zeros((1, SMALL["d_hidden"]))))
 
 
 # -- variant contract -----------------------------------------------------------
@@ -141,8 +150,8 @@ def test_attend_requires_the_full_variant(world, variant):
 def test_bigru_is_blind_to_the_subgraph(world):
     model = _model(world, variant="BiGRU")
     tokens = ["who", "wrote", "<e>"]
-    enc_a, alpha_a = model.encoder_output(tokens, np.array([0, 1, 2]))
-    enc_b, alpha_b = model.encoder_output(tokens, np.array([4]))
+    enc_a, alpha_a = model.encoder_output(tokens, [np.array([0, 1, 2])])
+    enc_b, alpha_b = model.encoder_output(tokens, [np.array([4])])
     np.testing.assert_array_equal(enc_a.data, enc_b.data)
     assert alpha_a is None and alpha_b is None
 
@@ -151,14 +160,14 @@ def test_bigru_is_blind_to_the_subgraph(world):
 def test_knowledge_variants_read_the_subgraph(world, variant):
     model = _model(world, variant=variant)
     tokens = ["who", "wrote", "<e>"]
-    enc_a, _ = model.encoder_output(tokens, np.array([0, 1, 2]))
-    enc_b, _ = model.encoder_output(tokens, np.array([4]))
+    enc_a, _ = model.encoder_output(tokens, [np.array([0, 1, 2])])
+    enc_b, _ = model.encoder_output(tokens, [np.array([4])])
     assert not np.array_equal(enc_a.data, enc_b.data)
 
 
 def test_only_the_full_variant_returns_attention(world):
     tokens = ["who", "wrote", "<e>"]
-    rows = np.array([0, 1])
+    rows = [np.array([0, 1])]
     assert _model(world, variant="KS-BiGRU").encoder_output(tokens, rows)[1] is None
     alpha = _model(world, variant="KSA-BiGRU").encoder_output(tokens, rows)[1]
     assert alpha is not None and abs(float(alpha.data.sum()) - 1.0) < 1e-12
@@ -205,9 +214,9 @@ def test_loss_matches_per_term_bce_oracle(world, variant):
     total = float(model.loss(batch).data)
     expect = 0.0
     for tokens, rel_rows, scored, labels in batch:
-        enc, _ = model.encoder_output(tokens, rel_rows)
-        logits = model.decode_logits(enc).data
-        expect += _bce_sum(logits[scored], labels)
+        enc, _ = model.encoder_output(tokens, [rel_rows])
+        logits = model.decode_logits(enc, [scored]).data
+        expect += _bce_sum(logits, labels)
     assert abs(total - expect) < 1e-10
 
 
@@ -226,9 +235,69 @@ def test_training_loss_outside_train_model_follows_its_rng(world):
     assert total != float(model.loss(batch).data)
     rng, expect = Rng(4), 0.0
     for tokens, rel_rows, scored, labels in batch:
-        enc, _ = model.encoder_output(tokens, rel_rows, rng)
-        expect += _bce_sum(model.decode_logits(enc).data[scored], labels)
+        enc, _ = model.encoder_output(tokens, [rel_rows], rng)
+        expect += _bce_sum(model.decode_logits(enc, [scored]).data, labels)
     assert abs(total - expect) < 1e-10
+
+
+# -- batched pass vs the per-subject oracle --------------------------------------
+
+# duplicates and unknown ids; "10" has one relation; "40" is known but has none
+CANDIDATE_SETS = [["02", "01", "01", "unknown-guy", "40", "03", "04"], ["10"],
+                  ["10", "01"], ["40", "unknown-guy"], []]
+QUESTIONS = [["who", "wrote", "<e>"], ["<e>"]]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_scores_equal_the_per_subject_oracle(world, variant):
+    kb, _, _ = world
+    model = _model(world, variant=variant)
+    for tokens in QUESTIONS:
+        for candidates in CANDIDATE_SETS:
+            got = model.score_pairs(tokens, candidates, kb)
+            want = oracle.score_pairs(model, tokens, candidates, kb)
+            assert [s.pair for s in got] == [s.pair for s in want]
+            for a, b in zip(got, want):
+                assert abs(a.probability - b.probability) <= 1e-12
+
+
+def test_exported_attention_equals_the_oracle_alpha(world):
+    kb, _, _ = world
+    model = _model(world)
+    for tokens in QUESTIONS:
+        for subject in ("01", "10", "40", "unknown-guy"):
+            got = export_attention(model, tokens, subject, kb).weights
+            _, want = oracle.encoder_output(model, tokens, model.subject_rows(kb, subject))
+            assert got.shape == want.data.shape
+            assert np.all(np.abs(got - want.data) <= 1e-12)
+
+
+def _loss_and_grads(loss_fn, model, batch, rng):
+    params = model.parameters()
+    with Tape():
+        loss = loss_fn(model, batch, rng)
+        for p in params:
+            p.grad = None
+        ad.backward(loss)
+    return float(loss.data), {p.name: p.grad for p in params}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("seed", [None, 9])
+def test_training_loss_and_gradients_equal_the_per_item_oracle(world, variant, seed):
+    """With an rng (dropout 0.3, shuffle_augment) both draw item by item, alike."""
+    kb, _, examples = world
+    model = _model(world, variant=variant, dropout=0.3, shuffle_augment=True)
+    batch = build_training_items(model, examples, kb, Rng(2))
+    loss, grads = _loss_and_grads(KsaModel.loss, model, batch,
+                                  None if seed is None else Rng(seed))
+    want_loss, want_grads = _loss_and_grads(oracle.loss, model, batch,
+                                            None if seed is None else Rng(seed))
+    assert abs(loss - want_loss) <= 1e-12
+    for name, g in grads.items():
+        assert (g is None) == (want_grads[name] is None), name
+        if g is not None:
+            assert np.all(np.abs(g - want_grads[name]) <= 1e-12), name
 
 
 # -- inference -------------------------------------------------------------------
