@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import (BadMagicError, CheckpointError, DuplicateNameError, KsaqaError,
                      NonFiniteError, TruncatedCheckpointError)
-from .nn import restore
+from .nn import Saved
 
 MAGIC = b"KSAQA1"
 
@@ -68,8 +69,17 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as float64 arrays, keyed by name."""
-    buf = Path(path).read_bytes()
+    """Read a checkpoint back as float64 arrays, keyed by name.
+
+    The file is mapped, not read into memory first: each payload converts
+    straight from the mapped pages, and the map goes with the last view of it
+    when this returns.  Saves replace a checkpoint by renaming a complete
+    file over it, so a mapped file never changes under the reader.
+    """
+    with open(path, "rb") as fh:
+        # mmap refuses an empty file, which holds no magic anyway
+        buf = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                         if os.fstat(fh.fileno()).st_size else b"")
     if len(buf) < len(MAGIC) or buf[: len(MAGIC)] != MAGIC:
         raise BadMagicError(f"{path}: not a KSAQA1 checkpoint")
     off = len(MAGIC)
@@ -87,7 +97,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         # a garbled name still fails the owner's name check on load
-        name = take(name_len, "name").decode("utf-8", "replace")
+        name = str(take(name_len, "name"), "utf-8", "replace")
         if name in arrays:
             raise DuplicateNameError(f"{path}: duplicate entry {name!r}")
         (rank,) = struct.unpack("<I", take(4, "rank"))
@@ -119,11 +129,12 @@ def save_checkpoint(path, params, config: dict, **identity: list[str]) -> None:
 
 
 def load_checkpoint(path, build, **identity: list[str]):
-    """``build(config)`` from the manifest, with the saved tensors copied in.
+    """``build(config, saved)`` from the manifest, its parameters taken from
+    ``saved``, an :class:`nn.Saved` over the file's tensors.
 
-    The file must hold exactly the owner's ``parameters()``, in their shapes,
-    and the manifest the hashes of the same ``identity`` lists; any fault is
-    a :class:`CheckpointError`.
+    The file must hold exactly the parameters the owner takes, in their
+    shapes and finite, and the manifest the hashes of the same ``identity``
+    lists; any fault is a :class:`CheckpointError`.
     """
     where = f"{path}.json"
     try:
@@ -135,9 +146,12 @@ def load_checkpoint(path, build, **identity: list[str]):
     for key, texts in identity.items():
         if manifest.get(f"{key}_sha256") != fingerprint(texts):
             raise CheckpointError(f"{where} records no {key}_sha256, or a different {key}")
+    saved = Saved(load_arrays(path), str(path))
     try:
-        owner = build(manifest["config"])
+        owner = build(manifest["config"], saved)
+    except CheckpointError:
+        raise
     except (KeyError, TypeError, ValueError, KsaqaError) as exc:
         raise CheckpointError(f"{where}: no usable config ({type(exc).__name__}: {exc})") from None
-    restore(owner.parameters(), load_arrays(path), source=str(path))
+    saved.check_all_taken()
     return owner

@@ -17,7 +17,8 @@ Exit codes:
     5  malformed input data (bad or non-UTF-8 line, with its number; KB too large)
     6  missing pipeline artifact (run the earlier stage first)
     7  detection failure (no subject mention or no matching entity)
-    8  corrupt or incompatible checkpoint, unreadable kb.npz or vocab.txt
+    8  corrupt or incompatible checkpoint (also a non-finite tensor), unreadable
+       kb.npz, aliases.tsv or vocab.txt
 """
 
 from __future__ import annotations
@@ -292,7 +293,6 @@ def _question_setup(args, cfg):
     work = _work(cfg)
     kb, aliases = _load_kb(work)
     vocab = _load_vocab(work)
-    model = _load_model(work, kb, vocab)
     tokens = tokenize(args.question)
     if not tokens:
         raise ConfigError("empty question")
@@ -301,7 +301,8 @@ def _question_setup(args, cfg):
     if not candidates:
         raise DetectionFailureError(
             f"no entity is known under the alias {fq.mention_text!r}")
-    return work, kb, aliases, model, fq, candidates
+    # the predictor is the largest artifact: read only for a question it can score
+    return work, kb, aliases, _load_model(work, kb, vocab), fq, candidates
 
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:

@@ -37,14 +37,13 @@ def normalize_text(text: str) -> str:
 
 
 def strip_id_prefix(raw: str) -> str:
-    """Unify URL-style and bare machine ids ("www.freebase.com/m/x" -> "x")."""
+    """Unify URL-style and bare machine ids ("www.freebase.com/m/x" -> "x").
+
+    Prefixes come off until none is left, so a stripped id strips to itself.
+    """
     s = raw.strip()
-    if s.startswith("/"):
-        s = s[1:]
-    if s.startswith("www.freebase.com/"):
-        s = s[len("www.freebase.com/"):]
-    if s.startswith("m/"):
-        s = s[2:]
+    while s.startswith(("/", "www.freebase.com/", "m/")):
+        s = s.removeprefix("/").removeprefix("www.freebase.com/").removeprefix("m/").strip()
     return s
 
 
@@ -130,8 +129,9 @@ class KnowledgeBase:
         self._nr = max(len(relations), 1)
         self._ne = max(len(entities), 1)
         self.triple_keys = triple_keys   # sorted unique int64
-        self.pair_keys = np.unique(triple_keys // self._ne) if triple_keys.size else \
-            np.empty(0, dtype=np.int64)
+        # the pair keys of sorted triple keys come sorted too: keep the first of each run
+        pairs = triple_keys // self._ne
+        self.pair_keys = pairs[np.r_[True, pairs[1:] != pairs[:-1]]] if pairs.size else pairs
 
     @property
     def entity_count(self) -> int:
@@ -285,7 +285,49 @@ class AliasTable:
 
     @classmethod
     def load(cls, path) -> "AliasTable":
-        return ingest_aliases(path)
+        """Read back the file :meth:`save` wrote, in one pass.
+
+        Nothing is re-derived; each row is checked to be one ``save`` writes:
+        UTF-8, two fields, the entity an id that :func:`strip_id_prefix`
+        leaves as it is, the alias normalized text and no row twice.  Any
+        other row, or a file cut off mid-row, is a CheckpointError naming
+        the file and line.
+        """
+        blob = Path(path).read_bytes()
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = blob.count(b"\n", 0, exc.start) + 1
+            raise CheckpointError(f"{path}: line {line_no}: not UTF-8; rerun ingest-kb") from None
+        rows = text.split("\n")
+        if rows.pop():           # the text after the last newline
+            raise CheckpointError(f"{path}: line {len(rows) + 1}: cut off; rerun ingest-kb")
+        table = cls()
+        for line_no, row in enumerate(rows, start=1):
+            fields = row.split("\t")
+            if len(fields) != 2:
+                fault = f"expected 2 tab-separated fields, got {len(fields)}"
+            else:
+                entity, alias = fields
+                names = table.reverse.get(entity)
+                entities = table.map.get(alias)   # an alias seen before was checked then
+                if names is None and entity != strip_id_prefix(entity):
+                    fault = f"entity {entity!r} is not a stripped id"
+                elif entities is None and (not alias or alias != normalize_text(alias)):
+                    fault = f"alias {alias!r} is not normalized text"
+                elif entities is not None and entity in entities:
+                    fault = f"row {entity!r} {alias!r} repeats"
+                else:
+                    fault = None
+            if fault is not None:
+                raise CheckpointError(f"{path}: line {line_no}: {fault}; rerun ingest-kb")
+            if entities is None:
+                entities = table.map[alias] = set()
+            entities.add(entity)
+            if names is None:
+                names = table.reverse[entity] = []
+            names.append(alias)
+        return table
 
 
 def ingest_aliases(source) -> AliasTable:

@@ -73,37 +73,42 @@ class InterpretationScore:
 class KsaModel:
     """Relation predictor over a fixed vocabulary and relation inventory."""
 
-    def __init__(self, vocab: Vocabulary, relations: list[str], config: ModelConfig):
+    def __init__(self, vocab: Vocabulary, relations: list[str], config: ModelConfig,
+                 params=None):
+        """``params`` is where the parameters come from: an :class:`nn.Saved`
+        checkpoint, or by default an :class:`nn.Fresh` draw seeded by
+        ``config.seed``."""
         self.vocab = vocab
         self.relations = list(relations)
         self.rel_index = {r: i for i, r in enumerate(self.relations)}
         self.config = config
-        rng = Rng(config.seed)
+        if params is None:
+            params = nn.Fresh(Rng(config.seed))
         v, nr = len(vocab), len(self.relations)
         dw, dr, h, c = config.d_word, config.d_rel, config.d_hidden, config.attention_hidden
 
-        self.word_emb = Parameter("ksa.word_emb", ad.init_embedding(rng, (v, dw)))
+        self.word_emb = params.embedding("ksa.word_emb", (v, dw))
         # final row is the <_start> decoder input
-        self.rel_emb = Parameter("ksa.rel_emb", ad.init_embedding(rng, (nr + 1, dr)))
+        self.rel_emb = params.embedding("ksa.rel_emb", (nr + 1, dr))
         # the question encoder is fixed at the paper's two BiGRU layers
-        self.q0f = nn.gru_params("ksa.q0f", dw, h, rng)
-        self.q0b = nn.gru_params("ksa.q0b", dw, h, rng)
-        self.q1f = nn.gru_params("ksa.q1f", 2 * h, h, rng)
-        self.q1b = nn.gru_params("ksa.q1b", 2 * h, h, rng)
+        self.q0f = nn.gru_params("ksa.q0f", dw, h, params)
+        self.q0b = nn.gru_params("ksa.q0b", dw, h, params)
+        self.q1f = nn.gru_params("ksa.q1f", 2 * h, h, params)
+        self.q1b = nn.gru_params("ksa.q1b", 2 * h, h, params)
         self.subgraph = None
         self.attention = None
         if config.variant != "BiGRU":
-            self.subgraph = nn.gru_params("ksa.subgraph", dr, h, rng)
+            self.subgraph = nn.gru_params("ksa.subgraph", dr, h, params)
         if config.variant == "KSA-BiGRU":
             self.attention = {
-                "w": Parameter("ksa.att.w", ad.init_weight(rng, 3 * h, c, (3 * h, c))),
-                "v": Parameter("ksa.att.v", ad.init_weight(rng, c, 1, (c,))),
-                "b": Parameter("ksa.att.b", np.zeros(c)),
+                "w": params.weight("ksa.att.w", 3 * h, c, (3 * h, c)),
+                "v": params.weight("ksa.att.v", c, 1, (c,)),
+                "b": params.zeros("ksa.att.b", (c,)),
             }
         proj_in = 2 * h if config.variant == "BiGRU" else 3 * h
-        self.proj = nn.linear_params("ksa.proj", proj_in, h, rng)
-        self.decoder = nn.gru_params("ksa.decoder", dr, h, rng)
-        self.out = nn.linear_params("ksa.out", h, nr, rng)
+        self.proj = nn.linear_params("ksa.proj", proj_in, h, params)
+        self.decoder = nn.gru_params("ksa.decoder", dr, h, params)
+        self.out = nn.linear_params("ksa.out", h, nr, params)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -282,8 +287,9 @@ class KsaModel:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, relations: list[str]) -> "KsaModel":
-        return load_checkpoint(path, lambda c: cls(vocab, relations, ModelConfig(**c)),
-                               vocabulary=vocab.tokens, relations=list(relations))
+        return load_checkpoint(
+            path, lambda c, saved: cls(vocab, relations, ModelConfig(**c), saved),
+            vocabulary=vocab.tokens, relations=list(relations))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Parameter bundles and functional layers shared by the learned modules.
 
 Layers are pure functions over dicts of named Parameters, so a model is just
-a dict-of-dicts and checkpointing is a flat name -> array walk.
+a dict-of-dicts and checkpointing is a flat name -> array walk.  A model asks
+a parameter source for each of its parameters by name and shape: ``Fresh``
+draws them (the training init), ``Saved`` wraps the arrays of a checkpoint.
 """
 
 from __future__ import annotations
@@ -10,15 +12,66 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Rng, Tensor
-from .errors import CheckpointError
+from .errors import CheckpointError, NonFiniteError
 
 
-def gru_params(name: str, d_in: int, hidden: int, rng: Rng) -> dict[str, Parameter]:
-    """Packed [z|r|n] gate weights for one GRU direction."""
+class Fresh:
+    """Parameters drawn from ``rng`` in the order they are asked for."""
+
+    def __init__(self, rng: Rng):
+        self.rng = rng
+
+    def weight(self, name: str, fan_in: int, fan_out: int, shape) -> Parameter:
+        return Parameter(name, ad.init_weight(self.rng, fan_in, fan_out, shape))
+
+    def embedding(self, name: str, shape) -> Parameter:
+        return Parameter(name, ad.init_embedding(self.rng, shape))
+
+    def zeros(self, name: str, shape) -> Parameter:
+        return Parameter(name, np.zeros(shape))
+
+
+class Saved:
+    """Parameters that wrap the arrays loaded from ``source``: nothing is drawn
+    or copied.
+
+    Each array must be there, in the shape asked for, and finite; a fault is
+    a CheckpointError naming the tensor.  :meth:`check_all_taken` then refuses
+    any array no parameter took.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray], source: str):
+        self.arrays = arrays
+        self.source = source
+
+    def take(self, name: str, shape) -> Parameter:
+        arr = self.arrays.pop(name, None)
+        if arr is None:
+            raise CheckpointError(f"{self.source}: missing tensor {name}")
+        if arr.shape != shape:
+            raise CheckpointError(f"{self.source}: {name} has shape {arr.shape}, expected {shape}")
+        try:
+            return Parameter(name, arr)
+        except NonFiniteError:
+            raise CheckpointError(f"{self.source}: tensor {name} is not finite") from None
+
+    def weight(self, name: str, fan_in: int, fan_out: int, shape) -> Parameter:
+        return self.take(name, shape)
+
+    embedding = zeros = take
+
+    def check_all_taken(self) -> None:
+        if self.arrays:
+            raise CheckpointError(f"{self.source}: unexpected tensors {sorted(self.arrays)}")
+
+
+def gru_params(name: str, d_in: int, hidden: int, params) -> dict[str, Parameter]:
+    """Packed [z|r|n] gate weights for one GRU direction, from ``params``
+    (a :class:`Fresh` or :class:`Saved` source)."""
     return {
-        "wx": Parameter(f"{name}.wx", ad.init_weight(rng, d_in, 3 * hidden, (d_in, 3 * hidden))),
-        "wh": Parameter(f"{name}.wh", ad.init_weight(rng, hidden, 3 * hidden, (hidden, 3 * hidden))),
-        "b": Parameter(f"{name}.b", np.zeros(3 * hidden)),
+        "wx": params.weight(f"{name}.wx", d_in, 3 * hidden, (d_in, 3 * hidden)),
+        "wh": params.weight(f"{name}.wh", hidden, 3 * hidden, (hidden, 3 * hidden)),
+        "b": params.zeros(f"{name}.b", (3 * hidden,)),
     }
 
 
@@ -40,10 +93,10 @@ def bigru(fwd: dict, bwd: dict, x: Tensor) -> tuple[Tensor, Tensor]:
     return hs, u
 
 
-def linear_params(name: str, d_in: int, d_out: int, rng: Rng) -> dict[str, Parameter]:
+def linear_params(name: str, d_in: int, d_out: int, params) -> dict[str, Parameter]:
     return {
-        "w": Parameter(f"{name}.w", ad.init_weight(rng, d_in, d_out, (d_in, d_out))),
-        "b": Parameter(f"{name}.b", np.zeros(d_out)),
+        "w": params.weight(f"{name}.w", d_in, d_out, (d_in, d_out)),
+        "b": params.zeros(f"{name}.b", (d_out,)),
     }
 
 
@@ -70,15 +123,15 @@ def snapshot(params) -> dict[str, np.ndarray]:
     return {p.name: p.data.copy() for p in params}
 
 
-def restore(params, state: dict[str, np.ndarray], source: str = "snapshot") -> None:
+def restore(params, state: dict[str, np.ndarray]) -> None:
     """Copy ``state[name]`` into each parameter; names and shapes must match exactly."""
     names = {p.name for p in params}
     if names != state.keys():
-        raise CheckpointError(f"{source}: missing tensors {sorted(names - state.keys())}, "
+        raise CheckpointError(f"snapshot: missing tensors {sorted(names - state.keys())}, "
                               f"unexpected tensors {sorted(state.keys() - names)}")
     for p in params:
         if state[p.name].shape != p.data.shape:
-            raise CheckpointError(f"{source}: {p.name} has shape {state[p.name].shape}, "
+            raise CheckpointError(f"snapshot: {p.name} has shape {state[p.name].shape}, "
                                   f"expected {p.data.shape}")
     for p in params:
         p.data[...] = state[p.name]

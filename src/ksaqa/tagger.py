@@ -42,18 +42,21 @@ class TaggerModel:
 
     K = 2   # tag alphabet {0, 1}
 
-    def __init__(self, vocab: Vocabulary, config: TaggerConfig):
+    def __init__(self, vocab: Vocabulary, config: TaggerConfig, params=None):
+        """``params``: an :class:`nn.Saved` checkpoint, or by default an
+        :class:`nn.Fresh` draw seeded by ``config.seed``."""
         self.vocab = vocab
         self.config = config
-        rng = Rng(config.seed)
+        if params is None:
+            params = nn.Fresh(Rng(config.seed))
         d, h = config.d_word, config.hidden
-        self.word_emb = Parameter("tagger.word_emb", ad.init_embedding(rng, (len(vocab), d)))
-        self.fwd = nn.gru_params("tagger.fwd", d, h, rng)
-        self.bwd = nn.gru_params("tagger.bwd", d, h, rng)
-        self.emit = nn.linear_params("tagger.emit", 2 * h, self.K, rng)
-        self.trans = Parameter("tagger.crf.trans", np.zeros((self.K, self.K)))
-        self.start = Parameter("tagger.crf.start", np.zeros(self.K))
-        self.stop = Parameter("tagger.crf.stop", np.zeros(self.K))
+        self.word_emb = params.embedding("tagger.word_emb", (len(vocab), d))
+        self.fwd = nn.gru_params("tagger.fwd", d, h, params)
+        self.bwd = nn.gru_params("tagger.bwd", d, h, params)
+        self.emit = nn.linear_params("tagger.emit", 2 * h, self.K, params)
+        self.trans = params.zeros("tagger.crf.trans", (self.K, self.K))
+        self.start = params.zeros("tagger.crf.start", (self.K,))
+        self.stop = params.zeros("tagger.crf.stop", (self.K,))
 
     def parameters(self) -> list[Parameter]:
         return nn.collect_params([self.word_emb, self.fwd, self.bwd, self.emit,
@@ -79,7 +82,7 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "TaggerModel":
-        return load_checkpoint(path, lambda c: cls(vocab, TaggerConfig(**c)),
+        return load_checkpoint(path, lambda c, saved: cls(vocab, TaggerConfig(**c), saved),
                                vocabulary=vocab.tokens)
 
 

@@ -60,9 +60,9 @@ class EmbeddingSet:
 
     @classmethod
     def load(cls, path) -> "EmbeddingSet":
-        def build(c):
-            return cls(np.zeros((len(c["entities"]), c["dim"])),
-                       np.zeros((len(c["relations"]), c["dim"])),
+        def build(c, saved):
+            return cls(saved.take("transe.entity", (len(c["entities"]), c["dim"])).data,
+                       saved.take("transe.relation", (len(c["relations"]), c["dim"])).data,
                        list(c["entities"]), list(c["relations"]), c["norm"])
 
         return load_checkpoint(path, build)

@@ -1,14 +1,22 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ksaqa import autodiff as ad
+from ksaqa import nn
 from ksaqa.autodiff import Parameter
 from ksaqa.checkpoint import (MAGIC, load_arrays, load_checkpoint, save_arrays,
                               save_checkpoint)
+from ksaqa.dataset import build_vocabulary
 from ksaqa.errors import (BadMagicError, CheckpointError, DuplicateNameError,
                           NonFiniteError, TruncatedCheckpointError)
+from ksaqa.model import VARIANTS, KsaModel, ModelConfig
+from ksaqa.nn import Saved
+from ksaqa.tagger import TaggerConfig, TaggerModel
+from ksaqa.transe import EmbeddingSet
 
 
 def _sample():
@@ -112,7 +120,8 @@ class Owner:
 
     def __init__(self, config, x=(0.0, 0.0)):
         self.config = config
-        self.x = Parameter("x", np.array(x))
+        # load_checkpoint passes the saved tensors in place of the values
+        self.x = x.take("x", (2,)) if isinstance(x, Saved) else Parameter("x", np.array(x))
 
     def parameters(self):
         return [self.x]
@@ -140,3 +149,56 @@ def test_refused_save_keeps_the_previous_checkpoint(tmp_path, bad):
     assert sorted(p.name for p in tmp_path.iterdir()) == before == ["m.ckpt", "m.ckpt.json"]
     back = load_checkpoint(path, Owner)
     assert back.config == {"k": 1} and back.x.data.tolist() == [1.0, 2.0]
+
+
+# -- the owners' load path against the construct-then-restore load it replaced --
+
+def _restored(path, build):
+    """The old load path, kept as the oracle: construct the owner from the
+    manifest config (a fresh random draw), then copy the saved tensors over
+    its parameters."""
+    owner = build(json.loads(Path(f"{path}.json").read_text())["config"])
+    nn.restore(owner.parameters(), load_arrays(path))
+    return owner
+
+
+VOCAB = build_vocabulary([["who", "wrote", "<e>", "?"]])
+RELATIONS = ["r/born", "r/wrote", "r/won"]
+OWNERS = {
+    **{variant: (lambda v=variant: KsaModel(VOCAB, RELATIONS, ModelConfig(
+        variant=v, d_word=7, d_rel=5, d_hidden=4, attention_hidden=3, seed=2)),
+                 lambda path: KsaModel.load(path, VOCAB, RELATIONS),
+                 lambda c: KsaModel(VOCAB, RELATIONS, ModelConfig(**c)))
+       for variant in VARIANTS},
+    "tagger": (lambda: TaggerModel(VOCAB, TaggerConfig(d_word=6, hidden=4, seed=1)),
+               lambda path: TaggerModel.load(path, VOCAB),
+               lambda c: TaggerModel(VOCAB, TaggerConfig(**c))),
+    "transe": (lambda: EmbeddingSet(np.zeros((4, 3)), np.zeros((2, 3)), list("abcd"),
+                                    ["r/x", "r/y"], "l1"),
+               EmbeddingSet.load,
+               lambda c: EmbeddingSet(np.zeros((len(c["entities"]), c["dim"])),
+                                      np.zeros((len(c["relations"]), c["dim"])),
+                                      list(c["entities"]), list(c["relations"]), c["norm"])),
+}
+
+
+@pytest.mark.parametrize("owner", OWNERS)
+def test_load_equals_construct_then_restore_without_a_draw(tmp_path, monkeypatch, owner):
+    make, load, build = OWNERS[owner]
+    trained = make()
+    rng = np.random.default_rng(5)
+    for p in trained.parameters():     # off every init value, zero biases included
+        p.data += rng.standard_normal(p.data.shape)
+    trained.save(tmp_path / "o.ckpt")
+    oracle = _restored(tmp_path / "o.ckpt", build)
+    for init in ("init_weight", "init_embedding"):
+        monkeypatch.setattr(ad, init, lambda *a, **k: pytest.fail("load drew a random init"))
+    loaded = load(tmp_path / "o.ckpt")
+    got, want = loaded.parameters(), oracle.parameters()
+    assert [p.name for p in got] == [p.name for p in want]
+    for g, w in zip(got, want):
+        assert g.data.dtype == w.data.dtype == np.float64
+        assert g.data.shape == w.data.shape and g.data.tobytes() == w.data.tobytes(), g.name
+    if owner == "transe":     # the tables are the parameters' arrays
+        assert loaded.entity.tobytes() == oracle.entity.tobytes()
+        assert loaded.relation.tobytes() == oracle.relation.tobytes()

@@ -352,6 +352,14 @@ def _dims(*dims):
     return MAGIC + struct.pack("<II", 1, 1) + b"w" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
 
 
+def _nan_last_value(name):
+    """Overwrite the file's last float32 (the last value of its last tensor) with NaN."""
+    def mutate(work, mp):
+        blob = (work / name).read_bytes()
+        (work / name).write_bytes(blob[:-4] + struct.pack("<f", float("nan")))
+    return mutate
+
+
 NOT_UTF8 = b"caf\xe9\tbar\n"
 
 
@@ -383,9 +391,23 @@ FAULTS = [
     ("model-dims-overflow", PREDICT, _write_bytes("model.ckpt", _dims(2 ** 31, 2 ** 31, 2 ** 31)), 8),
     ("model-dims-unallocatable", PREDICT,
      _write_bytes("model.ckpt", _dims(0, 2 ** 32 - 1, 2 ** 32 - 1)), 8),
+    # a NaN in ksa.out.b, the last tensor saved
+    ("model-tensor-nonfinite", PREDICT, _nan_last_value("model.ckpt"), 8),
     # other corrupt artifacts
     ("kb-truncated", ["stats"], _truncate("kb.npz"), 8),
     ("vocab-empty", PREDICT, _write("vocab.txt", ""), 8),
+    # an aliases.tsv that `ingest-kb` cannot have written
+    ("workdir-aliases-not-utf8", PREDICT,
+     _write_bytes("aliases.tsv", b"01\tjohn smith\n" + NOT_UTF8), 8),
+    ("workdir-aliases-one-field", PREDICT, _write("aliases.tsv", "01\tjohn smith\n02\n"), 8),
+    ("workdir-aliases-unnormalized", PREDICT, _write("aliases.tsv", "01\tJohn Smith\n"), 8),
+    ("workdir-aliases-unstripped-id", PREDICT, _write("aliases.tsv", "m/01\tjohn smith\n"), 8),
+    ("workdir-aliases-repeated-row", PREDICT,
+     _write("aliases.tsv", "01\tjohn smith\n01\tjohn smith\n"), 8),
+    ("workdir-aliases-cut-off", PREDICT, _write("aliases.tsv", "01\tjohn smith\n02\tjohn sm"), 8),
+    # a mention no entity is known by ends before the predictor is read
+    ("unknown-mention-model-unread", PREDICT + ["--mention", "born"],
+     _write("model.ckpt", "not a checkpoint"), 7),
     # a checkpoint without its manifest
     ("model-manifest-absent", PREDICT, _delete("model.ckpt.json"), 6),
     ("tagger-manifest-absent", PREDICT, _delete("tagger.ckpt.json"), 6),
@@ -436,9 +458,19 @@ FAULTS = [
 ]
 
 
-# faults in the input file bad.txt: the stderr line names the file
-NAMES_BAD_TXT = {"triples-not-utf8", "questions-not-utf8", "triples-two-fields",
-                 "triples-empty-field", "aliases-empty-entity", "questions-empty"}
+# what the stderr line says of a fault, {work} standing for the broken work
+# directory; a fault in the input file bad.txt names the file
+SAYS = {**{name: "{work}/bad.txt: line " for name in (
+            "triples-not-utf8", "questions-not-utf8", "triples-two-fields",
+            "triples-empty-field", "aliases-empty-entity", "questions-empty")},
+        "model-tensor-nonfinite": "{work}/model.ckpt: tensor ksa.out.b is not finite",
+        "workdir-aliases-not-utf8": "{work}/aliases.tsv: line 2: not UTF-8; rerun ingest-kb",
+        "workdir-aliases-one-field": "{work}/aliases.tsv: line 2: expected 2 tab-separated",
+        "workdir-aliases-unnormalized": "{work}/aliases.tsv: line 1: alias 'John Smith'",
+        "workdir-aliases-unstripped-id": "{work}/aliases.tsv: line 1: entity 'm/01'",
+        "workdir-aliases-repeated-row": "{work}/aliases.tsv: line 2: row '01' 'john smith'",
+        "workdir-aliases-cut-off": "{work}/aliases.tsv: line 2: cut off; rerun ingest-kb",
+        "unknown-mention-model-unread": "no entity is known under the alias 'born'"}
 
 
 @pytest.mark.parametrize("name,argv,mutate,code", FAULTS, ids=[f[0] for f in FAULTS])
@@ -457,8 +489,8 @@ def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, monkeypatch, name
     assert rc == code, err
     assert not caught, [str(w.message) for w in caught]
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
-    if name in NAMES_BAD_TXT:
-        assert f"{broken / 'bad.txt'}: line " in err, err
+    if name in SAYS:
+        assert SAYS[name].format(work=broken) in err, err
     # a refused or failed run leaves every checkpoint as it was, and no temp file
     assert {p.name: p.read_bytes() for p in broken.glob("*.ckpt*")} == before
 

@@ -355,6 +355,36 @@ def test_encode_question_rejects_empty_input(world):
 # -- persistence --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fresh_model_keeps_its_seeded_draw_order(world, variant):
+    """The constructor's draws, replayed by hand in the order the seeded
+    reruns and every trained checkpoint depend on."""
+    kb, vocab, _ = world
+    model = _model(world, variant)
+    rng = Rng(SMALL["seed"])
+    dw, dr, h, c = (SMALL[k] for k in ("d_word", "d_rel", "d_hidden", "attention_hidden"))
+    nr = len(kb.relations)
+
+    def gru(d_in):
+        return [ad.init_weight(rng, d_in, 3 * h, (d_in, 3 * h)),
+                ad.init_weight(rng, h, 3 * h, (h, 3 * h)), np.zeros(3 * h)]
+
+    want = [ad.init_embedding(rng, (len(vocab), dw)), ad.init_embedding(rng, (nr + 1, dr))]
+    want += gru(dw) + gru(dw) + gru(2 * h) + gru(2 * h)
+    if variant != "BiGRU":
+        want += gru(dr)
+    if variant == "KSA-BiGRU":
+        want += [ad.init_weight(rng, 3 * h, c, (3 * h, c)), ad.init_weight(rng, c, 1, (c,)),
+                 np.zeros(c)]
+    proj_in = 2 * h if variant == "BiGRU" else 3 * h
+    want += [ad.init_weight(rng, proj_in, h, (proj_in, h)), np.zeros(h)]
+    want += gru(dr) + [ad.init_weight(rng, h, nr, (h, nr)), np.zeros(nr)]
+    got = [p.data for p in model.parameters()]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_checkpoint_round_trip_preserves_scores(world, tmp_path):
     kb, vocab, _ = world
     model = _model(world)
