@@ -1,12 +1,10 @@
 """Kernel benchmark cases: one representative input per ``ksaqa.kernels`` kernel.
 
 ``build_benchmarks(scale)`` returns ``(name, fn, check)`` triples: ``fn()``
-runs the kernel on fixed seeded inputs in whichever lane is active, and
-``check(out_a, out_b)`` says whether two lanes' outputs agree.  The
-``small`` shapes are near the desk dims, the ``full`` shapes are the paper
-dims.  ``perfbench/kernel_section.py`` times every case in every lane that
-can be imported and checks that the lanes agree; a traced benchmark run
-prints that section:
+runs the kernel on fixed seeded inputs, and ``check(out_a, out_b)`` says
+whether two outputs agree.  The ``small`` shapes are near the desk dims, the
+``full`` shapes are the paper dims.  ``perfbench/kernel_section.py`` times
+every case; a traced benchmark run prints that section:
 
     python3 perfbench/run.py --workload ask-paper --seed 1 --seconds 50 --trace 1
 """

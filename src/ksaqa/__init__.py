@@ -2,7 +2,7 @@
 
 The package covers the full pipeline: KB ingestion and one-hop subgraph
 indexing, question formatting, plausible-interpretation relabeling, a
-small tape-based autodiff engine with numba-accelerated kernels, TransE
+small tape-based autodiff engine on numpy kernels, TransE
 relation pretraining, a BiGRU-CRF subject tagger, the KSA-BiGRU relation
 predictor with its two ablation variants, evaluation, and a CLI.
 """

@@ -6,8 +6,8 @@ inference fast path.  Every op output is checked for NaN/Inf.  Gradients
 accumulate into ``Tensor.grad`` on :func:`backward`.
 
 The GRU sequence and CRF log-likelihood are fused primitives backed by the
-``kernels`` package (numba or numpy lane); their hand-derived backwards are
-covered by the finite-difference suite like every other primitive.
+``kernels`` package; their hand-derived backwards are covered by the
+finite-difference suite like every other primitive.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError
-from . import kernels as K
 from .kernels import crf as crf_k
 from .kernels import gru as gru_k
 

@@ -86,10 +86,12 @@ def _open_input(path_str: str, what: str) -> Path:
     return path
 
 
-def _load_kb(work: Path) -> tuple[KnowledgeBase, AliasTable]:
-    kb = KnowledgeBase.load(_require(work / "kb.npz", "ingest-kb"))
-    aliases = AliasTable.load(_require(work / "aliases.tsv", "ingest-kb"))
-    return kb, aliases
+def _load_kb(work: Path) -> KnowledgeBase:
+    return KnowledgeBase.load(_require(work / "kb.npz", "ingest-kb"))
+
+
+def _load_aliases(work: Path) -> AliasTable:
+    return AliasTable.load(_require(work / "aliases.tsv", "ingest-kb"))
 
 
 def _load_vocab(work: Path) -> Vocabulary:
@@ -129,7 +131,7 @@ def cmd_ingest_kb(args, cfg: PipelineConfig) -> int:
 
 def cmd_relabel(args, cfg: PipelineConfig) -> int:
     work = _work(cfg)
-    kb, aliases = _load_kb(work)
+    kb, aliases = _load_kb(work), _load_aliases(work)
     splits = {}
     for split, path_str in (("train", cfg.train_file), ("valid", cfg.valid_file),
                             ("test", cfg.test_file)):
@@ -171,7 +173,7 @@ def cmd_relabel(args, cfg: PipelineConfig) -> int:
 
 def cmd_stats(args, cfg: PipelineConfig) -> int:
     work = _work(cfg)
-    kb, aliases = _load_kb(work)
+    kb, aliases = _load_kb(work), _load_aliases(work)
     _log(f"entities  {kb.entity_count}")
     _log(f"relations {kb.relation_count}")
     _log(f"triples   {kb.triple_count}")
@@ -187,7 +189,7 @@ def cmd_stats(args, cfg: PipelineConfig) -> int:
 
 def cmd_pretrain_transe(args, cfg: PipelineConfig) -> int:
     work = _work(cfg)
-    kb, _ = _load_kb(work)
+    kb = _load_kb(work)
     tcfg = stage_config(cfg, TransEConfig)
     emb, history = train_transe(kb, tcfg, log=_log)
     emb.save(work / "transe.ckpt")
@@ -217,7 +219,7 @@ def cmd_train_tagger(args, cfg: PipelineConfig) -> int:
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
     work = _work(cfg)
-    kb, _ = _load_kb(work)
+    kb = _load_kb(work)
     vocab = _load_vocab(work)
     train_examples = load_jsonl(_require(work / "train.jsonl", "relabel"), "train")
     valid_examples = None
@@ -249,7 +251,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
     work = _work(cfg)
-    kb, aliases = _load_kb(work)
+    kb, aliases = _load_kb(work), _load_aliases(work)
     vocab = _load_vocab(work)
     model = _load_model(work, kb, vocab)
     split = args.split
@@ -291,7 +293,7 @@ def _resolve_mention(work, vocab, tokens, mention_flag):
 
 def _question_setup(args, cfg):
     work = _work(cfg)
-    kb, aliases = _load_kb(work)
+    kb, aliases = _load_kb(work), _load_aliases(work)
     vocab = _load_vocab(work)
     tokens = tokenize(args.question)
     if not tokens:

@@ -2,10 +2,7 @@
 
 import numpy as np
 
-from . import kernel
 
-
-@kernel
 def adam_update(p, g, m, v, step, lr, beta1, beta2, eps):
     """One Adam step; mutates p, m, v. ``step`` is the 1-based step count."""
     m[:] = beta1 * m + (1.0 - beta1) * g

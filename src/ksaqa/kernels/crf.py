@@ -11,10 +11,7 @@ strict ``>`` so the lowest label index wins at every step and backpointer.
 
 import numpy as np
 
-from . import kernel
 
-
-@kernel
 def crf_logz(emis, trans, start, stop):
     """Forward algorithm; returns (logZ, alpha [m, K])."""
     m, k = emis.shape
@@ -42,7 +39,6 @@ def crf_logz(emis, trans, start, stop):
     return mx + np.log(s), alpha
 
 
-@kernel
 def crf_marginals(emis, trans, start, stop, alpha, logz):
     """Posterior expectations = gradients of logZ w.r.t. each score table.
 
@@ -76,7 +72,6 @@ def crf_marginals(emis, trans, start, stop, alpha, logz):
     return unary, dtrans, dstart, dstop
 
 
-@kernel
 def crf_viterbi(emis, trans, start, stop):
     """Max-scoring tag sequence (ties: lowest label, then lowest backpointer)."""
     m, k = emis.shape

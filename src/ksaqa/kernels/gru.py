@@ -13,10 +13,7 @@ so a zero initial state stays zero for any input.
 
 import numpy as np
 
-from . import kernel
 
-
-@kernel
 def gru_forward(x, h0, wx, wh, b):
     """Run the cell over ``x`` [m, d_in]; returns (hs, zs, rs, ns, hwn).
 
@@ -47,7 +44,6 @@ def gru_forward(x, h0, wx, wh, b):
     return hs, zs, rs, ns, hwn
 
 
-@kernel
 def gru_backward(dout, x, wx, wh, hs, zs, rs, ns, hwn):
     """Backward through :func:`gru_forward`.
 

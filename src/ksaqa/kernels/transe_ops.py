@@ -1,67 +1,55 @@
 """Minibatch margin-ranking SGD step for translation embeddings.
 
-The caller pre-draws and pre-filters the corrupted triples (so both lanes
-consume identical randomness); this kernel only does the numeric work:
-score the positive and corrupted triple, apply the hinge update when the
-margin is violated, and renormalize every touched entity row to unit L2.
+The caller pre-draws and pre-filters the corrupted triples, so the kernel
+holds no randomness: it scores the positive and corrupted triple, applies
+the hinge update where the margin is violated, and renormalizes every
+touched entity row to unit L2.  It is array code that gives the bits of the
+scalar loop it replaced (``tests/transe_oracle.py``): each row norm is one
+row sum, the loss is added up in example order, the updates land in the
+loop's order, and a row is renormalized once per update it took.
 """
 
 import numpy as np
 
-from . import kernel
 
-
-@kernel
 def transe_batch(ent, rel, h, r, t, nh, nt, valid, use_l2, lr, margin):
     """One batch over positives (h, r, t) with corruptions (nh, r, nt).
 
-    ``valid`` masks examples whose corruption sampling failed.  Gradients are
-    taken at the pre-batch weights, applied with step size ``lr``, and every
-    updated entity row is renormalized.  Returns the summed hinge loss.
+    ``valid`` is a bool mask of the examples whose corruption sampling
+    succeeded.  Gradients are taken at the pre-batch weights and applied
+    with step size ``lr``, in example order (h, t, nh, nt); every updated
+    entity row is then renormalized once per update.  Returns the summed
+    hinge loss.
     """
-    nb = h.shape[0]
-    dim = ent.shape[1]
-    cap = nb * 6
-    rows = np.empty(cap, dtype=np.int64)
-    is_ent = np.empty(cap, dtype=np.bool_)
-    grads = np.empty((cap, dim))
-    n_upd = 0
+    dp = ent[h] + rel[r] - ent[t]
+    dn = ent[nh] + rel[r] - ent[nt]
+    if use_l2:
+        sp = np.sqrt(np.sum(dp * dp, axis=1))
+        sn = np.sqrt(np.sum(dn * dn, axis=1))
+    else:
+        sp = np.sum(np.abs(dp), axis=1)
+        sn = np.sum(np.abs(dn), axis=1)
+    hinge = margin + sp - sn
+    # not ``hinge > 0.0``: a NaN hinge updates its rows and the loss goes NaN
+    on = valid & ~(hinge <= 0.0)
     loss = 0.0
-    for i in range(nb):
-        if not valid[i]:
-            continue
-        dp = ent[h[i]] + rel[r[i]] - ent[t[i]]
-        dn = ent[nh[i]] + rel[r[i]] - ent[nt[i]]
-        if use_l2:
-            sp = np.sqrt(np.sum(dp * dp))
-            sn = np.sqrt(np.sum(dn * dn))
-        else:
-            sp = np.sum(np.abs(dp))
-            sn = np.sum(np.abs(dn))
-        hinge = margin + sp - sn
-        if hinge <= 0.0:
-            continue
-        loss += hinge
-        if use_l2:
-            up = dp / max(sp, 1e-12)
-            un = dn / max(sn, 1e-12)
-        else:
-            up = np.sign(dp)
-            un = np.sign(dn)
-        rows[n_upd] = h[i]; is_ent[n_upd] = True; grads[n_upd] = up; n_upd += 1
-        rows[n_upd] = t[i]; is_ent[n_upd] = True; grads[n_upd] = -up; n_upd += 1
-        rows[n_upd] = r[i]; is_ent[n_upd] = False; grads[n_upd] = up - un; n_upd += 1
-        rows[n_upd] = nh[i]; is_ent[n_upd] = True; grads[n_upd] = -un; n_upd += 1
-        rows[n_upd] = nt[i]; is_ent[n_upd] = True; grads[n_upd] = un; n_upd += 1
-    for u in range(n_upd):
-        if is_ent[u]:
-            ent[rows[u]] -= lr * grads[u]
-        else:
-            rel[rows[u]] -= lr * grads[u]
-    for u in range(n_upd):
-        if is_ent[u]:
-            row = rows[u]
-            nrm = np.sqrt(np.sum(ent[row] * ent[row]))
-            if nrm > 0.0:
-                ent[row] /= nrm
+    for value in hinge[on].tolist():   # in example order; np.sum adds pairwise
+        loss += value
+    if use_l2:
+        up = dp[on] / np.maximum(sp[on], 1e-12)[:, None]
+        un = dn[on] / np.maximum(sn[on], 1e-12)[:, None]
+    else:
+        up = np.sign(dp[on])
+        un = np.sign(dn[on])
+    rows = np.stack([h[on], t[on], nh[on], nt[on]], axis=1).ravel()
+    grads = np.stack([up, -up, -un, un], axis=1).reshape(rows.size, ent.shape[1])
+    np.subtract.at(ent, rows, lr * grads)
+    np.subtract.at(rel, r[on], lr * (up - un))
+    touched, updates = np.unique(rows, return_counts=True)
+    for k in range(1, updates.max(initial=0) + 1):
+        sel = touched[updates >= k]
+        block = ent[sel]
+        nrm = np.sqrt(np.sum(block * block, axis=1))
+        pos = nrm > 0.0
+        ent[sel[pos]] = block[pos] / nrm[pos, None]
     return loss

@@ -3,9 +3,8 @@
 Margin-ranking objective max(0, margin + d(pos) - d(neg)) with filtered
 uniform corruption: the corrupting entity is redrawn (up to 8 candidates,
 pre-drawn) until the corrupted triple is absent from the KB.  All randomness
-lives outside the update kernel, so the numba and numpy lanes consume the
-identical stream.  Entity rows are renormalized to unit L2 after every
-update step.
+lives outside the update kernel, which only does the numeric step.  Entity
+rows are renormalized to unit L2 after every update step.
 """
 
 from __future__ import annotations
@@ -99,10 +98,11 @@ def mean_tail_rank(kb: KnowledgeBase, emb: EmbeddingSet) -> float:
 
 
 def _draw_negatives(kb, h, r, t, rng):
-    """Filtered corruption for one batch; returns (nh, nt, valid).
+    """Filtered corruption for one batch; returns (nh, nt, valid), ``valid``
+    a bool mask of the examples that found a corruption outside the KB.
 
     Head- and tail-corruption each keep the untouched side equal to the
-    positive, which is how the kernel tells them apart-free: gradients on
+    positive, so the kernel need not tell them apart: gradients on
     overlapping rows simply accumulate.
     """
     nb = h.shape[0]
@@ -110,7 +110,6 @@ def _draw_negatives(kb, h, r, t, rng):
     cand = rng.integers(0, kb.entity_count, size=(nb, _RETRIES)).astype(np.int64)
     nh = h.copy()
     nt = t.copy()
-    valid = np.zeros(nb, dtype=np.int64)
     pending = np.ones(nb, dtype=bool)
     for j in range(_RETRIES):
         if not pending.any():
@@ -120,9 +119,8 @@ def _draw_negatives(kb, h, r, t, rng):
         ok = pending & ~in_kb
         nh[ok & corrupt_head] = cj[ok & corrupt_head]
         nt[ok & ~corrupt_head] = cj[ok & ~corrupt_head]
-        valid[ok] = 1
         pending &= ~ok
-    return nh, nt, valid
+    return nh, nt, ~pending
 
 
 def train_transe(kb: KnowledgeBase, config: TransEConfig,

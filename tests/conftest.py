@@ -1,15 +1,8 @@
 import pytest
 
-from ksaqa import kernels
 from ksaqa.dataset import build_vocabulary, format_question
 from ksaqa.relabel import build_pattern_index, relabel_dataset
 from corpus_util import micro_world
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Pay the numba JIT cost once so timed tests measure steady state."""
-    kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

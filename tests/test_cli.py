@@ -428,7 +428,7 @@ FAULTS = [
     ("min-count-zero", ["relabel", "--min-count", "0"], _keep, 3),
     ("lr-negative", ["train", "--lr", "-1"], _keep, 3),
     ("transe-lr-negative", ["pretrain-transe", "--transe-lr", "-1"], _keep, 3),
-    # the kernel lane follows the platform: `backend` is an unknown key
+    # there is one kernel lane: `backend` is an unknown key
     ("config-backend", ["stats", "--config", "{work}/backend.cfg"],
      _write("backend.cfg", "backend = bogus\n"), 3),
     # manifests from before question_layers or negatives_from_empty_candidates was removed
@@ -493,6 +493,20 @@ def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, monkeypatch, name
         assert SAYS[name].format(work=broken) in err, err
     # a refused or failed run leaves every checkpoint as it was, and no temp file
     assert {p.name: p.read_bytes() for p in broken.glob("*.ckpt*")} == before
+
+
+def test_training_stages_do_not_read_aliases(pipeline, tmp_path, capsys):
+    cfg, _, work = pipeline
+    broken = tmp_path / "work"
+    shutil.copytree(work, broken)
+    (broken / "aliases.tsv").write_bytes(b"01\tjohn smith\n" + NOT_UTF8)
+    common = ["--config", str(cfg), "--workdir", str(broken)]
+    assert main(["pretrain-transe"] + common + ["--transe-epochs", "1"]) == 0
+    assert main(["train"] + common + ["--epochs", "1"]) == 0
+    capsys.readouterr()
+    assert main(["predict"] + common + PREDICT[1:]) == 8
+    err = capsys.readouterr().err
+    assert f"{broken}/aliases.tsv: line 2: not UTF-8; rerun ingest-kb" in err, err
 
 
 # -- flags: each sets the config key (or argument) it set before the flags ----
@@ -602,7 +616,7 @@ def test_every_config_key_has_its_flag():
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_backend_flag_is_gone(capsys, sub):
-    """The kernel lane follows the platform; no subcommand takes --backend."""
+    """There is one kernel lane; no subcommand takes --backend."""
     with pytest.raises(SystemExit) as exc:
         main([sub, "--backend", "numpy"] + REQUIRED.get(sub, []))
     assert exc.value.code == 2

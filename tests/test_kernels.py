@@ -2,33 +2,8 @@ import numpy as np
 import pytest
 
 from ksaqa import kernels
-from ksaqa.kernels import adam_ops, crf, gru, transe_ops
-
-
-@pytest.fixture
-def lanes():
-    """Yield a helper that runs fn under both lanes and compares outputs."""
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable; single-lane build")
-
-    def run(fn, comparator=None):
-        prev = kernels.set_backend("numpy")
-        try:
-            out_np = fn()
-            kernels.set_backend("numba")
-            out_nb = fn()
-        finally:
-            kernels.set_backend(prev)
-        flat_np = out_np if isinstance(out_np, tuple) else (out_np,)
-        flat_nb = out_nb if isinstance(out_nb, tuple) else (out_nb,)
-        for a, b in zip(flat_np, flat_nb):
-            if comparator:
-                comparator(a, b)
-            else:
-                assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-        return out_np
-
-    return run
+from ksaqa.kernels import gru, transe_ops
+import transe_oracle
 
 
 def _gru_inputs(seed=0, m=6, d=5, h=4):
@@ -37,67 +12,6 @@ def _gru_inputs(seed=0, m=6, d=5, h=4):
             rng.standard_normal((d, 3 * h)) * 0.4,
             rng.standard_normal((h, 3 * h)) * 0.4,
             rng.standard_normal(3 * h) * 0.1)
-
-
-def test_gru_forward_lane_equivalence(lanes):
-    x, h0, wx, wh, b = _gru_inputs()
-    lanes(lambda: gru.gru_forward(x, h0, wx, wh, b))
-
-
-def test_gru_backward_lane_equivalence(lanes):
-    x, h0, wx, wh, b = _gru_inputs(1)
-    hs, zs, rs, ns, hwn = gru.gru_forward(x, h0, wx, wh, b)
-    g = np.random.default_rng(2).standard_normal(hs.shape)
-    lanes(lambda: gru.gru_backward(g, x, wx, wh, hs, zs, rs, ns, hwn))
-
-
-def test_crf_lane_equivalence(lanes):
-    rng = np.random.default_rng(3)
-    em = rng.standard_normal((7, 2))
-    tr = rng.standard_normal((2, 2))
-    st = rng.standard_normal(2)
-    en = rng.standard_normal(2)
-    logz, alpha = lanes(lambda: crf.crf_logz(em, tr, st, en))
-    lanes(lambda: crf.crf_marginals(em, tr, st, en, alpha, logz))
-    lanes(lambda: crf.crf_viterbi(em, tr, st, en),
-          comparator=lambda a, b: np.array_equal(a, b))
-
-
-def test_adam_lane_equivalence(lanes):
-    rng = np.random.default_rng(4)
-    g = rng.standard_normal(64)
-
-    def run():
-        p = np.linspace(-1, 1, 64)
-        m = np.zeros(64)
-        v = np.zeros(64)
-        adam_ops.adam_update(p, g, m, v, 3, 0.001, 0.9, 0.999, 1e-8)
-        return p, m, v
-
-    lanes(run)
-
-
-def test_transe_lane_equivalence(lanes):
-    rng = np.random.default_rng(5)
-    ne, dim, nb = 12, 6, 8
-    ent0 = rng.standard_normal((ne, dim))
-    ent0 /= np.linalg.norm(ent0, axis=1, keepdims=True)
-    rel0 = rng.standard_normal((4, dim))
-    h = rng.integers(0, ne, nb)
-    r = rng.integers(0, 4, nb)
-    t = rng.integers(0, ne, nb)
-    nh = h.copy()
-    nt = rng.integers(0, ne, nb)
-    valid = np.ones(nb, dtype=np.bool_)
-    valid[3] = False
-
-    def run():
-        ent, rel = ent0.copy(), rel0.copy()
-        loss = transe_ops.transe_batch(ent, rel, h, r, t, nh, nt, valid,
-                                       True, 0.01, 1.0)
-        return loss, ent, rel
-
-    lanes(run)
 
 
 def test_within_lane_bitwise_determinism():
@@ -109,10 +23,11 @@ def test_within_lane_bitwise_determinism():
 
 
 def test_set_backend_returns_previous_and_validates():
+    assert kernels.HAVE_NUMBA is False
     prev = kernels.set_backend("numpy")
     try:
         assert kernels.active_backend() == "numpy"
-        for name in ("bogus", "auto"):
+        for name in ("bogus", "auto", "numba"):
             with pytest.raises(ValueError):
                 kernels.set_backend(name)
     finally:
@@ -149,3 +64,85 @@ def test_gru_batch_of_states_matches_one_run_per_state():
         shared = [s + g for s, g in zip(shared, (dx_i, dwx_i, dwh_i, db_i))]
     for batched, summed in zip((dx, dwx, dwh, db), shared):
         assert np.allclose(batched, summed, rtol=0, atol=1e-12)
+
+
+# -- transe_batch: array code, bit-equal to the scalar loop it replaced ------
+
+def _transe_case(rng, nb, dim, ne, nr=3):
+    """Unit entity rows and a batch drawn the way ``_draw_negatives`` draws:
+    each corruption keeps one side of its positive (h == nh or t == nt),
+    over few entities so rows repeat within a batch."""
+    ent = rng.standard_normal((ne, dim))
+    ent /= np.linalg.norm(ent, axis=1, keepdims=True)
+    rel = rng.standard_normal((nr, dim)) * 0.3
+    h, r, t = rng.integers(0, ne, nb), rng.integers(0, nr, nb), rng.integers(0, ne, nb)
+    head = rng.random(nb) < 0.5
+    cand = rng.integers(0, ne, nb)
+    valid = rng.random(nb) < 0.9
+    return ent, rel, (h, r, t, np.where(head, cand, h), np.where(head, t, cand), valid)
+
+
+def _assert_transe_equals_oracle(ent, rel, batch, use_l2, lr, margin):
+    """Run kernel and oracle on copies; return the kernel's (loss, ent, rel)."""
+    ent_a, rel_a, ent_b, rel_b = ent.copy(), rel.copy(), ent.copy(), rel.copy()
+    loss = transe_ops.transe_batch(ent_a, rel_a, *batch, use_l2, lr, margin)
+    want = transe_oracle.transe_batch(ent_b, rel_b, *batch, use_l2, lr, margin)
+    assert np.array_equal(loss, want, equal_nan=True), (loss, want)
+    assert np.array_equal(ent_a, ent_b, equal_nan=True)
+    assert np.array_equal(rel_a, rel_b, equal_nan=True)
+    return loss, ent_a, rel_a
+
+
+def test_transe_batch_equals_the_scalar_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        nb, dim = int(rng.integers(0, 131)), int(rng.integers(1, 301))
+        ent, rel, batch = _transe_case(rng, nb, dim, int(rng.integers(1, nb // 3 + 3)))
+        for use_l2 in (True, False):
+            margin = float(rng.uniform(0.05, 3.0))
+            _assert_transe_equals_oracle(ent, rel, batch, use_l2, 0.05, margin)
+
+
+@pytest.mark.parametrize("use_l2", [True, False])
+def test_transe_batch_all_invalid_changes_nothing(use_l2):
+    ent, rel, batch = _transe_case(np.random.default_rng(12), 9, 5, 4)
+    batch = batch[:-1] + (np.zeros(9, dtype=bool),)
+    loss, ent_out, rel_out = _assert_transe_equals_oracle(ent, rel, batch, use_l2, 0.1, 1.0)
+    assert loss == 0.0
+    assert np.array_equal(ent_out, ent) and np.array_equal(rel_out, rel)
+
+
+@pytest.mark.parametrize("use_l2", [True, False])
+def test_transe_batch_every_margin_holding_changes_nothing(use_l2):
+    # h + 0 == t exactly, while the corrupted tail is another unit row
+    ent, rel = np.eye(3), np.zeros((1, 3))
+    h = np.array([0, 1, 2, 0])
+    batch = (h, np.zeros(4, dtype=np.int64), h, h, (h + 1) % 3, np.ones(4, dtype=bool))
+    loss, ent_out, rel_out = _assert_transe_equals_oracle(ent, rel, batch, use_l2, 0.1, 1.0)
+    assert loss == 0.0
+    assert np.array_equal(ent_out, ent) and np.array_equal(rel_out, rel)
+
+
+@pytest.mark.parametrize("use_l2", [True, False])
+def test_transe_batch_nan_row_updates_and_returns_nan(use_l2):
+    ent, rel, _ = _transe_case(np.random.default_rng(13), 0, 4, 6)
+    ent[0] = np.nan
+    # example 0 reads the NaN row on both sides (h == nh == 0); example 1 is finite
+    batch = (np.array([0, 3]), np.array([1, 2]), np.array([1, 4]),
+             np.array([0, 3]), np.array([2, 5]), np.ones(2, dtype=bool))
+    loss, ent_out, rel_out = _assert_transe_equals_oracle(ent, rel, batch, use_l2, 0.1, 1.0)
+    assert np.isnan(loss)
+    assert np.isnan(ent_out[[0, 1, 2]]).all() and np.isnan(rel_out[1]).all()
+    assert np.isfinite(ent_out[3:]).all() and np.isfinite(rel_out[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("use_l2", [True, False])
+def test_transe_batch_leaves_a_zero_norm_row_unscaled(use_l2):
+    ent, rel, _ = _transe_case(np.random.default_rng(14), 0, 4, 5, nr=2)
+    ent[0], rel[0] = 0.0, 0.0
+    # example 0 scores 0 on both sides: hinge == margin, every gradient 0
+    batch = (np.array([0, 2]), np.array([0, 1]), np.array([0, 3]),
+             np.array([0, 2]), np.array([0, 4]), np.ones(2, dtype=bool))
+    loss, ent_out, _ = _assert_transe_equals_oracle(ent, rel, batch, use_l2, 0.1, 1.0)
+    assert loss >= 1.0
+    assert np.array_equal(ent_out[0], np.zeros(4))
