@@ -214,8 +214,11 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix/vector products, or a stack of matrix products ([k, p, q] @ [k, q, r])."""
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[0]:
+    stacked = ad.ndim == 3 or bd.ndim == 3
+    if (ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]
+            or stacked and (ad.ndim != bd.ndim or ad.shape[0] != bd.shape[0])):
         raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape}")
     data = ad @ bd
 
@@ -229,6 +232,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         elif ad.ndim == 1 and bd.ndim == 2:
             a.accumulate(bd @ g)
             b.accumulate(np.outer(ad, g))
+        elif stacked:
+            a.accumulate(g @ bd.transpose(0, 2, 1))
+            b.accumulate(ad.transpose(0, 2, 1) @ g)
         else:
             a.accumulate(g * bd)
             b.accumulate(g * ad)
@@ -288,9 +294,14 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, (a,), bwd, "tanh")
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Stable softmax over the last axis; outputs are strictly positive."""
-    shifted = a.data - np.max(a.data, axis=-1, keepdims=True)
+def softmax(a: Tensor, mask=None) -> Tensor:
+    """Stable softmax over the last axis; outputs are strictly positive.
+
+    ``mask`` (bool, ``a``'s shape) gives the entries where it is False a
+    weight of exactly 0; every row must keep at least one entry.
+    """
+    x = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / np.sum(e, axis=-1, keepdims=True)
 
@@ -314,14 +325,22 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     return _make(data, (table,), bwd, "embedding_lookup")
 
 
+def dropout_mask(shape, rate: float, rng: Rng) -> np.ndarray:
+    """Inverted-dropout factors drawn from ``rng``: 0, or 1 / (1 - rate)."""
+    if not 0.0 <= rate < 1.0:
+        raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
 def dropout(a: Tensor, rate: float, rng: Rng | None) -> Tensor:
     """Inverted dropout drawing its mask from ``rng``; identity without one or at rate 0."""
     if rng is None or rate == 0.0:
         return a
-    if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    return apply_mask(a, dropout_mask(a.data.shape, rate, rng))
 
+
+def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
+    """``a`` times a constant array of ``a``'s shape, such as a dropout mask."""
     def bwd(g):
         a.accumulate(g * mask)
 
@@ -358,6 +377,16 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), bwd, "reshape")
 
 
+def transpose(a: Tensor, axes) -> Tensor:
+    """The axes of ``a`` permuted as by ``np.transpose``."""
+    back = np.argsort(axes)
+
+    def bwd(g):
+        a.accumulate(g.transpose(back))
+
+    return _make(a.data.transpose(axes), (a,), bwd, "transpose")
+
+
 def flip0(a: Tensor) -> Tensor:
     """Reverse along axis 0 (used for the backward GRU direction)."""
     def bwd(g):
@@ -378,19 +407,29 @@ def bce_with_logits_sum(logits: Tensor, labels) -> Tensor:
     return _make(data, (logits,), bwd, "bce_logits")
 
 
-def gru_sequence(x: Tensor, h0: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """All hidden states of a GRU run over ``x`` [m, d_in] (fused).
+def gru_sequence(x: Tensor, h0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+                 active=None) -> Tensor:
+    """All hidden states of a GRU run over ``x`` (fused).
 
-    From one state ``h0`` [H] the result is [m, H]; from a batch of states
-    [n, H], each reading the same ``x``, it is [m, n, H].
+    From one state ``h0`` [H], ``x`` is [m, d_in] and the result [m, H].  From
+    a batch of states [n, H] the result is [m, n, H]; ``x`` is [m, d_in], read
+    by every state, or [m, n, d_in], a row per state.  ``active`` (bool
+    [m, n], batch only) masks the steps each row runs: see
+    :mod:`ksaqa.kernels.gru`.
     """
-    if x.data.ndim != 2 or x.data.shape[1] != wx.data.shape[0]:
-        raise ShapeError(f"gru_sequence: input {x.data.shape} vs Wx {wx.data.shape}")
-    hs, zs, rs, ns, hwn = gru_k.gru_forward(x.data, h0.data, wx.data, wh.data, b.data)
+    xd, hd = x.data, h0.data
+    if (xd.ndim not in (2, 3) or xd.shape[-1] != wx.data.shape[0]
+            or xd.ndim == 3 and (hd.ndim != 2 or xd.shape[1] != hd.shape[0])):
+        raise ShapeError(f"gru_sequence: input {xd.shape} vs Wx {wx.data.shape}, "
+                         f"state {hd.shape}")
+    if active is not None and (hd.ndim != 2 or active.shape != (xd.shape[0], hd.shape[0])):
+        raise ShapeError(f"gru_sequence: mask {active.shape} vs {xd.shape[0]} steps, "
+                         f"state {hd.shape}")
+    hs, zs, rs, ns, hwn = gru_k.gru_forward(xd, hd, wx.data, wh.data, b.data, active)
 
     def bwd(g):
         dx, dh0, dwx, dwh, db = gru_k.gru_backward(
-            np.ascontiguousarray(g), x.data, wx.data, wh.data, hs, zs, rs, ns, hwn
+            np.ascontiguousarray(g), xd, wx.data, wh.data, hs, zs, rs, ns, hwn, active
         )
         x.accumulate(dx)
         h0.accumulate(dh0)

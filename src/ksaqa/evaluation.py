@@ -191,7 +191,7 @@ def export_attention(model, fq_tokens: list[str], subject: str, kb,
     """Attention weights for one (question, subject); KSA variant only."""
     if model.config.variant != "KSA-BiGRU":
         raise ConfigError(f"variant {model.config.variant} produces no attention map")
-    _, alpha = model.encoder_output(fq_tokens, [model.subject_rows(kb, subject)])
+    _, alpha = model.encoder_output([fq_tokens], [model.subject_rows(kb, subject)])
     amap = AttentionMap(tokens=list(fq_tokens), weights=alpha.data[0].copy(), subject=subject)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:

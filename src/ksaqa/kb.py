@@ -72,14 +72,17 @@ class Interner:
 def read_tsv(source, fields: int, check):
     """The fields of each non-blank line of a tab-separated source.
 
-    ``source`` is a UTF-8 file path or an iterable of str lines.  A line that
+    ``source`` is a UTF-8 file path or an iterable of str lines.  Only "\n"
+    ends a line and one "\r" before it is dropped (a CRLF ending); a lone
+    "\r" is field text, as it is in a str line.  A line that
     is not UTF-8, does not hold ``fields`` fields, or for which
     ``check(fields)`` returns a message (not None) raises IngestError with
     its 1-based number, and with the path when ``source`` is one.
     """
     if isinstance(source, (str, Path)):
-        # bytes that are not UTF-8 become lone surrogates, refused on their own line
-        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
+        # bytes that are not UTF-8 become lone surrogates, refused on their own
+        # line; only "\n" ends a line, so a lone "\r" stays inside its field
+        with open(source, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             try:
                 yield from read_tsv(fh, fields, check)
             except IngestError as exc:
@@ -92,6 +95,8 @@ def read_tsv(source, fields: int, check):
             except UnicodeEncodeError as exc:
                 raise IngestError(line_no, f"not UTF-8 at column {exc.start + 1}") from None
         line = raw.rstrip("\n")
+        if line.endswith("\r"):      # a CRLF line ending
+            line = line[:-1]
         if not line.strip():
             continue
         parts = line.split("\t")

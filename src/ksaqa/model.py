@@ -6,9 +6,11 @@ attends over question states conditioned on u_KS and projects concat(p, u_KS)
 to the decoder width; KS-BiGRU projects concat(u_Q, u_KS); BiGRU projects
 u_Q alone and never reads the subgraph.  Decoder: one GRU-cell step from the
 encoder output with the <_start> embedding as input, then an affine map to
-one sigmoid score per relation.  A question is encoded once and its candidate
-subjects go through attention and the decoder as one batch; only the logits
-of the relation rows that are read are computed.
+one sigmoid score per relation.  One batched encoder serves scoring (one
+question, its candidate subjects) and training (B questions, one subject
+each): the questions and the subjects' relation lists each run as one
+length-masked, padded batch, and only the logits of the relation rows that
+are read are computed.
 
 Loss: summed binary cross entropy over plausible positives and, per
 positive, a fresh sample of negatives drawn from the subject's non-plausible
@@ -126,79 +128,119 @@ class KsaModel:
 
     # -- encoder ------------------------------------------------------------
 
-    def encode_subgraph(self, rel_rows, rng: Rng | None = None) -> Tensor:
-        """u_KS: final GRU state over the relation sequence, zero init state.
+    def encode_subgraph(self, subject_rows) -> Tensor:
+        """u_KS [n, H]: each subject's final GRU state over its relation
+        sequence, zero init state, all n subjects in one length-masked pass.
 
-        ``rel_rows`` are relation-table row indices in canonical order; in
-        training (an ``rng`` given) ``shuffle_augment`` permutes them.
+        ``subject_rows[i]`` are relation-table row indices in the order they
+        are read; an empty list gives a zero state.
         """
-        h = self.config.d_hidden
-        rows = np.asarray(rel_rows, dtype=np.int64)
-        if rows.size == 0 or self.subgraph is None:
-            return Tensor(np.zeros(h))
-        if rows.min() < 0 or rows.max() >= len(self.relations):
+        if self.subgraph is None or not any(len(r) for r in subject_rows):
+            return Tensor(np.zeros((len(subject_rows), self.config.d_hidden)))
+        ids, active = _padded(subject_rows)
+        if ids.min() < 0 or ids.max() >= len(self.relations):
             raise ShapeError(f"relation row out of range 0..{len(self.relations) - 1}")
-        if rng is not None and self.config.shuffle_augment and rows.size > 1:
-            rows = rows[rng.permutation(rows.size)]
-        x = ad.embedding_lookup(self.rel_emb, rows)
-        states = nn.run_gru(self.subgraph, x)
-        return states[rows.size - 1]
+        x = ad.embedding_lookup(self.rel_emb, ids)
+        states = nn.run_gru(self.subgraph, x, active=active)
+        return states[active.shape[0] - 1]
 
-    def encode_question(self, tokens: list[str], rng: Rng | None = None
+    def encode_question(self, questions: list[list[str]], dropout=None
                         ) -> tuple[Tensor, Tensor]:
-        """(h_1..h_m as [m, 2H], u_Q as [2H]) from the top BiGRU layer.
+        """(h_1..h_M as [M, B, 2H], u_Q as [B, 2H]) from the top BiGRU layer.
 
-        In training (an ``rng`` given) dropout runs between the two layers.
+        The B questions run as one batch padded to the longest, M tokens:
+        question b's states are h[:len_b, b], and its padded positions are
+        read by nothing downstream.  ``dropout`` holds the [M, B, 2H] factors
+        applied between the two layers (training), or is None.
         """
-        if not tokens:
+        if not questions or not all(questions):
             raise ShapeError("cannot encode an empty question")
-        ids = self.vocab.encode(tokens)
+        ids, active = _padded([self.vocab.encode(tokens) for tokens in questions])
         x = ad.embedding_lookup(self.word_emb, ids)
-        hs0, _ = nn.bigru(self.q0f, self.q0b, x)
-        hs0 = ad.dropout(hs0, self.config.dropout, rng)
-        return nn.bigru(self.q1f, self.q1b, hs0)
+        hs0, _ = nn.bigru(self.q0f, self.q0b, x, active)
+        if dropout is not None:
+            hs0 = ad.apply_mask(hs0, dropout)
+        return nn.bigru(self.q1f, self.q1b, hs0, active)
 
-    def attend(self, hs: Tensor, u_ks: Tensor) -> tuple[Tensor, Tensor]:
-        """(p [n, 2H], alpha [n, m]): additive attention over the question
-        states ``hs`` [m, 2H], once per subject state in ``u_ks`` [n, H].
+    def attend(self, hs: Tensor, u_ks: Tensor, lengths, question_of=None
+               ) -> tuple[Tensor, Tensor]:
+        """(p [n, 2H], alpha [n, M]): additive attention of each subject state
+        in ``u_ks`` [n, H] over its question's states.
 
-        Token j scores v . tanh(h_j W_h + u_i W_u + b) for subject i, where
-        W_h and W_u are the first 2H and the last H rows of the weight: each
-        product is taken once per token or per subject, not per pair.
+        ``hs`` [M, B, 2H] are the padded states of B questions of ``lengths``
+        tokens; subject i reads question ``question_of[i]`` (default: i).
+        Token j scores v . tanh(h_j W_h + u_i W_u + b), where W_h and W_u are
+        the first 2H and the last H rows of the weight: each product is taken
+        once per token or per subject, not per pair.  Padded tokens get a
+        weight of exactly 0.
         """
         if self.attention is None:
             raise ConfigError(f"variant {self.config.variant} has no attention layer")
         w = self.attention["w"]
-        (m, two_h), n, c = hs.data.shape, u_ks.data.shape[0], w.data.shape[1]
-        hw = ad.matmul(hs, w[:two_h])
+        (m, b, two_h), n, c = hs.data.shape, u_ks.data.shape[0], w.data.shape[1]
+        hs = ad.transpose(hs, (1, 0, 2))
+        hw = ad.reshape(ad.matmul(ad.reshape(hs, (b * m, two_h)), w[:two_h]), (b, m, c))
+        keep = _steps(lengths).T
+        if question_of is not None:
+            hs, hw, keep = hs[question_of], hw[question_of], keep[question_of]
         uw = ad.reshape(ad.matmul(u_ks, w[two_h:]), (n, 1, c))
         pre = ad.tanh(ad.add(ad.add(uw, hw), self.attention["b"]))
         scores = ad.matmul(ad.reshape(pre, (n * m, c)), self.attention["v"])
-        alpha = ad.softmax(ad.reshape(scores, (n, m)))
-        return ad.matmul(alpha, hs), alpha
+        alpha = ad.softmax(ad.reshape(scores, (n, m)), keep)
+        p = ad.matmul(ad.reshape(alpha, (n, 1, m)), hs)
+        return ad.reshape(p, (n, two_h)), alpha
 
-    def encoder_output(self, tokens: list[str], subject_rows, rng: Rng | None = None
-                       ) -> tuple[Tensor, Tensor | None]:
-        """Variant-dispatched encoder for one question and n subjects.
+    def encoder_output(self, questions: list[list[str]], subject_rows, rng: Rng | None = None,
+                       question_of=None) -> tuple[Tensor, Tensor | None]:
+        """Variant-dispatched encoder for B questions and n subjects.
 
-        ``subject_rows`` holds each subject's R(s) rows.  The question is
-        encoded once; returns (state [n, H], alpha [n, m] or None).  An
-        ``rng`` means training: it draws the dropout masks and then, subject
-        by subject, the ``shuffle_augment`` permutations.  Without one the
-        pass is inference.
+        ``subject_rows[i]`` holds subject i's R(s) rows and ``question_of[i]``
+        the question it is scored with (default: question i, one subject per
+        question).  The questions run as one padded BiGRU batch and the
+        subjects as one padded subgraph GRU batch.  Returns (state [n, H],
+        alpha [n, M] or None), with alpha 0 past each question's end.
+
+        An ``rng`` means training: subject by subject, it draws the dropout
+        mask of the subject's question (when first read) and then the
+        subject's ``shuffle_augment`` permutation, the order in which one
+        pass per subject would draw them.  Without one the pass is inference.
         """
-        hs, u_q = self.encode_question(tokens, rng)
-        n = len(subject_rows)
+        dropout, subject_rows = self._training_draws(questions, subject_rows, question_of, rng)
+        lengths = [len(q) for q in questions]
+        hs, u_q = self.encode_question(questions, dropout)
+        if question_of is not None:
+            u_q = u_q[question_of]
         variant = self.config.variant
         if variant == "BiGRU":
-            return ad.tile_rows(nn.linear(self.proj, u_q), n), None
-        h = self.config.d_hidden
-        u_ks = ad.concat([ad.reshape(self.encode_subgraph(rows, rng), (1, h))
-                          for rows in subject_rows], axis=0)
+            return nn.linear(self.proj, u_q), None
+        u_ks = self.encode_subgraph(subject_rows)
         if variant == "KS-BiGRU":
-            return nn.linear(self.proj, ad.concat([ad.tile_rows(u_q, n), u_ks], axis=1)), None
-        p, alpha = self.attend(hs, u_ks)
+            return nn.linear(self.proj, ad.concat([u_q, u_ks], axis=1)), None
+        p, alpha = self.attend(hs, u_ks, lengths, question_of)
         return nn.linear(self.proj, ad.concat([p, u_ks], axis=1)), alpha
+
+    def _training_draws(self, questions, subject_rows, question_of, rng):
+        """(dropout factors [M, B, 2H] or None, subject rows as read).
+
+        Without an ``rng`` nothing is drawn.  Question b's factors are drawn
+        as a [len_b, 2H] array; its padded positions keep the factor 1.
+        """
+        if rng is None:
+            return None, subject_rows
+        cfg, width = self.config, 2 * self.config.d_hidden
+        dropout = np.ones((max(map(len, questions), default=0), len(questions), width))
+        drawn, read = set(), []
+        for i, rows in enumerate(subject_rows):
+            q = i if question_of is None else int(question_of[i])
+            if cfg.dropout > 0.0 and q not in drawn:
+                drawn.add(q)
+                dropout[:len(questions[q]), q] = ad.dropout_mask(
+                    (len(questions[q]), width), cfg.dropout, rng)
+            rows = np.asarray(rows, dtype=np.int64)
+            if cfg.shuffle_augment and self.subgraph is not None and rows.size > 1:
+                rows = rows[rng.permutation(rows.size)]
+            read.append(rows)
+        return (dropout if drawn else None), read
 
     # -- decoder ------------------------------------------------------------
 
@@ -206,15 +248,18 @@ class KsaModel:
         """One GRU-cell step from each encoder state, then the output affine.
 
         ``encoder_out`` is [n, H] and ``rows[i]`` lists the relation rows read
-        from state i; only those columns of the affine are computed, and the
-        logits come back concatenated in that order.
+        from state i; only the columns of the affine that some state reads
+        are computed (for every state, in one product), each logit is then
+        gathered from its own state, and they come back concatenated in that
+        order.
         """
         start = self.rel_emb[len(self.relations)]
         states = ad.gru_sequence(ad.tile_rows(start, 1), encoder_out, self.decoder["wx"],
                                  self.decoder["wh"], self.decoder["b"])[0]
-        w = self.out["w"]
-        logits = ad.concat([ad.matmul(states[i], w[:, r]) for i, r in enumerate(rows)])
-        return ad.add(logits, self.out["b"][np.concatenate(rows)])
+        cols = np.concatenate(rows).astype(np.int64)
+        owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        logits = ad.matmul(states, self.out["w"][:, cols])[owner, np.arange(cols.size)]
+        return ad.add(logits, self.out["b"][cols])
 
     # -- inference ----------------------------------------------------------
 
@@ -238,7 +283,8 @@ class KsaModel:
                 rows.append(r)
         if not subjects:
             return []
-        enc, _ = self.encoder_output(fq_tokens, rows)
+        enc, _ = self.encoder_output([fq_tokens], rows,
+                                     question_of=np.zeros(len(rows), dtype=np.int64))
         probs = ad.sigmoid(self.decode_logits(enc, rows)).data
         pairs = [(s, self.relations[row]) for s, r in zip(subjects, rows) for row in r]
         results = [InterpretationScore(pair=pair, probability=float(p))
@@ -263,21 +309,16 @@ class KsaModel:
     def loss(self, batch, rng: Rng | None = None) -> Tensor:
         """Eq.-style summed BCE over a batch of scored interpretation items.
 
-        Each item is (tokens, rel_rows_of_subject, scored_rows, labels):
-        one encoder/decoder pass per (question, subject), with logits taken
-        at the scored relation rows only.  ``rng`` is the training stream
-        (see :meth:`encoder_output`); without it the loss is the inference
-        pass's.
+        Each item is (tokens, rel_rows_of_subject, scored_rows, labels): the
+        batch is B questions with one subject each, run as one encoder and
+        decoder pass, with logits taken at the scored relation rows only and
+        one BCE over all of them.  ``rng`` is the training stream (see
+        :meth:`encoder_output`); without it the loss is the inference pass's.
         """
-        terms = []
-        for tokens, rel_rows, scored_rows, labels in batch:
-            enc, _ = self.encoder_output(tokens, [rel_rows], rng)
-            logits = self.decode_logits(enc, [np.asarray(scored_rows, dtype=np.int64)])
-            terms.append(ad.bce_with_logits_sum(logits, labels))
-        total = terms[0]
-        for t in terms[1:]:
-            total = ad.add(total, t)
-        return total
+        enc, _ = self.encoder_output([item[0] for item in batch],
+                                     [item[1] for item in batch], rng)
+        logits = self.decode_logits(enc, [item[2] for item in batch])
+        return ad.bce_with_logits_sum(logits, np.concatenate([item[3] for item in batch]))
 
     # -- persistence ----------------------------------------------------------
 
@@ -290,6 +331,22 @@ class KsaModel:
         return load_checkpoint(
             path, lambda c, saved: cls(vocab, relations, ModelConfig(**c), saved),
             vocabulary=vocab.tokens, relations=list(relations))
+
+
+def _steps(lengths) -> np.ndarray:
+    """Right-padding mask [max length, B]: step t of sequence b is real while
+    t < lengths[b]."""
+    lengths = np.asarray(lengths)
+    return np.arange(lengths.max())[:, None] < lengths[None, :]
+
+
+def _padded(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """(ids [M, B], active [M, B]): B index sequences right-padded with row 0
+    to the longest, M, and the mask of their real steps."""
+    active = _steps([len(q) for q in seqs])
+    ids = np.zeros(active.shape, dtype=np.int64)
+    ids.T[active.T] = np.concatenate(seqs)
+    return ids, active
 
 
 # ---------------------------------------------------------------------------

@@ -75,21 +75,28 @@ def gru_params(name: str, d_in: int, hidden: int, params) -> dict[str, Parameter
     }
 
 
-def run_gru(params: dict, x: Tensor, h0: Tensor | None = None) -> Tensor:
-    """All hidden states [m, H]; zero initial state unless given."""
+def run_gru(params: dict, x: Tensor, h0: Tensor | None = None, active=None) -> Tensor:
+    """All hidden states, [m, H] for x [m, d] and [m, n, H] for x [m, n, d];
+    zero initial state unless given.  ``active`` [m, n] masks padded steps."""
     hidden = params["wh"].data.shape[0]
     if h0 is None:
-        h0 = Tensor(np.zeros(hidden))
-    return ad.gru_sequence(x, h0, params["wx"], params["wh"], params["b"])
+        h0 = Tensor(np.zeros(x.data.shape[1:-1] + (hidden,)))
+    return ad.gru_sequence(x, h0, params["wx"], params["wh"], params["b"], active)
 
 
-def bigru(fwd: dict, bwd: dict, x: Tensor) -> tuple[Tensor, Tensor]:
-    """Bidirectional pass: ([m, 2H] per-token states, [2H] final-state concat)."""
-    f = run_gru(fwd, x)
-    b = ad.flip0(run_gru(bwd, ad.flip0(x)))
+def bigru(fwd: dict, bwd: dict, x: Tensor, active=None) -> tuple[Tensor, Tensor]:
+    """Bidirectional pass: (per-token states, final-state concat).
+
+    For x [m, d] these are [m, 2H] and [2H].  For a batch of sequences x
+    [m, n, d], right-padded as ``active`` [m, n] marks, they are [m, n, 2H]
+    and [n, 2H]: the backward direction runs the flipped input under the
+    flipped (left-padded) mask, so both directions end in the last step.
+    """
+    f = run_gru(fwd, x, active=active)
+    b = ad.flip0(run_gru(bwd, ad.flip0(x), active=None if active is None else active[::-1]))
     m = x.data.shape[0]
-    hs = ad.concat([f, b], axis=1)
-    u = ad.concat([f[m - 1], b[0]], axis=0)
+    hs = ad.concat([f, b], axis=-1)
+    u = ad.concat([f[m - 1], b[0]], axis=-1)
     return hs, u
 
 

@@ -1,10 +1,12 @@
 """The per-subject encoder/decoder pass, kept as the reference for the batched one.
 
-This is how ``KsaModel`` scored and trained before candidates were batched:
-one full pass per (question, subject) -- question BiGRU, u_KS, attention over
-``concat(h_j, u_KS)`` rows, projection, one decoder step from a [H] state and
-the full-width output affine -- with the scored rows read out of all the
-logits.  It is built from autodiff ops, so its gradients can be compared
+This is how ``KsaModel`` scored and trained before questions and candidates
+were batched: one full pass per (question, subject) -- an unpadded question
+BiGRU, u_KS from one GRU run, attention over ``concat(h_j, u_KS)`` rows,
+projection, one decoder step from a [H] state and the full-width output
+affine -- with the scored rows read out of all the logits.  With an ``rng``
+each pass draws its question's dropout mask and then its subject's
+permutation.  It is built from autodiff ops, so its gradients can be compared
 with the batched path's as well as its values.
 """
 
@@ -15,6 +17,27 @@ import numpy as np
 from ksaqa import autodiff as ad
 from ksaqa import nn
 from ksaqa.model import InterpretationScore
+
+
+def encode_question(model, tokens, rng=None):
+    """(h_1..h_m [m, 2H], u_Q [2H]): the two-layer BiGRU over one question,
+    with dropout between the layers when an ``rng`` is given."""
+    x = ad.embedding_lookup(model.word_emb, model.vocab.encode(tokens))
+    hs0, _ = nn.bigru(model.q0f, model.q0b, x)
+    hs0 = ad.dropout(hs0, model.config.dropout, rng)
+    return nn.bigru(model.q1f, model.q1b, hs0)
+
+
+def encode_subgraph(model, rel_rows, rng=None):
+    """u_KS [H]: the final GRU state over one subject's relation rows,
+    permuted first when an ``rng`` is given and ``shuffle_augment`` is on."""
+    rows = np.asarray(rel_rows, dtype=np.int64)
+    if rows.size == 0 or model.subgraph is None:
+        return ad.Tensor(np.zeros(model.config.d_hidden))
+    if rng is not None and model.config.shuffle_augment and rows.size > 1:
+        rows = rows[rng.permutation(rows.size)]
+    states = nn.run_gru(model.subgraph, ad.embedding_lookup(model.rel_emb, rows))
+    return states[rows.size - 1]
 
 
 def attend(model, hs, u_ks):
@@ -30,11 +53,11 @@ def attend(model, hs, u_ks):
 
 def encoder_output(model, tokens, rel_rows, rng=None):
     """(state [H], alpha [m] or None) for one subject."""
-    hs, u_q = model.encode_question(tokens, rng)
+    hs, u_q = encode_question(model, tokens, rng)
     variant = model.config.variant
     if variant == "BiGRU":
         return nn.linear(model.proj, u_q), None
-    u_ks = model.encode_subgraph(rel_rows, rng)
+    u_ks = encode_subgraph(model, rel_rows, rng)
     if variant == "KS-BiGRU":
         return nn.linear(model.proj, ad.concat([u_q, u_ks], axis=0)), None
     p, alpha = attend(model, hs, u_ks)

@@ -93,6 +93,12 @@ def _primitive_checks():
     chk(lambda t: ad.sum_all(ad.tanh(t[0])), [a])
     chk(lambda t: ad.sum_all(ad.mul(ad.softmax(t[0]), t[0])), [vec])
     chk(lambda t: ad.sum_all(ad.mul(ad.softmax(t[0]), t[0])), [a])        # per row
+    keep = np.array([[True, False, True, False], [True, True, True, True],
+                     [False, False, False, True]])
+    chk(lambda t: ad.sum_all(ad.mul(ad.softmax(t[0], keep), t[0])), [a])  # masked
+    s234, s245 = p("s234", 2, 3, 4), p("s245", 2, 4, 5)
+    chk(lambda t: ad.sum_all(ad.tanh(ad.matmul(t[0], t[1]))), [s234, s245])  # stacked
+    chk(lambda t: ad.sum_all(ad.tanh(ad.transpose(t[0], (1, 0, 2)))), [s234])
     chk(lambda t: ad.sum_all(ad.tanh(ad.add(ad.reshape(t[0], (3, 1, 4)), t[1]))),
         [a, p("hw", 2, 4)])                                                # [3, 2, 4]
     chk(lambda t: ad.sum_all(ad.embedding_lookup(t[0], idx)), [a])
@@ -109,6 +115,12 @@ def _primitive_checks():
     hn = p("hn", 3, 2)                                                     # [n, H] state
     chk(lambda t: ad.sum_all(ad.tanh(ad.gru_sequence(t[0], t[1], t[2], t[3], t[4]))),
         [x, hn, wx, wh, bg], h=1e-4)
+    xn = p("xn", 4, 3, 3)                                           # a row per state, masked
+    steps = np.arange(4)[:, None] < np.array([1, 4, 2])[None, :]
+    for active in (steps, steps[::-1]):
+        chk(lambda t: ad.sum_all(ad.tanh(ad.gru_sequence(t[0], t[1], t[2], t[3], t[4],
+                                                         active))),
+            [xn, hn, wx, wh, bg], h=1e-4)
     em, tr = p("em", 4, 2), p("tr", 2, 2)
     st, en = p("st", 2), p("en", 2)
     tags = np.array([0, 1, 1, 0])

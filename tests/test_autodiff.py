@@ -152,6 +152,63 @@ def test_fd_gru_sequence_from_a_batch_of_states():
     assert grad_check(f, [x, h0, wx, wh, b], h=1e-4) < TOL
 
 
+@pytest.mark.parametrize("left", [False, True], ids=["right-padded", "left-padded"])
+def test_fd_masked_gru_sequence_with_a_row_of_input_per_state(left):
+    """x [m, n, d] with rows of lengths 1, 4 and 2 padded to 4 steps."""
+    rng = np.random.default_rng(12)
+    h, n = 4, 3
+    active = np.arange(4)[:, None] < np.array([1, 4, 2])[None, :]
+    if left:
+        active = active[::-1]
+    x = _p("x", _rand(rng, 4, n, 3))
+    h0 = _p("h0", _rand(rng, n, h) * 0.5)
+    wx = _p("wx", _rand(rng, 3, 3 * h) * 0.4)
+    wh = _p("wh", _rand(rng, h, 3 * h) * 0.4)
+    b = _p("b", _rand(rng, 3 * h) * 0.1)
+    wread = Tensor(_rand(rng, 4, n, h))
+
+    def f(t):
+        return sum_all(mul(gru_sequence(t[0], t[1], t[2], t[3], t[4], active), wread))
+
+    assert grad_check(f, [x, h0, wx, wh, b], h=1e-4) < TOL
+
+
+def test_gru_sequence_refuses_mismatched_masks_and_inputs():
+    x, h0 = Tensor(np.zeros((3, 2, 5))), Tensor(np.zeros((2, 4)))
+    wx, wh, b = Tensor(np.zeros((5, 12))), Tensor(np.zeros((4, 12))), Tensor(np.zeros(12))
+    with pytest.raises(ShapeError, match="mask"):
+        gru_sequence(x, h0, wx, wh, b, np.ones((3, 3), dtype=bool))
+    with pytest.raises(ShapeError, match="state"):
+        gru_sequence(x, Tensor(np.zeros((3, 4))), wx, wh, b)
+
+
+def test_fd_masked_softmax_gives_masked_entries_zero_weight():
+    rng = np.random.default_rng(13)
+    keep = np.array([[True, True, False, False], [True, True, True, True],
+                     [False, True, False, True]])
+    scores = _p("s", _rand(rng, 3, 4))
+    weights = Tensor(_rand(rng, 3, 4))
+    assert grad_check(lambda t: sum_all(mul(softmax(t[0], keep), weights)), [scores]) < TOL
+    out = softmax(scores, keep).data
+    assert np.all(out[~keep] == 0.0) and np.all(out[keep] > 0.0)
+    assert np.allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    full = softmax(_p("row", scores.data[1:2])).data
+    assert np.array_equal(out[1:2], full)
+
+
+def test_fd_transpose_stacked_matmul_and_mask():
+    rng = np.random.default_rng(14)
+    a, b = _p("a", _rand(rng, 3, 2, 4)), _p("b", _rand(rng, 3, 4, 5))
+    w = Tensor(_rand(rng, 3, 2, 5))
+    assert grad_check(lambda t: sum_all(mul(matmul(t[0], t[1]), w)), [a, b]) < TOL
+    wt = Tensor(_rand(rng, 4, 3, 2))
+    assert grad_check(lambda t: sum_all(mul(ad.transpose(t[0], (2, 0, 1)), wt)), [a]) < TOL
+    mask = (rng.random((3, 2, 4)) > 0.5) * 2.0
+    assert grad_check(lambda t: sum_all(mul(ad.apply_mask(t[0], mask), t[0])), [a]) < TOL
+    with pytest.raises(ShapeError, match="matmul"):
+        matmul(a, _p("c", _rand(rng, 2, 4, 5)))
+
+
 def test_fd_crf_log_likelihood():
     rng = np.random.default_rng(8)
     m, k = 5, 2

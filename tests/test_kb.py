@@ -153,6 +153,30 @@ def test_alias_ingest_rejects_bad_line():
         ingest_aliases(["only one field\n"])
 
 
+def _alias_rows(table):
+    return {e: table.aliases_of(e) for e in sorted(table.reverse)}
+
+
+def test_lone_carriage_return_is_field_text_in_files_and_strings(tmp_path):
+    lines = ["01\tjohn\rsmith\n", "02\tmary\n"]
+    path = tmp_path / "aliases.txt"
+    path.write_bytes("".join(lines).encode("utf-8"))
+    from_file, from_lines = ingest_aliases(path), ingest_aliases(lines)
+    assert _alias_rows(from_file) == _alias_rows(from_lines)
+    assert from_file.entities_for_alias("john smith") == {"01"}
+
+
+def test_crlf_file_ingests_as_lf(tmp_path):
+    lf = ["01\tjohn smith\n", "02\tmary jones\n", "\n", "03\tj . smith\n"]
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes("".join(line.replace("\n", "\r\n") for line in lf).encode("utf-8"))
+    assert _alias_rows(ingest_aliases(crlf)) == _alias_rows(ingest_aliases(lf))
+    triples = tmp_path / "triples.txt"
+    triples.write_bytes(f"{EPREFIX}a\t{RPREFIX}r\t{EPREFIX}b\r\n".encode("utf-8"))
+    assert ingest_triples(triples).entities == ingest_triples(
+        [f"{EPREFIX}a\t{RPREFIX}r\t{EPREFIX}b\n"]).entities
+
+
 def test_world_builder_consistency():
     world = micro_world()
     kb, _, _ = world.build()

@@ -66,6 +66,73 @@ def test_gru_batch_of_states_matches_one_run_per_state():
         assert np.allclose(batched, summed, rtol=0, atol=1e-12)
 
 
+# -- length-masked batches: one row per sequence, padded to one length -------
+
+LENGTHS = [1, 6, 3, 4]     # a length-1 row, a full-length row, two between
+
+
+def _masked_case(seed, left, shared=False):
+    """(x, h0, wx, wh, b, active) for rows of LENGTHS padded to 6 steps:
+    right-padded (a forward pass) or left-padded (the flipped mask of a
+    backward pass)."""
+    x, _, wx, wh, b = _gru_inputs(seed, m=6)
+    rng = np.random.default_rng(seed + 100)
+    n, d = len(LENGTHS), x.shape[1]
+    if not shared:
+        x = rng.standard_normal((6, n, d))
+    h0 = rng.standard_normal((n, 4)) * 0.5
+    active = np.arange(6)[:, None] < np.array(LENGTHS)[None, :]
+    return x, h0, wx, wh, b, active[::-1] if left else active
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-row-x", "shared-x"])
+@pytest.mark.parametrize("left", [False, True], ids=["right-padded", "left-padded"])
+def test_masked_gru_equals_one_unmasked_run_per_row(left, shared):
+    """Row i runs as gru_forward over its active steps alone; a padded step
+    carries the state over, so its output gradient reaches the state it
+    repeats, and its input gets no gradient."""
+    x, h0, wx, wh, b, active = _masked_case(3, left, shared)
+    hs, zs, rs, ns, hwn = gru.gru_forward(x, h0, wx, wh, b, active)
+    dout = np.random.default_rng(4).standard_normal((6,) + h0.shape)
+    dx, dh0, dwx, dwh, db = gru.gru_backward(dout, x, wx, wh, hs, zs, rs, ns, hwn, active)
+    dx_sum, w_sum = np.zeros_like(dx), [np.zeros_like(g) for g in (dwx, dwh, db)]
+    for i in range(len(LENGTHS)):
+        steps, padded = np.flatnonzero(active[:, i]), np.flatnonzero(~active[:, i])
+        x_i = x[steps] if shared else x[steps, i]
+        one = gru.gru_forward(x_i, h0[i], wx, wh, b)
+        assert np.allclose(hs[steps + 1, i], one[0][1:], rtol=0, atol=1e-12)
+        carried = h0[i] if left else hs[steps[-1] + 1, i]
+        assert np.array_equal(hs[padded + 1, i], np.broadcast_to(carried, (padded.size, 4)))
+        d_i = np.ascontiguousarray(dout[steps, i])
+        if not left:
+            d_i[-1] += dout[padded, i].sum(axis=0)
+        dx_i, dh0_i, dwx_i, dwh_i, db_i = gru.gru_backward(d_i, x_i, wx, wh, *one)
+        if left:
+            dh0_i = dh0_i + dout[padded, i].sum(axis=0)
+        assert np.allclose(dh0[i], dh0_i, rtol=0, atol=1e-12)
+        if shared:
+            dx_sum[steps] += dx_i
+        else:
+            assert np.allclose(dx[steps, i], dx_i, rtol=0, atol=1e-12)
+            assert np.all(dx[padded, i] == 0.0)
+        w_sum = [s + g for s, g in zip(w_sum, (dwx_i, dwh_i, db_i))]
+    if shared:
+        assert np.allclose(dx, dx_sum, rtol=0, atol=1e-12)
+    for batched, want in zip((dwx, dwh, db), w_sum):
+        assert np.allclose(batched, want, rtol=0, atol=1e-12)
+
+
+def test_masked_steps_before_a_row_ends_are_bit_equal_to_the_unmasked_batch():
+    x, h0, wx, wh, b, active = _masked_case(5, left=False)
+    masked = gru.gru_forward(x, h0, wx, wh, b, active)
+    plain = gru.gru_forward(x, h0, wx, wh, b)
+    everywhere = gru.gru_forward(x, h0, wx, wh, b, np.ones_like(active))
+    for i, n in enumerate(LENGTHS):
+        assert np.array_equal(masked[0][:n + 1, i], plain[0][:n + 1, i])
+    for u, v in zip(everywhere, plain):
+        assert np.array_equal(u, v)
+
+
 # -- transe_batch: array code, bit-equal to the scalar loop it replaced ------
 
 def _transe_case(rng, nb, dim, ne, nr=3):

@@ -66,32 +66,32 @@ def test_config_rejects_nonpositive_dimensions(field):
 
 def test_zero_weights_give_zero_subgraph_state(world):
     model = _zeroed(_model(world))
-    u = model.encode_subgraph(np.array([0, 2, 4], dtype=np.int64))
-    assert u.data.shape == (SMALL["d_hidden"],)
+    u = model.encode_subgraph([np.array([0, 2, 4], dtype=np.int64)])
+    assert u.data.shape == (1, SMALL["d_hidden"])
     assert np.all(u.data == 0.0)
 
 
 def test_empty_subgraph_state_is_zero_without_zeroing(world):
     model = _model(world)
-    assert np.all(model.encode_subgraph(np.array([], dtype=np.int64)).data == 0.0)
+    assert np.all(model.encode_subgraph([np.array([], dtype=np.int64)]).data == 0.0)
 
 
 def test_bigru_subgraph_state_is_always_zero(world):
     model = _model(world, variant="BiGRU")
-    assert np.all(model.encode_subgraph(np.array([0, 1], dtype=np.int64)).data == 0.0)
+    assert np.all(model.encode_subgraph([np.array([0, 1], dtype=np.int64)]).data == 0.0)
 
 
 def test_encode_subgraph_rejects_out_of_range_rows(world):
     model = _model(world)
     nr = len(model.relations)
     with pytest.raises(ShapeError, match="out of range"):
-        model.encode_subgraph(np.array([nr], dtype=np.int64))
+        model.encode_subgraph([np.array([0]), np.array([nr], dtype=np.int64)])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_zero_weights_score_exactly_half(world, variant):
     model = _zeroed(_model(world, variant=variant))
-    enc, _ = model.encoder_output(["who", "wrote", "<e>"], [np.array([0, 1])])
+    enc, _ = model.encoder_output([["who", "wrote", "<e>"]], [np.array([0, 1])])
     probs = ad.sigmoid(model.decode_logits(enc, [np.arange(len(model.relations))])).data
     assert probs.shape == (len(model.relations),)
     assert np.all(probs == 0.5)
@@ -114,13 +114,13 @@ def test_zero_weight_loss_is_n_ln2(world):
 
 def _subject_states(model, *rows):
     """u_KS of each row list, stacked as [n, H]."""
-    return ad.Tensor(np.stack([model.encode_subgraph(np.array(r)).data for r in rows]))
+    return model.encode_subgraph([np.array(r) for r in rows])
 
 
 def test_attention_weights_sum_to_one(world):
     model = _model(world)
-    hs, _ = model.encode_question(["who", "wrote", "<e>", "first"])
-    p, alpha = model.attend(hs, _subject_states(model, [0, 3], [2]))
+    hs, _ = model.encode_question([["who", "wrote", "<e>", "first"]])
+    p, alpha = model.attend(hs, _subject_states(model, [0, 3], [2]), [4], np.zeros(2, int))
     assert alpha.data.shape == (2, 4)
     assert np.all(np.abs(alpha.data.sum(axis=1) - 1.0) < 1e-12)
     assert np.all(alpha.data > 0.0)
@@ -129,19 +129,19 @@ def test_attention_weights_sum_to_one(world):
 
 def test_attention_over_one_token_is_identity(world):
     model = _model(world)
-    hs, _ = model.encode_question(["<e>"])
-    p, alpha = model.attend(hs, _subject_states(model, [1]))
+    hs, _ = model.encode_question([["<e>"]])
+    p, alpha = model.attend(hs, _subject_states(model, [1]), [1])
     assert alpha.data.shape == (1, 1)
     assert float(alpha.data[0, 0]) == 1.0
-    np.testing.assert_array_equal(p.data[0], hs.data[0])
+    np.testing.assert_array_equal(p.data[0], hs.data[0, 0])
 
 
 @pytest.mark.parametrize("variant", ["BiGRU", "KS-BiGRU"])
 def test_attend_requires_the_full_variant(world, variant):
     model = _model(world, variant=variant)
-    hs, _ = model.encode_question(["who", "wrote", "<e>"])
+    hs, _ = model.encode_question([["who", "wrote", "<e>"]])
     with pytest.raises(ConfigError, match="attention"):
-        model.attend(hs, ad.Tensor(np.zeros((1, SMALL["d_hidden"]))))
+        model.attend(hs, ad.Tensor(np.zeros((1, SMALL["d_hidden"]))), [3])
 
 
 # -- variant contract -----------------------------------------------------------
@@ -150,8 +150,8 @@ def test_attend_requires_the_full_variant(world, variant):
 def test_bigru_is_blind_to_the_subgraph(world):
     model = _model(world, variant="BiGRU")
     tokens = ["who", "wrote", "<e>"]
-    enc_a, alpha_a = model.encoder_output(tokens, [np.array([0, 1, 2])])
-    enc_b, alpha_b = model.encoder_output(tokens, [np.array([4])])
+    enc_a, alpha_a = model.encoder_output([tokens], [np.array([0, 1, 2])])
+    enc_b, alpha_b = model.encoder_output([tokens], [np.array([4])])
     np.testing.assert_array_equal(enc_a.data, enc_b.data)
     assert alpha_a is None and alpha_b is None
 
@@ -160,16 +160,16 @@ def test_bigru_is_blind_to_the_subgraph(world):
 def test_knowledge_variants_read_the_subgraph(world, variant):
     model = _model(world, variant=variant)
     tokens = ["who", "wrote", "<e>"]
-    enc_a, _ = model.encoder_output(tokens, [np.array([0, 1, 2])])
-    enc_b, _ = model.encoder_output(tokens, [np.array([4])])
+    enc_a, _ = model.encoder_output([tokens], [np.array([0, 1, 2])])
+    enc_b, _ = model.encoder_output([tokens], [np.array([4])])
     assert not np.array_equal(enc_a.data, enc_b.data)
 
 
 def test_only_the_full_variant_returns_attention(world):
     tokens = ["who", "wrote", "<e>"]
     rows = [np.array([0, 1])]
-    assert _model(world, variant="KS-BiGRU").encoder_output(tokens, rows)[1] is None
-    alpha = _model(world, variant="KSA-BiGRU").encoder_output(tokens, rows)[1]
+    assert _model(world, variant="KS-BiGRU").encoder_output([tokens], rows)[1] is None
+    alpha = _model(world, variant="KSA-BiGRU").encoder_output([tokens], rows)[1]
     assert alpha is not None and abs(float(alpha.data.sum()) - 1.0) < 1e-12
 
 
@@ -182,12 +182,12 @@ def test_parameter_counts_order_the_variants(world):
 
 def test_shuffle_augment_permutes_only_in_training(world):
     model = _model(world, shuffle_augment=True)
-    rows = np.array([0, 1, 2, 3], dtype=np.int64)
+    tokens, rows = [["who", "wrote", "<e>"]], np.array([0, 1, 2, 3], dtype=np.int64)
     perm = Rng(5).permutation(rows.size)
     assert not np.array_equal(perm, np.arange(rows.size))  # seed guard
-    shuffled = model.encode_subgraph(rows, Rng(5))
-    canonical = model.encode_subgraph(rows)
-    reference = model.encode_subgraph(rows[perm])
+    shuffled, _ = model.encoder_output(tokens, [rows], Rng(5))
+    canonical, _ = model.encoder_output(tokens, [rows])
+    reference, _ = model.encoder_output(tokens, [rows[perm]])
     assert not np.array_equal(shuffled.data, canonical.data)
     np.testing.assert_array_equal(shuffled.data, reference.data)
 
@@ -214,7 +214,7 @@ def test_loss_matches_per_term_bce_oracle(world, variant):
     total = float(model.loss(batch).data)
     expect = 0.0
     for tokens, rel_rows, scored, labels in batch:
-        enc, _ = model.encoder_output(tokens, [rel_rows])
+        enc, _ = model.encoder_output([tokens], [rel_rows])
         logits = model.decode_logits(enc, [scored]).data
         expect += _bce_sum(logits, labels)
     assert abs(total - expect) < 1e-10
@@ -235,7 +235,7 @@ def test_training_loss_outside_train_model_follows_its_rng(world):
     assert total != float(model.loss(batch).data)
     rng, expect = Rng(4), 0.0
     for tokens, rel_rows, scored, labels in batch:
-        enc, _ = model.encoder_output(tokens, [rel_rows], rng)
+        enc, _ = model.encoder_output([tokens], [rel_rows], rng)
         expect += _bce_sum(model.decode_logits(enc, [scored]).data, labels)
     assert abs(total - expect) < 1e-10
 
