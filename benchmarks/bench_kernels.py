@@ -1,10 +1,12 @@
 """Kernel benchmark cases: one representative input per ``ksaqa.kernels`` kernel.
 
 ``build_benchmarks(scale)`` returns ``(name, fn, check)`` triples: ``fn()``
-runs the kernel on fixed seeded inputs, and ``check(out_a, out_b)`` says
-whether two outputs agree.  The ``small`` shapes are near the desk dims, the
-``full`` shapes are the paper dims.  ``perfbench/kernel_section.py`` times
-every case; a traced benchmark run prints that section:
+runs the kernel on seeded inputs, and ``check(out_a, out_b)`` says whether
+two outputs agree.  ``adam_update`` carries its state over from call to
+call; every other case gives the same output on every call.  The ``small``
+shapes are near the desk dims, the ``full`` shapes are the paper dims.
+``perfbench/kernel_section.py`` times every case; a traced benchmark run
+prints that section:
 
     python3 perfbench/run.py --workload ask-paper --seed 1 --seconds 50 --trace 1
 """
@@ -63,15 +65,16 @@ def build_benchmarks(scale: str):
     benches.append(("crf_viterbi", lambda: crf.crf_viterbi(em, tr, st, en),
                     lambda a, b2: np.array_equal(a, b2)))
 
+    # working arrays that every call updates in place, as training does: the
+    # kernel's cost does not depend on the values, so no call pays for copies
     p = rng.standard_normal(n_params)
     gr = rng.standard_normal(n_params)
     mm = np.zeros(n_params)
     vv = np.zeros(n_params)
 
     def adam_run():
-        pc, mc, vc = p.copy(), mm.copy(), vv.copy()
-        adam_ops.adam_update(pc, gr, mc, vc, 1, 0.001, 0.9, 0.999, 1e-8)
-        return pc
+        adam_ops.adam_update(p, gr, mm, vv, 1, 0.001, 0.9, 0.999, 1e-8)
+        return p
 
     benches.append(("adam_update", adam_run, _allclose))
 

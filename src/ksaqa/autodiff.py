@@ -454,23 +454,19 @@ def crf_log_likelihood(emissions: Tensor, transitions: Tensor, start: Tensor,
     gold += stop.data[y[-1]]
 
     def bwd(g):
-        unary, dtrans, dstart, dstop = crf_k.crf_marginals(
+        unary, dtrans, dstart, dstop = grads = crf_k.crf_marginals(
             emissions.data, transitions.data, start.data, stop.data, alpha, logz
         )
-        ge = np.zeros((m, k))
-        ge[np.arange(m), y] = 1.0
-        gt = np.zeros((k, k))
-        if m > 1:
-            np.add.at(gt, (y[:-1], y[1:]), 1.0)
-        gs = np.zeros(k)
-        gs[y[0]] = 1.0
-        gp = np.zeros(k)
-        gp[y[-1]] = 1.0
+        # gold counts minus expected counts, formed in the marginals' own arrays
+        for d in grads:
+            np.negative(d, out=d)
+        unary[np.arange(m), y] += 1.0
+        dtrans += np.bincount(y[:-1] * k + y[1:], minlength=k * k).reshape(k, k)
+        dstart[y[0]] += 1.0
+        dstop[y[-1]] += 1.0
         s = float(g)
-        emissions.accumulate(s * (ge - unary))
-        transitions.accumulate(s * (gt - dtrans))
-        start.accumulate(s * (gs - dstart))
-        stop.accumulate(s * (gp - dstop))
+        for t, d in zip((emissions, transitions, start, stop), grads):
+            t.accumulate(s * d)
 
     return _make(gold - logz, (emissions, transitions, start, stop), bwd, "crf_ll")
 

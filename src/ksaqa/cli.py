@@ -200,15 +200,14 @@ def cmd_pretrain_transe(args, cfg: PipelineConfig) -> int:
 def cmd_train_tagger(args, cfg: PipelineConfig) -> int:
     work = _work(cfg)
     vocab = _load_vocab(work)
-    train_examples = load_jsonl(_require(work / "train.jsonl", "relabel"), "train")
-    pairs = [(ex.record.tokens, tags_for_span(len(ex.record.tokens), ex.formatted.mention_span))
-             for ex in train_examples]
+
+    def tagged(path, split):
+        return [(ex.record.tokens, tags_for_span(len(ex.record.tokens), ex.formatted.mention_span))
+                for ex in load_jsonl(path, split)]
+
+    pairs = tagged(_require(work / "train.jsonl", "relabel"), "train")
     valid_path = work / "valid.jsonl"
-    valid_pairs = None
-    if valid_path.exists():
-        valid_pairs = [(ex.record.tokens,
-                        tags_for_span(len(ex.record.tokens), ex.formatted.mention_span))
-                       for ex in load_jsonl(valid_path, "valid")]
+    valid_pairs = tagged(valid_path, "valid") if valid_path.exists() else None
     model, history = train_tagger(pairs, stage_config(cfg, TaggerConfig), vocab, valid_pairs,
                                   log=_log)
     model.save(work / "tagger.ckpt")
@@ -353,17 +352,16 @@ def cmd_answer(args, cfg: PipelineConfig) -> int:
         for t in objs:
             _log(f"  {_entity_label(aliases, kb.entities[t])}")
 
-    if len(chosen) == 1 or args.non_interactive:
-        for i, s in enumerate(chosen, start=1):
-            _log(f"{i}. {_entity_label(aliases, s.pair[0])} | {s.pair[1]} "
-                 f"(p={s.probability:.4f})")
-        if len(chosen) == 1 and not args.non_interactive:
-            show_objects(chosen[0].pair)
-        return 0
-    _log("Which one do you mean?")
+    asking = len(chosen) > 1 and not args.non_interactive
+    if asking:
+        _log("Which one do you mean?")
     for i, s in enumerate(chosen, start=1):
         _log(f"{i}. {_entity_label(aliases, s.pair[0])} | {s.pair[1]} "
              f"(p={s.probability:.4f})")
+    if not asking:
+        if not args.non_interactive:
+            show_objects(chosen[0].pair)
+        return 0
     try:
         raw = input("> ").strip()
     except EOFError:

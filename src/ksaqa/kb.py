@@ -69,6 +69,24 @@ class Interner:
         return len(self.texts)
 
 
+def read_artifact_lines(path, stage: str) -> list[str]:
+    """The lines of a text file that ``stage`` wrote, each ended by "\n".
+
+    Bytes that are not UTF-8, or text after the last newline (a file cut off
+    mid-line), are a CheckpointError naming the file, the line and ``stage``.
+    """
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = blob.count(b"\n", 0, exc.start) + 1
+        raise CheckpointError(f"{path}: line {line_no}: not UTF-8; rerun {stage}") from None
+    lines = text.split("\n")
+    if lines.pop():           # the text after the last newline
+        raise CheckpointError(f"{path}: line {len(lines) + 1}: cut off; rerun {stage}")
+    return lines
+
+
 def read_tsv(source, fields: int, check):
     """The fields of each non-blank line of a tab-separated source.
 
@@ -298,17 +316,8 @@ class AliasTable:
         other row, or a file cut off mid-row, is a CheckpointError naming
         the file and line.
         """
-        blob = Path(path).read_bytes()
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = blob.count(b"\n", 0, exc.start) + 1
-            raise CheckpointError(f"{path}: line {line_no}: not UTF-8; rerun ingest-kb") from None
-        rows = text.split("\n")
-        if rows.pop():           # the text after the last newline
-            raise CheckpointError(f"{path}: line {len(rows) + 1}: cut off; rerun ingest-kb")
         table = cls()
-        for line_no, row in enumerate(rows, start=1):
+        for line_no, row in enumerate(read_artifact_lines(path, "ingest-kb"), start=1):
             fields = row.split("\t")
             if len(fields) != 2:
                 fault = f"expected 2 tab-separated fields, got {len(fields)}"

@@ -5,8 +5,9 @@ Scores for a tag sequence y over m tokens with K labels:
     score(y) = start[y_0] + sum_t emis[t, y_t]
              + sum_{t>0} trans[y_{t-1}, y_t] + stop[y_{m-1}]
 
-All sums over paths run in log space.  Viterbi tie rule: argmax scans use a
-strict ``>`` so the lowest label index wins at every step and backpointer.
+All sums over paths run in log space, one reduction over the K x K label
+pairs per time step.  Viterbi tie rule: ``argmax`` takes the first maximum,
+so the lowest label index wins at every step and backpointer.
 """
 
 import numpy as np
@@ -14,29 +15,11 @@ import numpy as np
 
 def crf_logz(emis, trans, start, stop):
     """Forward algorithm; returns (logZ, alpha [m, K])."""
-    m, k = emis.shape
-    alpha = np.empty((m, k))
+    alpha = np.empty(emis.shape)
     alpha[0] = start + emis[0]
-    for t in range(1, m):
-        for j in range(k):
-            mx = -np.inf
-            for i in range(k):
-                v = alpha[t - 1, i] + trans[i, j]
-                if v > mx:
-                    mx = v
-            s = 0.0
-            for i in range(k):
-                s += np.exp(alpha[t - 1, i] + trans[i, j] - mx)
-            alpha[t, j] = emis[t, j] + mx + np.log(s)
-    final = alpha[m - 1] + stop
-    mx = final[0]
-    for j in range(1, k):
-        if final[j] > mx:
-            mx = final[j]
-    s = 0.0
-    for j in range(k):
-        s += np.exp(final[j] - mx)
-    return mx + np.log(s), alpha
+    for t in range(1, emis.shape[0]):
+        alpha[t] = emis[t] + np.logaddexp.reduce(alpha[t - 1][:, None] + trans, axis=0)
+    return np.logaddexp.reduce(alpha[-1] + stop), alpha
 
 
 def crf_marginals(emis, trans, start, stop, alpha, logz):
@@ -45,60 +28,28 @@ def crf_marginals(emis, trans, start, stop, alpha, logz):
     Returns (unary [m, K], dtrans [K, K], dstart [K], dstop [K]) where
     unary[t, j] = P(y_t = j) and dtrans[i, j] = sum_t P(y_{t-1}=i, y_t=j).
     """
-    m, k = emis.shape
-    beta = np.empty((m, k))
-    beta[m - 1] = stop
-    for t in range(m - 2, -1, -1):
-        for i in range(k):
-            mx = -np.inf
-            for j in range(k):
-                v = trans[i, j] + emis[t + 1, j] + beta[t + 1, j]
-                if v > mx:
-                    mx = v
-            s = 0.0
-            for j in range(k):
-                s += np.exp(trans[i, j] + emis[t + 1, j] + beta[t + 1, j] - mx)
-            beta[t, i] = mx + np.log(s)
+    beta = np.empty(emis.shape)
+    beta[-1] = stop
+    for t in range(emis.shape[0] - 2, -1, -1):
+        beta[t] = np.logaddexp.reduce(trans + (emis[t + 1] + beta[t + 1]), axis=1)
     unary = np.exp(alpha + beta - logz)
-    dtrans = np.zeros((k, k))
-    for t in range(m - 1):
-        for i in range(k):
-            for j in range(k):
-                dtrans[i, j] += np.exp(
-                    alpha[t, i] + trans[i, j] + emis[t + 1, j] + beta[t + 1, j] - logz
-                )
-    dstart = unary[0].copy()
-    dstop = unary[m - 1].copy()
-    return unary, dtrans, dstart, dstop
+    # [m-1, K, K]: P(y_{t-1}=i, y_t=j) at every step, summed over t
+    pair = alpha[:-1, :, None] + trans + (emis[1:] + beta[1:])[:, None, :]
+    dtrans = np.exp(pair - logz).sum(axis=0)
+    return unary, dtrans, unary[0].copy(), unary[-1].copy()
 
 
 def crf_viterbi(emis, trans, start, stop):
     """Max-scoring tag sequence (ties: lowest label, then lowest backpointer)."""
-    m, k = emis.shape
+    m = emis.shape[0]
     score = start + emis[0]
-    back = np.empty((m, k), dtype=np.int64)
+    back = np.zeros((m, emis.shape[1]), dtype=np.int64)
     for t in range(1, m):
-        new = np.empty(k)
-        for j in range(k):
-            best = -np.inf
-            arg = 0
-            for i in range(k):
-                v = score[i] + trans[i, j]
-                if v > best:
-                    best = v
-                    arg = i
-            new[j] = best + emis[t, j]
-            back[t, j] = arg
-        score = new
-    best = -np.inf
-    arg = 0
-    for j in range(k):
-        v = score[j] + stop[j]
-        if v > best:
-            best = v
-            arg = j
+        cand = score[:, None] + trans
+        back[t] = cand.argmax(axis=0)
+        score = cand.max(axis=0) + emis[t]
     tags = np.empty(m, dtype=np.int64)
-    tags[m - 1] = arg
+    tags[-1] = np.argmax(score + stop)
     for t in range(m - 1, 0, -1):
         tags[t - 1] = back[t, tags[t]]
     return tags

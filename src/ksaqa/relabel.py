@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from .autodiff import Rng
 from .dataset import ENT, FormattedQuestion, QuestionRecord, span_to_formatted
-from .kb import AliasTable, KnowledgeBase
+from .errors import CheckpointError
+from .kb import AliasTable, KnowledgeBase, read_artifact_lines
 
 
 class PatternIndex:
@@ -192,24 +193,63 @@ def export_jsonl(examples, path) -> None:
             }, ensure_ascii=False) + "\n")
 
 
+# the fields load_jsonl reads, shaped as export_jsonl writes them: a type,
+# [shape] for a list of any length, or a list of fixed length
+_ROW_SHAPES = {"question": str, "formatted": str, "mention": str,
+               "candidates": [str], "positives": [[str, str]], "gold": [str, str]}
+
+
+def _has_shape(value, shape) -> bool:
+    if isinstance(shape, type):
+        return isinstance(value, shape)
+    if not isinstance(value, list):
+        return False
+    if len(shape) == 1:
+        return all(_has_shape(v, shape[0]) for v in value)
+    return len(value) == len(shape) and all(map(_has_shape, value, shape))
+
+
+def _row_fault(obj) -> str | None:
+    """Why a parsed line is not one :func:`export_jsonl` writes, or None."""
+    if not isinstance(obj, dict):
+        return "not a JSON object"
+    for key, shape in _ROW_SHAPES.items():
+        if not _has_shape(obj.get(key), shape):
+            return f"field {key!r} is missing or of the wrong type"
+    formatted = obj["formatted"].split()
+    if ENT not in formatted:
+        return f"'formatted' has no {ENT}"
+    if formatted.index(ENT) + len(obj["mention"].split()) > len(obj["question"].split()):
+        return "the mention runs past the end of the question"
+    return None
+
+
 def load_jsonl(path, split: str = "train") -> list[LabeledExample]:
-    """Rebuild LabeledExamples from an export; spans recomputed from <e>."""
+    """Rebuild LabeledExamples from an export; spans recomputed from <e>.
+
+    A line that is not one :func:`export_jsonl` writes (see
+    :func:`read_artifact_lines` and :func:`_row_fault`) is a CheckpointError
+    naming the file and line.
+    """
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for line_no, line in enumerate(read_artifact_lines(path, "relabel"), start=1):
+        try:
             obj = json.loads(line)
-            gold_s, gold_r = obj["gold"]
-            q_tokens = obj["question"].split()
-            start = obj["formatted"].split().index(ENT)
-            rec = QuestionRecord(tokens=q_tokens, subject=gold_s,
-                                 relation=gold_r, object="", split=split)
-            fq = span_to_formatted(q_tokens, (start, start + len(obj["mention"].split())))
-            examples.append(LabeledExample(
-                record=rec, formatted=fq,
-                candidates=set(obj["candidates"]),
-                positives={tuple(p) for p in obj["positives"]},
-            ))
+        except json.JSONDecodeError as exc:
+            fault = f"not valid JSON ({exc.msg} at column {exc.colno})"
+        else:
+            fault = _row_fault(obj)
+        if fault is not None:
+            raise CheckpointError(f"{path}: line {line_no}: {fault}; rerun relabel")
+        gold_s, gold_r = obj["gold"]
+        q_tokens = obj["question"].split()
+        start = obj["formatted"].split().index(ENT)
+        rec = QuestionRecord(tokens=q_tokens, subject=gold_s,
+                             relation=gold_r, object="", split=split)
+        fq = span_to_formatted(q_tokens, (start, start + len(obj["mention"].split())))
+        examples.append(LabeledExample(
+            record=rec, formatted=fq,
+            candidates=set(obj["candidates"]),
+            positives={tuple(p) for p in obj["positives"]},
+        ))
     return examples

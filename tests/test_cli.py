@@ -339,6 +339,14 @@ def _truncate(name):
     return mutate
 
 
+def _second_jsonl_line(name, edit):
+    """Keep the first line of ``name`` and put ``edit`` of its second line after it."""
+    def mutate(work, mp):
+        lines = (work / name).read_text().splitlines(keepends=True)
+        (work / name).write_text(lines[0] + edit(lines[1]))
+    return mutate
+
+
 def _keep(work, mp):
     pass
 
@@ -405,6 +413,15 @@ FAULTS = [
     ("workdir-aliases-repeated-row", PREDICT,
      _write("aliases.tsv", "01\tjohn smith\n01\tjohn smith\n"), 8),
     ("workdir-aliases-cut-off", PREDICT, _write("aliases.tsv", "01\tjohn smith\n02\tjohn sm"), 8),
+    # a relabeled split that `relabel` cannot have written
+    ("workdir-jsonl-cut-off", ["train-tagger"],
+     _second_jsonl_line("train.jsonl", lambda line: line[: len(line) // 2]), 8),
+    ("workdir-jsonl-not-json", ["train"],
+     _second_jsonl_line("train.jsonl", lambda line: line[: len(line) // 2] + "\n"), 8),
+    ("workdir-jsonl-gold-not-a-pair", ["train-tagger"],
+     _second_jsonl_line("train.jsonl", lambda line: line.replace('"gold": [', '"gold": [1, ')), 8),
+    ("workdir-jsonl-no-mention-marker", ["stats"],
+     _second_jsonl_line("train.jsonl", lambda line: line.replace("<e>", "it")), 8),
     # a mention no entity is known by ends before the predictor is read
     ("unknown-mention-model-unread", PREDICT + ["--mention", "born"],
      _write("model.ckpt", "not a checkpoint"), 7),
@@ -470,6 +487,12 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
         "workdir-aliases-unstripped-id": "{work}/aliases.tsv: line 1: entity 'm/01'",
         "workdir-aliases-repeated-row": "{work}/aliases.tsv: line 2: row '01' 'john smith'",
         "workdir-aliases-cut-off": "{work}/aliases.tsv: line 2: cut off; rerun ingest-kb",
+        "workdir-jsonl-cut-off": "{work}/train.jsonl: line 2: cut off; rerun relabel",
+        "workdir-jsonl-not-json": "{work}/train.jsonl: line 2: not valid JSON (",
+        "workdir-jsonl-gold-not-a-pair":
+            "{work}/train.jsonl: line 2: field 'gold' is missing or of the wrong type",
+        "workdir-jsonl-no-mention-marker":
+            "{work}/train.jsonl: line 2: 'formatted' has no <e>; rerun relabel",
         "unknown-mention-model-unread": "no entity is known under the alias 'born'"}
 
 

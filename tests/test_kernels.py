@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ksaqa import kernels
-from ksaqa.kernels import gru, transe_ops
+from ksaqa.kernels import crf, gru, transe_ops
+import crf_oracle
 import transe_oracle
 
 
@@ -213,3 +214,30 @@ def test_transe_batch_leaves_a_zero_norm_row_unscaled(use_l2):
     loss, ent_out, _ = _assert_transe_equals_oracle(ent, rel, batch, use_l2, 0.1, 1.0)
     assert loss >= 1.0
     assert np.array_equal(ent_out[0], np.zeros(4))
+
+
+def _crf_case(rng, i):
+    """K 1-5, m 1-40, scores at scale 0.01-10; every 7th case rounded, so it has ties."""
+    k, m = int(rng.integers(1, 6)), int(rng.integers(1, 41))
+    scale = 10 ** rng.uniform(-2, 1)
+    case = [rng.standard_normal(shape) * scale for shape in ((m, k), (k, k), (k,), (k,))]
+    return [np.round(a) for a in case] if i % 7 == 0 else case
+
+
+def test_crf_kernels_equal_the_scalar_loops():
+    rng = np.random.default_rng(17)
+    tol = dict(rtol=1e-10, atol=1e-10)
+    for i in range(2100):
+        case = _crf_case(rng, i)
+        logz, alpha = crf.crf_logz(*case)
+        want_logz, want_alpha = crf_oracle.crf_logz(*case)
+        np.testing.assert_allclose(logz, want_logz, **tol)
+        np.testing.assert_allclose(alpha, want_alpha, **tol)
+        got = crf.crf_marginals(*case, alpha, logz)
+        want = crf_oracle.crf_marginals(*case, want_alpha, want_logz)
+        for name, g, w in zip(("unary", "pairwise", "start", "stop"), got, want):
+            assert g.shape == w.shape, name
+            np.testing.assert_allclose(g, w, err_msg=f"case {i}: {name}", **tol)
+        path = crf.crf_viterbi(*case)
+        assert path.dtype == np.int64
+        assert np.array_equal(path, crf_oracle.crf_viterbi(*case)), f"case {i}"

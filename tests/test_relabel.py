@@ -5,6 +5,7 @@ import pytest
 
 from ksaqa.autodiff import Rng
 from ksaqa.dataset import format_question
+from ksaqa.errors import CheckpointError
 from ksaqa.kb import ingest_aliases, ingest_triples
 from ksaqa.relabel import (ambiguity_rate, build_pattern_index, export_jsonl,
                            is_ambiguous, load_jsonl, negative_pool,
@@ -124,6 +125,33 @@ def test_jsonl_round_trip(tmp_path, labeled):
     assert set(row) >= {"question", "formatted", "mention", "candidates",
                         "positives", "ambiguous"}
     assert row["candidates"] == sorted(row["candidates"])
+
+
+_ROW = {"question": "where was john smith born", "formatted": "where was <e> born",
+        "mention": "john smith", "candidates": ["01"], "positives": [["01", "born_in"]],
+        "gold": ["01", "born_in"], "ambiguous": False}
+
+
+@pytest.mark.parametrize("second,says", [
+    (b"[1, 2]\n", "not a JSON object"),
+    (json.dumps({**_ROW, "mention": "john smith was born now"}).encode() + b"\n",
+     "the mention runs past the end of the question"),
+    (json.dumps({k: v for k, v in _ROW.items() if k != "candidates"}).encode() + b"\n",
+     "field 'candidates' is missing or of the wrong type"),
+    (json.dumps({**_ROW, "positives": [["01"]]}).encode() + b"\n",
+     "field 'positives' is missing or of the wrong type"),
+    (json.dumps({**_ROW, "question": "caf\u00e9"}, ensure_ascii=False).encode("latin-1") + b"\n",
+     "not UTF-8"),
+], ids=["not-an-object", "mention-too-long", "no-candidates", "short-pair", "not-utf8"])
+def test_load_jsonl_refuses_a_line_export_does_not_write(tmp_path, second, says):
+    path = tmp_path / "ex.jsonl"
+    path.write_bytes(json.dumps(_ROW).encode() + b"\n" + second)
+    with pytest.raises(CheckpointError) as err:
+        load_jsonl(path)
+    assert str(err.value).startswith(f"{path}: line 2: {says}")
+    assert str(err.value).endswith("; rerun relabel")
+    path.write_bytes(json.dumps(_ROW).encode() + b"\n")
+    assert load_jsonl(path)[0].formatted.mention_span == (2, 4)
 
 
 def test_reports_written_with_headers(tmp_path, labeled):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ksaqa.autodiff import Tape, backward
+from ksaqa.autodiff import Parameter, Tape, backward, crf_log_likelihood
 from ksaqa.dataset import ENT, build_vocabulary
 from ksaqa.errors import CheckpointError, ConfigError
 from ksaqa.kernels import crf
@@ -67,6 +67,52 @@ def test_crf_viterbi_tie_prefers_label_zero():
     zeros = np.zeros((m, k))
     got = crf.crf_viterbi(zeros, np.zeros((k, k)), np.zeros(k), np.zeros(k))
     assert got.tolist() == [0, 0, 0, 0]
+
+
+def _enum_expectations(em, tr, st, en):
+    """(unary, pairwise, start, stop) expected counts, summed over every path."""
+    m, k = em.shape
+    paths = _enum_paths(em, tr, st, en)
+    logz = _enum_logz(em, tr, st, en)
+    unary, pair, start, stop = np.zeros((m, k)), np.zeros((k, k)), np.zeros(k), np.zeros(k)
+    for s, tags in paths:
+        p = math.exp(s - logz)
+        unary[np.arange(m), tags] += p
+        for a, b in zip(tags, tags[1:]):
+            pair[a, b] += p
+        start[tags[0]] += p
+        stop[tags[-1]] += p
+    return unary, pair, start, stop
+
+
+def _crf_tables(rng, m, k):
+    return [rng.standard_normal(shape) for shape in ((m, k), (k, k), (k,), (k,))]
+
+
+def test_crf_marginals_match_enumeration():
+    rng = np.random.default_rng(2)
+    for k in (2, 3):
+        for m in range(1, 7):
+            em, tr, st, en = _crf_tables(rng, m, k)
+            logz, alpha = crf.crf_logz(em, tr, st, en)
+            got = crf.crf_marginals(em, tr, st, en, alpha, logz)
+            for name, g, w in zip(("unary", "pairwise", "start", "stop"), got,
+                                  _enum_expectations(em, tr, st, en)):
+                np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12, err_msg=name)
+
+
+def test_crf_log_likelihood_gradient_is_gold_counts_minus_expectations():
+    rng = np.random.default_rng(3)
+    m, k = 6, 3
+    tables = _crf_tables(rng, m, k)
+    tags = np.array([2, 2, 2, 0, 2, 2])        # the pair (2, 2) three times
+    params = [Parameter(name, a) for name, a in zip(("em", "tr", "st", "en"), tables)]
+    with Tape():
+        backward(crf_log_likelihood(*params, tags))
+    counts = [np.eye(k)[tags], np.zeros((k, k)), np.eye(k)[tags[0]], np.eye(k)[tags[-1]]]
+    np.add.at(counts[1], (tags[:-1], tags[1:]), 1.0)
+    for p, c, w in zip(params, counts, _enum_expectations(*tables)):
+        np.testing.assert_allclose(p.grad, c - w, rtol=1e-10, atol=1e-12, err_msg=p.name)
 
 
 def test_log_likelihood_equals_score_minus_logz():
