@@ -1,10 +1,11 @@
-"""Time one predictor training step (loss + backward) on a 64-item batch.
+"""Time one full predictor training step on a 64-item batch.
 
 A seeded synthetic batch (questions of 4-15 tokens, subjects with 3-14
 relations, one positive and five negatives scored per item) goes through
-``KsaModel.loss`` with a training ``Rng`` and ``backward``, in-process, a
-few times; the step times and their median are printed with the loss and the
-tape size.  ``paper`` is the paper dims (d_word 500, d_rel 300, d_hidden 300,
+``KsaModel.loss`` with a training ``Rng``, ``backward`` and ``opt.step()`` of
+a real ``Adam``, in-process, a few times.  The full step times and their
+median are printed, then the median of each part (loss + backward, Adam),
+with the loss and the tape size.  ``paper`` is the paper dims (d_word 500, d_rel 300, d_hidden 300,
 attention 650, 6,700 relations), ``desk`` the pipeline-desk dims.  Run from
 a checkout root, with BLAS on one thread as perfbench pins it:
 
@@ -23,6 +24,7 @@ from ksaqa import autodiff as ad
 from ksaqa.autodiff import Rng, Tape
 from ksaqa.dataset import build_vocabulary
 from ksaqa.model import KsaModel, ModelConfig
+from ksaqa.optim import Adam
 
 SCALES = {
     "paper": (dict(d_word=500, d_rel=300, d_hidden=300, attention_hidden=650), 5000, 6700),
@@ -42,19 +44,27 @@ def main(scale: str, reps: int) -> None:
         rel_rows = g.choice(n_rel, int(g.integers(3, 15)), replace=False)
         scored = np.concatenate([rel_rows[:1], g.integers(0, n_rel, 5)]).astype(np.int64)
         batch.append((tokens, rel_rows, scored, np.array([1.0] + [0.0] * 5)))
-    params = model.parameters()
-    times = []
+    opt = Adam(model.parameters())
+    times, backward_s, adam_s = [], [], []
     for _ in range(reps):
         t0 = time.perf_counter()
         with Tape() as tape:
             loss = model.loss(batch, Rng(7))
-            for p in params:
-                p.grad = None
+            opt.zero_grad()
             ad.backward(loss)
-        times.append(time.perf_counter() - t0)
+        t1 = time.perf_counter()
+        opt.step()
+        t2 = time.perf_counter()
+        times.append(t2 - t0)
+        backward_s.append(t1 - t0)
+        adam_s.append(t2 - t1)
+
+    def ms(ts):
+        return f"{statistics.median(ts) * 1e3:.0f}"
+
     print(f"{scale}: loss {float(loss.data):.6f}, {len(tape.nodes)} tape nodes, step ms "
           + " ".join(f"{t * 1e3:.0f}" for t in times)
-          + f", median {statistics.median(times) * 1e3:.0f}")
+          + f", median {ms(times)} (loss + backward {ms(backward_s)}, adam {ms(adam_s)})")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ relation pretraining, a BiGRU-CRF subject tagger, the KSA-BiGRU relation
 predictor with its two ablation variants, evaluation, and a CLI.
 """
 
-from .autodiff import Parameter, Rng, Tape, Tensor, backward, grad_check
+from .autodiff import Parameter, Rng, Tape, Tensor, backward
 from .errors import (BadMagicError, CheckpointError, ConfigError,
                      DuplicateNameError, IngestError, KsaqaError,
                      NonFiniteError, ShapeError, TruncatedCheckpointError)
@@ -33,7 +33,7 @@ __all__ = [
     "TaggerModel", "Tape", "Tensor", "TransEConfig",
     "TruncatedCheckpointError", "Vocabulary", "backward",
     "build_pattern_index", "build_vocabulary", "evaluate", "format_question",
-    "grad_check", "ingest_aliases", "ingest_triples", "is_ambiguous",
+    "ingest_aliases", "ingest_triples", "is_ambiguous",
     "parse_simplequestions", "plausible_set", "predict_span", "prf1",
     "random_baseline", "relabel_dataset", "tokenize", "train_model",
     "train_tagger", "train_transe", "__version__",

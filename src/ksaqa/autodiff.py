@@ -100,10 +100,11 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, g):
+        """Add ``g`` to ``.grad``: the first gradient is copied, later ones add in place."""
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
-            self.grad = self.grad + g
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -116,13 +117,26 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, always-tracked tensor."""
+    """A named, always-tracked tensor.
 
-    __slots__ = ("name",)
+    ``slot`` is the parameter's view of an optimizer's gradient buffer (see
+    :class:`ksaqa.optim.Adam`), or None: a first gradient is written into it
+    instead of into a new array.
+    """
+
+    __slots__ = ("name", "slot")
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
+        self.slot = None
+
+    def accumulate(self, g):
+        if self.grad is None and self.slot is not None:
+            self.slot[...] = g
+            self.grad = self.slot
+        else:
+            super().accumulate(g)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -191,19 +205,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         b.accumulate(_unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), bwd, "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape}") from None
-
-    def bwd(g):
-        a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), bwd, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -332,26 +333,12 @@ def dropout_mask(shape, rate: float, rng: Rng) -> np.ndarray:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def dropout(a: Tensor, rate: float, rng: Rng | None) -> Tensor:
-    """Inverted dropout drawing its mask from ``rng``; identity without one or at rate 0."""
-    if rng is None or rate == 0.0:
-        return a
-    return apply_mask(a, dropout_mask(a.data.shape, rate, rng))
-
-
 def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
     """``a`` times a constant array of ``a``'s shape, such as a dropout mask."""
     def bwd(g):
         a.accumulate(g * mask)
 
     return _make(a.data * mask, (a,), bwd, "dropout")
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def bwd(g):
-        a.accumulate(np.full_like(a.data, float(g)))
-
-    return _make(a.data.sum(), (a,), bwd, "sum")
 
 
 def tile_rows(a: Tensor, m: int) -> Tensor:

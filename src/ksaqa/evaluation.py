@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Rng
 from .errors import ConfigError
-from .tagger import predict_span
+from .tagger import predict_spans
 
 
 def prf1(predicted: set, gold: set) -> tuple[float, float, float]:
@@ -109,14 +109,14 @@ def summarize(results: list[QuestionResult], total_questions: int | None = None,
     )
 
 
-def _score_question(model, kb, ex, fq, candidates, lam) -> QuestionResult:
-    if not candidates:
+def _question_result(ex, scores, threshold) -> QuestionResult:
+    """The result of one question from its sorted scores; None when it had no
+    candidate subject (a detection failure)."""
+    if scores is None:
         return QuestionResult(
             question=ex.record.text, predicted=set(), gold_pairs=set(ex.positives),
             gold_pair=ex.gold, precision=0.0, recall=0.0, f1=0.0,
             top1=None, detection_failed=True)
-    scores = model.score_pairs(fq.tokens, candidates, kb)
-    threshold = model.config.lam if lam is None else lam
     predicted = {s.pair for s in scores if s.probability > threshold}
     top1 = scores[0].pair if scores else None
     p, r, f1 = prf1(predicted, set(ex.positives))
@@ -130,20 +130,26 @@ def evaluate(examples, model, kb, aliases=None, tagger=None,
              skip_detection_failures: bool = False) -> EvalReport:
     """Score every labeled example; spans from gold formatting or the tagger.
 
-    A question without candidate subjects is a detection failure: in tagger
-    mode, one whose decoded span is empty or whose mention matches no alias.
-    It is scored (0,0,0) by default or dropped from the averages under
-    ``skip_detection_failures``.
+    All questions are decoded (tagger mode) and scored in batches: see
+    :meth:`KsaModel.score_questions`.  A question without candidate subjects
+    is a detection failure: in tagger mode, one whose decoded span is empty
+    or whose mention matches no alias.  It is scored (0,0,0) by default or
+    dropped from the averages under ``skip_detection_failures``.
     """
     if not gold_spans and (tagger is None or aliases is None):
         raise ConfigError("tagger-mode evaluation needs a tagger and an alias table")
-    results = []
-    for ex in examples:
-        fq, candidates = ex.formatted, ex.candidates
-        if not gold_spans:
-            fq = predict_span(tagger, ex.record.tokens)
-            candidates = aliases.entities_for_alias(fq.mention_text) if fq else set()
-        results.append(_score_question(model, kb, ex, fq, candidates, lam))
+    if gold_spans:
+        formatted = [ex.formatted for ex in examples]
+        candidate_sets = [ex.candidates for ex in examples]
+    else:
+        formatted = predict_spans(tagger, [ex.record.tokens for ex in examples])
+        candidate_sets = [aliases.entities_for_alias(fq.mention_text) if fq else set()
+                          for fq in formatted]
+    scores = model.score_questions([fq.tokens if fq else [] for fq in formatted],
+                                   candidate_sets, kb)
+    threshold = model.config.lam if lam is None else lam
+    results = [_question_result(ex, s if candidates else None, threshold)
+               for ex, s, candidates in zip(examples, scores, candidate_sets)]
     return summarize(results, len(examples), skip_detection_failures)
 
 

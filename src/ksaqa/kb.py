@@ -242,17 +242,29 @@ def ingest_triples(source) -> KnowledgeBase:
     """
     ents = Interner()
     rels = Interner()
+    # raw id field -> interned index: each distinct raw text is stripped once
+    ent_of: dict[str, int] = {}
+    rel_of: dict[str, int] = {}
+
+    def ent(raw: str) -> int:
+        idx = ent_of.get(raw)
+        if idx is None:
+            idx = ent_of[raw] = ents.intern(strip_id_prefix(raw))
+        return idx
+
     ss: list[int] = []
     rs: list[int] = []
     ts: list[int] = []
     for subj, rel, objs in read_tsv(source, 3, lambda f: None if (
             f[0].strip() and f[1].strip() and f[2].strip()) else "empty field"):
-        s = ents.intern(strip_id_prefix(subj))
-        r = rels.intern(strip_id_prefix(rel))
+        s = ent(subj)
+        r = rel_of.get(rel)
+        if r is None:
+            r = rel_of[rel] = rels.intern(strip_id_prefix(rel))
         for obj in objs.split():
             ss.append(s)
             rs.append(r)
-            ts.append(ents.intern(strip_id_prefix(obj)))
+            ts.append(ent(obj))
 
     # remap relation indices to lexicographic text order (canonical order)
     order = sorted(range(len(rels)), key=lambda i: rels.texts[i])

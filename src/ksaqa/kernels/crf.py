@@ -39,17 +39,32 @@ def crf_marginals(emis, trans, start, stop, alpha, logz):
     return unary, dtrans, unary[0].copy(), unary[-1].copy()
 
 
-def crf_viterbi(emis, trans, start, stop):
-    """Max-scoring tag sequence (ties: lowest label, then lowest backpointer)."""
-    m = emis.shape[0]
-    score = start + emis[0]
-    back = np.zeros((m, emis.shape[1]), dtype=np.int64)
+def crf_viterbi(emis, trans, start, stop, lengths=None):
+    """Max-scoring tag sequence (ties: lowest label, then lowest backpointer).
+
+    ``emis`` [m, K] gives the tags [m].  With a leading batch axis, ``emis``
+    [B, M, K] holds B sentences right-padded to M steps, sentence b real for
+    its first ``lengths[b]`` (at least 1) steps, and the result is the tags
+    [B, M], 0 past each sentence's end.  A sentence's score stops at its last
+    real step, so the padded rows never change its path.
+    """
+    single = emis.ndim == 2
+    if single:
+        emis, lengths = emis[None], [emis.shape[0]]
+    lengths = np.asarray(lengths)
+    b, m, k = emis.shape
+    score = start + emis[:, 0]
+    back = np.zeros((b, m, k), dtype=np.int64)
     for t in range(1, m):
-        cand = score[:, None] + trans
-        back[t] = cand.argmax(axis=0)
-        score = cand.max(axis=0) + emis[t]
-    tags = np.empty(m, dtype=np.int64)
-    tags[-1] = np.argmax(score + stop)
+        cand = score[:, :, None] + trans
+        back[:, t] = cand.argmax(axis=1)
+        score = np.where((t < lengths)[:, None], cand.max(axis=1) + emis[:, t], score)
+    rows = np.arange(b)
+    tags = np.zeros((b, m), dtype=np.int64)
+    cur = np.argmax(score + stop, axis=1)
+    tags[rows, lengths - 1] = cur
     for t in range(m - 1, 0, -1):
-        tags[t - 1] = back[t, tags[t]]
-    return tags
+        live = t < lengths
+        cur = np.where(live, back[rows, t, cur], cur)
+        tags[live, t - 1] = cur[live]
+    return tags[0] if single else tags

@@ -36,6 +36,11 @@ from .relabel import LabeledExample, negative_pool, sample_negatives
 
 VARIANTS = ("BiGRU", "KS-BiGRU", "KSA-BiGRU")
 
+# (s, r) pairs scored per encoder and decoder pass by score_questions; the
+# decoder's [subjects, pairs] product grows with its square (desk eval: 60
+# questions, 2786 pairs, peak RSS +13 MB at 4096 and +4.5 MB at 1024)
+PAIR_BUDGET = 1024
+
 
 @dataclass
 class ModelConfig:
@@ -137,7 +142,7 @@ class KsaModel:
         """
         if self.subgraph is None or not any(len(r) for r in subject_rows):
             return Tensor(np.zeros((len(subject_rows), self.config.d_hidden)))
-        ids, active = _padded(subject_rows)
+        ids, active = nn.padded(subject_rows)
         if ids.min() < 0 or ids.max() >= len(self.relations):
             raise ShapeError(f"relation row out of range 0..{len(self.relations) - 1}")
         x = ad.embedding_lookup(self.rel_emb, ids)
@@ -155,7 +160,7 @@ class KsaModel:
         """
         if not questions or not all(questions):
             raise ShapeError("cannot encode an empty question")
-        ids, active = _padded([self.vocab.encode(tokens) for tokens in questions])
+        ids, active = nn.padded([self.vocab.encode(tokens) for tokens in questions])
         x = ad.embedding_lookup(self.word_emb, ids)
         hs0, _ = nn.bigru(self.q0f, self.q0b, x, active)
         if dropout is not None:
@@ -180,7 +185,7 @@ class KsaModel:
         (m, b, two_h), n, c = hs.data.shape, u_ks.data.shape[0], w.data.shape[1]
         hs = ad.transpose(hs, (1, 0, 2))
         hw = ad.reshape(ad.matmul(ad.reshape(hs, (b * m, two_h)), w[:two_h]), (b, m, c))
-        keep = _steps(lengths).T
+        keep = nn.steps(lengths).T
         if question_of is not None:
             hs, hw, keep = hs[question_of], hw[question_of], keep[question_of]
         uw = ad.reshape(ad.matmul(u_ks, w[two_h:]), (n, 1, c))
@@ -275,21 +280,39 @@ class KsaModel:
         One encoder and decoder pass serves all the candidates.  Sorted by
         descending probability, then (entity, relation) text.
         """
-        subjects, rows = [], []
-        for s in sorted(set(candidates)):
-            r = self.subject_rows(kb, s)
-            if r.size:
-                subjects.append(s)
-                rows.append(r)
-        if not subjects:
-            return []
-        enc, _ = self.encoder_output([fq_tokens], rows,
-                                     question_of=np.zeros(len(rows), dtype=np.int64))
-        probs = ad.sigmoid(self.decode_logits(enc, rows)).data
-        pairs = [(s, self.relations[row]) for s, r in zip(subjects, rows) for row in r]
-        results = [InterpretationScore(pair=pair, probability=float(p))
-                   for pair, p in zip(pairs, probs)]
-        results.sort(key=lambda r: (-r.probability, r.pair))
+        return self.score_questions([fq_tokens], [candidates], kb)[0]
+
+    def score_questions(self, questions: list[list[str]], candidate_sets, kb: KnowledgeBase
+                        ) -> list[list[InterpretationScore]]:
+        """:meth:`score_pairs` of each question with its candidate set.
+
+        Whole questions run together, one encoder and decoder pass per chunk
+        of at most ``PAIR_BUDGET`` pairs (a larger question is a chunk of its
+        own), which bounds the padded batches and the [subjects, pairs] logit
+        product.  A question whose candidates have no relations scores [].
+        """
+        subjects: list[list[str]] = []
+        rows: list[list[np.ndarray]] = []
+        for candidates in candidate_sets:
+            subjects.append([])
+            rows.append([])
+            for s in sorted(set(candidates)):
+                r = self.subject_rows(kb, s)
+                if r.size:
+                    subjects[-1].append(s)
+                    rows[-1].append(r)
+        results: list[list[InterpretationScore]] = [[] for _ in questions]
+        for chunk in _chunks([sum(r.size for r in q_rows) for q_rows in rows]):
+            chunk_rows = [r for q in chunk for r in rows[q]]
+            question_of = np.repeat(np.arange(len(chunk)), [len(rows[q]) for q in chunk])
+            enc, _ = self.encoder_output([questions[q] for q in chunk], chunk_rows,
+                                         question_of=question_of)
+            probs = iter(ad.sigmoid(self.decode_logits(enc, chunk_rows)).data.tolist())
+            for q in chunk:
+                scores = [InterpretationScore((s, self.relations[row]), next(probs))
+                          for s, r in zip(subjects[q], rows[q]) for row in r.tolist()]
+                scores.sort(key=lambda x: (-x.probability, x.pair))
+                results[q] = scores
         return results
 
     def predict(self, fq_tokens: list[str], candidates, kb: KnowledgeBase,
@@ -333,20 +356,20 @@ class KsaModel:
             vocabulary=vocab.tokens, relations=list(relations))
 
 
-def _steps(lengths) -> np.ndarray:
-    """Right-padding mask [max length, B]: step t of sequence b is real while
-    t < lengths[b]."""
-    lengths = np.asarray(lengths)
-    return np.arange(lengths.max())[:, None] < lengths[None, :]
-
-
-def _padded(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """(ids [M, B], active [M, B]): B index sequences right-padded with row 0
-    to the longest, M, and the mask of their real steps."""
-    active = _steps([len(q) for q in seqs])
-    ids = np.zeros(active.shape, dtype=np.int64)
-    ids.T[active.T] = np.concatenate(seqs)
-    return ids, active
+def _chunks(sizes):
+    """Indices of the non-empty ``sizes``, in order, cut into runs that sum to
+    at most ``PAIR_BUDGET`` (a larger size is a run of its own)."""
+    chunk, total = [], 0
+    for i, n in enumerate(sizes):
+        if not n:
+            continue
+        if chunk and total + n > PAIR_BUDGET:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(i)
+        total += n
+    if chunk:
+        yield chunk
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,22 @@ def run_gru(params: dict, x: Tensor, h0: Tensor | None = None, active=None) -> T
     return ad.gru_sequence(x, h0, params["wx"], params["wh"], params["b"], active)
 
 
+def steps(lengths) -> np.ndarray:
+    """Right-padding mask [max length, B]: step t of sequence b is real while
+    t < lengths[b]."""
+    lengths = np.asarray(lengths)
+    return np.arange(lengths.max())[:, None] < lengths[None, :]
+
+
+def padded(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """(ids [M, B], active [M, B]): B index sequences right-padded with row 0
+    to the longest, M, and the mask of their real steps."""
+    active = steps([len(q) for q in seqs])
+    ids = np.zeros(active.shape, dtype=np.int64)
+    ids.T[active.T] = np.concatenate(seqs)
+    return ids, active
+
+
 def bigru(fwd: dict, bwd: dict, x: Tensor, active=None) -> tuple[Tensor, Tensor]:
     """Bidirectional pass: (per-token states, final-state concat).
 

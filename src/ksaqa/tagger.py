@@ -22,6 +22,10 @@ from .kernels import crf as crf_k
 from .optim import Adam
 
 
+# sentences per BiGRU pass and batched Viterbi in TaggerModel.decode_all
+DECODE_BATCH = 256
+
+
 @dataclass
 class TaggerConfig:
     key_prefix = "tagger_"
@@ -73,8 +77,27 @@ class TaggerModel:
         return ad.crf_log_likelihood(emis, self.trans, self.start, self.stop, tags)
 
     def decode(self, tokens: list[str]) -> np.ndarray:
-        emis = self.emissions(tokens)
-        return crf_k.crf_viterbi(emis.data, self.trans.data, self.start.data, self.stop.data)
+        return self.decode_all([tokens])[0]
+
+    def batch_emissions(self, sentences: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """(emissions [B, M, K], lengths [B]) of B sentences right-padded to
+        the longest, M, from one length-masked BiGRU pass (no tape)."""
+        ids, active = nn.padded([self.vocab.encode(tokens) for tokens in sentences])
+        hs, _ = nn.bigru(self.fwd, self.bwd, ad.embedding_lookup(self.word_emb, ids), active)
+        m, b, width = hs.data.shape
+        emis = nn.linear(self.emit, ad.reshape(hs, (m * b, width))).data
+        return emis.reshape(m, b, self.K).transpose(1, 0, 2), active.sum(axis=0)
+
+    def decode_all(self, sentences: list[list[str]]) -> list[np.ndarray]:
+        """Viterbi tags of each sentence, ``DECODE_BATCH`` sentences at a time
+        through :meth:`batch_emissions` and one batched Viterbi."""
+        tags: list[np.ndarray] = []
+        for lo in range(0, len(sentences), DECODE_BATCH):
+            emis, lengths = self.batch_emissions(sentences[lo:lo + DECODE_BATCH])
+            paths = crf_k.crf_viterbi(emis, self.trans.data, self.start.data, self.stop.data,
+                                      lengths)
+            tags.extend(path[:n] for path, n in zip(paths, lengths))
+        return tags
 
     def save(self, path) -> None:
         save_checkpoint(path, self.parameters(), asdict(self.config),
@@ -102,8 +125,15 @@ def longest_run(tags: np.ndarray) -> tuple[int, int] | None:
 
 def predict_span(model: TaggerModel, tokens: list[str]) -> FormattedQuestion | None:
     """The question formatted at the decoded mention; None on a detection failure."""
-    span = longest_run(model.decode(tokens))
-    return None if span is None else span_to_formatted(tokens, span)
+    return predict_spans(model, [tokens])[0]
+
+
+def predict_spans(model: TaggerModel, sentences: list[list[str]]
+                  ) -> list[FormattedQuestion | None]:
+    """:func:`predict_span` of each sentence, decoded as one batch."""
+    spans = map(longest_run, model.decode_all(sentences))
+    return [None if span is None else span_to_formatted(tokens, span)
+            for tokens, span in zip(sentences, spans)]
 
 
 def tags_for_span(n: int, span: tuple[int, int]) -> np.ndarray:
@@ -116,11 +146,9 @@ def span_accuracy(model: TaggerModel, pairs) -> float:
     """Exact-match rate of the extracted span against gold spans."""
     if not pairs:
         return 0.0
-    hits = 0
-    for tokens, tags in pairs:
-        pred = longest_run(model.decode(tokens))
-        gold = longest_run(np.asarray(tags))
-        hits += int(pred == gold)
+    decoded = model.decode_all([tokens for tokens, _ in pairs])
+    hits = sum(longest_run(pred) == longest_run(np.asarray(tags))
+               for pred, (_, tags) in zip(decoded, pairs))
     return hits / len(pairs)
 
 

@@ -67,14 +67,6 @@ class EmbeddingSet:
         return load_checkpoint(path, build)
 
 
-def triple_score(h: int, r: int, t: int, emb: EmbeddingSet, norm: str | None = None) -> float:
-    """||E[h] + R[r] - E[t]|| under the configured norm; lower is better."""
-    v = emb.entity[h] + emb.relation[r] - emb.entity[t]
-    if (norm or emb.norm) == "l1":
-        return float(np.abs(v).sum())
-    return float(np.linalg.norm(v))
-
-
 def mean_tail_rank(kb: KnowledgeBase, emb: EmbeddingSet) -> float:
     """Average rank of the true tail among all entities, 1-based.
 

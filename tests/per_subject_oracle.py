@@ -18,13 +18,15 @@ from ksaqa import autodiff as ad
 from ksaqa import nn
 from ksaqa.model import InterpretationScore
 
+from extra_ops import dropout
+
 
 def encode_question(model, tokens, rng=None):
     """(h_1..h_m [m, 2H], u_Q [2H]): the two-layer BiGRU over one question,
     with dropout between the layers when an ``rng`` is given."""
     x = ad.embedding_lookup(model.word_emb, model.vocab.encode(tokens))
     hs0, _ = nn.bigru(model.q0f, model.q0b, x)
-    hs0 = ad.dropout(hs0, model.config.dropout, rng)
+    hs0 = dropout(hs0, model.config.dropout, rng)
     return nn.bigru(model.q1f, model.q1b, hs0)
 
 

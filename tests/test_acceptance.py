@@ -31,6 +31,7 @@ from ksaqa.transe import TransEConfig, mean_tail_rank, train_transe
 
 from corpus_util import (ambiguity_corpus, chain_kb, oracle_negative_pool,
                          oracle_pattern_index, oracle_plausible, random_instance)
+from extra_ops import dropout, mul, sum_all
 
 
 def _report(capsys, n, ok, detail):
@@ -77,48 +78,48 @@ def _primitive_checks():
 
     a, b = p("a", 3, 4), p("b", 3, 4)
     bias, vec = p("bias", 4), p("v", 3)
-    chk(lambda t: ad.sum_all(ad.add(t[0], t[1])), [a, b])
-    chk(lambda t: ad.sum_all(ad.add(t[0], t[1])), [a, bias])      # broadcast
-    chk(lambda t: ad.sum_all(ad.mul(t[0], t[1])), [a, b])
-    chk(lambda t: ad.sum_all(ad.scale(t[0], -1.7)), [a])
+    chk(lambda t: sum_all(ad.add(t[0], t[1])), [a, b])
+    chk(lambda t: sum_all(ad.add(t[0], t[1])), [a, bias])      # broadcast
+    chk(lambda t: sum_all(mul(t[0], t[1])), [a, b])
+    chk(lambda t: sum_all(ad.scale(t[0], -1.7)), [a])
     m34, m43 = p("m34", 3, 4), p("m43", 4, 3)
-    chk(lambda t: ad.sum_all(ad.matmul(t[0], t[1])), [m34, m43])
-    chk(lambda t: ad.sum_all(ad.matmul(t[0], t[1])), [vec, m34])
-    chk(lambda t: ad.sum_all(ad.concat([t[0], t[1]], axis=0)), [a, b])
-    chk(lambda t: ad.sum_all(ad.concat([t[0], t[1]], axis=1)), [a, b])
+    chk(lambda t: sum_all(ad.matmul(t[0], t[1])), [m34, m43])
+    chk(lambda t: sum_all(ad.matmul(t[0], t[1])), [vec, m34])
+    chk(lambda t: sum_all(ad.concat([t[0], t[1]], axis=0)), [a, b])
+    chk(lambda t: sum_all(ad.concat([t[0], t[1]], axis=1)), [a, b])
     idx = np.array([0, 2, 2])
-    chk(lambda t: ad.sum_all(t[0][idx]), [a])                      # fancy + dup
-    chk(lambda t: ad.sum_all(t[0][1]), [a])
-    chk(lambda t: ad.sum_all(ad.sigmoid(t[0])), [a])
-    chk(lambda t: ad.sum_all(ad.tanh(t[0])), [a])
-    chk(lambda t: ad.sum_all(ad.mul(ad.softmax(t[0]), t[0])), [vec])
-    chk(lambda t: ad.sum_all(ad.mul(ad.softmax(t[0]), t[0])), [a])        # per row
+    chk(lambda t: sum_all(t[0][idx]), [a])                      # fancy + dup
+    chk(lambda t: sum_all(t[0][1]), [a])
+    chk(lambda t: sum_all(ad.sigmoid(t[0])), [a])
+    chk(lambda t: sum_all(ad.tanh(t[0])), [a])
+    chk(lambda t: sum_all(mul(ad.softmax(t[0]), t[0])), [vec])
+    chk(lambda t: sum_all(mul(ad.softmax(t[0]), t[0])), [a])        # per row
     keep = np.array([[True, False, True, False], [True, True, True, True],
                      [False, False, False, True]])
-    chk(lambda t: ad.sum_all(ad.mul(ad.softmax(t[0], keep), t[0])), [a])  # masked
+    chk(lambda t: sum_all(mul(ad.softmax(t[0], keep), t[0])), [a])  # masked
     s234, s245 = p("s234", 2, 3, 4), p("s245", 2, 4, 5)
-    chk(lambda t: ad.sum_all(ad.tanh(ad.matmul(t[0], t[1]))), [s234, s245])  # stacked
-    chk(lambda t: ad.sum_all(ad.tanh(ad.transpose(t[0], (1, 0, 2)))), [s234])
-    chk(lambda t: ad.sum_all(ad.tanh(ad.add(ad.reshape(t[0], (3, 1, 4)), t[1]))),
+    chk(lambda t: sum_all(ad.tanh(ad.matmul(t[0], t[1]))), [s234, s245])  # stacked
+    chk(lambda t: sum_all(ad.tanh(ad.transpose(t[0], (1, 0, 2)))), [s234])
+    chk(lambda t: sum_all(ad.tanh(ad.add(ad.reshape(t[0], (3, 1, 4)), t[1]))),
         [a, p("hw", 2, 4)])                                                # [3, 2, 4]
-    chk(lambda t: ad.sum_all(ad.embedding_lookup(t[0], idx)), [a])
-    chk(lambda t: ad.sum_all(ad.tile_rows(t[0], 4)), [vec])
-    chk(lambda t: ad.sum_all(ad.flip0(t[0])), [a])
+    chk(lambda t: sum_all(ad.embedding_lookup(t[0], idx)), [a])
+    chk(lambda t: sum_all(ad.tile_rows(t[0], 4)), [vec])
+    chk(lambda t: sum_all(ad.flip0(t[0])), [a])
     labels = np.array([1.0, 0.0, 1.0])
     chk(lambda t: ad.bce_with_logits_sum(t[0], labels), [vec])
-    chk(lambda t: ad.sum_all(ad.dropout(t[0], 0.5, Rng(5))), [a])
+    chk(lambda t: sum_all(dropout(t[0], 0.5, Rng(5))), [a])
     x, h0 = p("x", 4, 3), p("h0", 2)
     wx, wh, bg = p("wx", 3, 6), p("wh", 2, 6), p("bg", 6)
-    chk(lambda t: ad.sum_all(ad.gru_sequence(t[0], ad.Tensor(np.zeros(2)),
+    chk(lambda t: sum_all(ad.gru_sequence(t[0], ad.Tensor(np.zeros(2)),
                                              t[1], t[2], t[3])),
         [x, wx, wh, bg], h=1e-4)
     hn = p("hn", 3, 2)                                                     # [n, H] state
-    chk(lambda t: ad.sum_all(ad.tanh(ad.gru_sequence(t[0], t[1], t[2], t[3], t[4]))),
+    chk(lambda t: sum_all(ad.tanh(ad.gru_sequence(t[0], t[1], t[2], t[3], t[4]))),
         [x, hn, wx, wh, bg], h=1e-4)
     xn = p("xn", 4, 3, 3)                                           # a row per state, masked
     steps = np.arange(4)[:, None] < np.array([1, 4, 2])[None, :]
     for active in (steps, steps[::-1]):
-        chk(lambda t: ad.sum_all(ad.tanh(ad.gru_sequence(t[0], t[1], t[2], t[3], t[4],
+        chk(lambda t: sum_all(ad.tanh(ad.gru_sequence(t[0], t[1], t[2], t[3], t[4],
                                                          active))),
             [xn, hn, wx, wh, bg], h=1e-4)
     em, tr = p("em", 4, 2), p("tr", 2, 2)

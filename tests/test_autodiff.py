@@ -8,12 +8,14 @@ import pytest
 import ksaqa.autodiff as ad
 from ksaqa.autodiff import (Parameter, Rng, Tape, Tensor, backward,
                             bce_with_logits_sum, concat,
-                            crf_log_likelihood, dropout, embedding_lookup,
+                            crf_log_likelihood, embedding_lookup,
                             flip0, grad_check, gru_sequence, init_embedding,
-                            init_weight, matmul, mul, reshape, scale, sigmoid,
-                            softmax, sum_all, tanh, tile_rows)
+                            init_weight, matmul, reshape, scale, sigmoid,
+                            softmax, tanh, tile_rows)
 from ksaqa.errors import NonFiniteError, ShapeError
 from ksaqa.optim import Adam
+
+from extra_ops import dropout, mul, sum_all
 
 TOL = 1e-4  # pinned finite-difference tolerance
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from ksaqa.errors import ConfigError
 from ksaqa.evaluation import (AttentionMap, EvalReport, QuestionResult,
                               diff_report, evaluate, export_attention, prf1,
                               random_baseline, summarize)
+import ksaqa.model as model_mod
 from ksaqa.model import KsaModel, ModelConfig
+from ksaqa.tagger import (TaggerConfig, longest_run, span_to_formatted, tags_for_span,
+                          train_tagger)
+
+import crf_oracle
+import per_subject_oracle
 
 SMALL = dict(d_word=10, d_rel=8, d_hidden=6, attention_hidden=5,
              dropout=0.0, seed=3)
@@ -146,6 +153,57 @@ def test_hit_any_dominates_top1(world):
     for model in (_zeroed(_model(world)), _model(world, seed=9)):
         rep = evaluate(examples, model, kb)
         assert rep.hit_any_rate >= rep.top1_accuracy
+
+
+@pytest.fixture(scope="module")
+def tagger(world):
+    """A tagger trained on the micro world's gold mentions."""
+    _, vocab, examples = world
+    pairs = [(ex.record.tokens, tags_for_span(len(ex.record.tokens), ex.formatted.mention_span))
+             for ex in examples]
+    return train_tagger(pairs, TaggerConfig(d_word=8, hidden=6, lr=0.05, epochs=15, seed=1),
+                        vocab)[0]
+
+
+def _one_question(model, kb, aliases, tagger, ex, gold_spans):
+    """(predicted, top1, detection failed) of one question scored alone, as the
+    per-question loop that batched evaluation replaced did it."""
+    fq, candidates = ex.formatted, ex.candidates
+    if not gold_spans:
+        emis = tagger.emissions(ex.record.tokens).data
+        span = longest_run(crf_oracle.crf_viterbi(emis, tagger.trans.data, tagger.start.data,
+                                                  tagger.stop.data))
+        fq = None if span is None else span_to_formatted(ex.record.tokens, span)
+        candidates = aliases.entities_for_alias(fq.mention_text) if fq else set()
+    if not candidates:
+        return set(), None, True, []
+    scores = per_subject_oracle.score_pairs(model, fq.tokens, candidates, kb)
+    predicted = {s.pair for s in scores if s.probability > model.config.lam}
+    return predicted, scores[0].pair if scores else None, False, scores
+
+
+@pytest.mark.parametrize("budget", [1, 6, 4096])
+@pytest.mark.parametrize("gold_spans", [True, False])
+def test_batched_evaluate_equals_one_question_at_a_time(world, micro, tagger, monkeypatch,
+                                                         budget, gold_spans):
+    kb, vocab, examples = world
+    aliases = micro[1]
+    model = _model(world)
+    # a question without candidates, and one whose only candidate has no facts
+    examples = examples + [replace(examples[0], candidates=set()),
+                           replace(examples[1], candidates={"unknown-guy"})]
+    monkeypatch.setattr(model_mod, "PAIR_BUDGET", budget)
+    scored = []
+    for subset in (examples, examples[:1], examples[-2:-1], examples[-1:]):
+        rep = evaluate(subset, model, kb, aliases=aliases, tagger=tagger, gold_spans=gold_spans)
+        assert len(rep.results) == len(subset)
+        for ex, got in zip(subset, rep.results):
+            predicted, top1, failed, scores = _one_question(model, kb, aliases, tagger, ex,
+                                                            gold_spans)
+            assert (got.predicted, got.top1, got.detection_failed) == (predicted, top1, failed)
+            assert (got.precision, got.recall, got.f1) == prf1(predicted, set(ex.positives))
+            scored.append(bool(scores))
+    assert sum(scored[:len(examples)]) >= len(examples) - 2
 
 
 def test_evaluate_tagger_mode_requires_tagger_and_aliases(world):

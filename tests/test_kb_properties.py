@@ -1,6 +1,7 @@
 """Property tests of the KB indexes and the alias artifact against the code
-they replaced: pair keys against ``np.unique``, and ``AliasTable.load``
-against re-ingesting the file with ``ingest_aliases``."""
+they replaced: pair keys against ``np.unique``, ``AliasTable.load`` against
+re-ingesting the file with ``ingest_aliases``, and ``ingest_triples`` against
+stripping every id field as it is read."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from ksaqa.errors import CheckpointError, IngestError  # noqa: E402
-from ksaqa.kb import (AliasTable, KnowledgeBase, ingest_aliases, normalize_text,  # noqa: E402
-                      strip_id_prefix, triple_keys)
+from ksaqa.kb import (AliasTable, Interner, KnowledgeBase, ingest_aliases,  # noqa: E402
+                      ingest_triples, normalize_text, read_tsv, strip_id_prefix,
+                      triple_keys)
 
 
 @st.composite
@@ -81,3 +83,43 @@ def test_alias_load_reads_any_bytes_or_raises_checkpoint_error(scratch, blob):
 def test_strip_id_prefix_leaves_a_stripped_id_as_it_is(raw):
     once = strip_id_prefix(raw)
     assert strip_id_prefix(once) == once
+
+
+def _ingest_stripping_every_field(rows):
+    """(entities in id order, relations, triple texts) as ingest read them
+    before raw ids were cached: one ``strip_id_prefix`` call per id field."""
+    ents, rels, triples = Interner(), Interner(), set()
+    for subj, rel, objs in read_tsv(rows, 3, lambda f: None if (
+            f[0].strip() and f[1].strip() and f[2].strip()) else "empty field"):
+        s = ents.intern(strip_id_prefix(subj))
+        r = rels.intern(strip_id_prefix(rel))
+        for obj in objs.split():
+            t = ents.intern(strip_id_prefix(obj))
+            triples.add((ents.texts[s], rels.texts[r], ents.texts[t]))
+    return ents.texts, sorted(rels.texts), triples
+
+
+# ids nested under "/", "m/" and "www.freebase.com/", padded with whitespace,
+# drawn from a small pool so that raw and stripped ids repeat
+ids = st.lists(st.sampled_from(["/", "m/", "www.freebase.com/", " ", "\x0b", "a", "b"]),
+               min_size=1, max_size=6).map("".join)
+triple_rows = st.lists(st.tuples(ids, ids, st.lists(ids, min_size=1, max_size=3).map(" ".join))
+                       .map("\t".join), max_size=15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triple_rows)
+def test_ingest_strips_each_raw_id_once_as_a_strip_per_field_would(rows):
+    try:
+        want_ents, want_rels, want_triples = _ingest_stripping_every_field(rows)
+    except IngestError:
+        with pytest.raises(IngestError):
+            ingest_triples(rows)
+        return
+    kb = ingest_triples(rows)
+    assert kb.entities == want_ents
+    assert kb.relations == want_rels
+    s, r, t = kb.triples()
+    assert {(kb.entities[a], kb.relations[b], kb.entities[c])
+            for a, b, c in zip(s, r, t)} == want_triples
+    assert kb.triple_count == len(want_triples)

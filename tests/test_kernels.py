@@ -241,3 +241,28 @@ def test_crf_kernels_equal_the_scalar_loops():
         path = crf.crf_viterbi(*case)
         assert path.dtype == np.int64
         assert np.array_equal(path, crf_oracle.crf_viterbi(*case)), f"case {i}"
+
+
+def test_batched_viterbi_equals_the_scalar_loop_per_sentence():
+    """B sentences of one K, right-padded with scores that must not be read, decode
+    to the scalar loop's path of each sentence alone, ties included, and 0 past
+    each sentence's end."""
+    rng = np.random.default_rng(29)
+    for i in range(300):
+        k, b = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+        lengths = rng.integers(1, 41, b)
+        scale = 10 ** rng.uniform(-2, 1)
+        tables = [rng.standard_normal(shape) * scale for shape in ((k, k), (k,), (k,))]
+        sentences = [rng.standard_normal((n, k)) * scale for n in lengths]
+        if i % 7 == 0:
+            tables = [np.round(a) for a in tables]
+            sentences = [np.round(a) for a in sentences]
+        emis = rng.standard_normal((b, lengths.max(), k)) * 1e3
+        for row, sent in zip(emis, sentences):
+            row[:len(sent)] = sent
+        paths = crf.crf_viterbi(emis, *tables, lengths)
+        assert paths.shape == emis.shape[:2] and paths.dtype == np.int64
+        for path, sent in zip(paths, sentences):
+            want = crf_oracle.crf_viterbi(sent, *tables)
+            assert np.array_equal(path[:len(sent)], want), f"case {i}"
+            assert not path[len(sent):].any()

@@ -15,6 +15,7 @@ import pytest
 
 from ksaqa import autodiff as ad
 from ksaqa import nn
+import ksaqa.model as model_mod
 from ksaqa.autodiff import Rng, Tape
 from ksaqa.dataset import build_vocabulary
 from ksaqa.errors import CheckpointError, ConfigError, ShapeError
@@ -258,6 +259,34 @@ def test_batched_scores_equal_the_per_subject_oracle(world, variant):
             want = oracle.score_pairs(model, tokens, candidates, kb)
             assert [s.pair for s in got] == [s.pair for s in want]
             for a, b in zip(got, want):
+                assert abs(a.probability - b.probability) <= 1e-12
+
+
+@pytest.mark.parametrize("budget", [1, 9, 4096])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_score_questions_equal_one_question_at_a_time(world, monkeypatch, variant, budget):
+    """The whole grid above in one call, in chunks of at most ``budget`` pairs
+    (1: a pass per question that has any), against ``score_pairs`` on each
+    question and the per-subject oracle."""
+    kb, _, _ = world
+    model = _model(world, variant=variant)
+    cases = [(tokens, candidates) for tokens in QUESTIONS for candidates in CANDIDATE_SETS]
+    scored = [model.score_pairs(tokens, candidates, kb) for tokens, candidates in cases]
+    passes = []
+    encoder_output = model.encoder_output
+    monkeypatch.setattr(model, "encoder_output",
+                        lambda qs, *a, **kw: passes.append(len(qs)) or encoder_output(qs, *a, **kw))
+    monkeypatch.setattr(model_mod, "PAIR_BUDGET", budget)
+    got = model.score_questions([t for t, _ in cases], [c for _, c in cases], kb)
+    with_pairs = sum(bool(want) for want in scored)
+    assert sum(passes) == with_pairs
+    assert len(passes) == {1: with_pairs, 4096: 1}.get(budget, len(passes))
+    assert budget != 9 or 1 < len(passes) < with_pairs
+    assert len(got) == len(cases)
+    for (tokens, candidates), scores, alone in zip(cases, got, scored):
+        for want in (alone, oracle.score_pairs(model, tokens, candidates, kb)):
+            assert [s.pair for s in scores] == [s.pair for s in want]
+            for a, b in zip(scores, want):
                 assert abs(a.probability - b.probability) <= 1e-12
 
 

@@ -8,8 +8,11 @@ from ksaqa.autodiff import Parameter, Tape, backward, crf_log_likelihood
 from ksaqa.dataset import ENT, build_vocabulary
 from ksaqa.errors import CheckpointError, ConfigError
 from ksaqa.kernels import crf
+
+import crf_oracle
+import ksaqa.tagger as tagger_mod
 from ksaqa.tagger import (TaggerConfig, TaggerModel,
-                          longest_run, predict_span, span_accuracy,
+                          longest_run, predict_span, predict_spans, span_accuracy,
                           span_to_formatted, tags_for_span, train_tagger)
 
 # ---------------------------------------------------------------------------
@@ -267,3 +270,52 @@ def test_training_is_seed_deterministic():
     _, h1 = train_tagger(pairs, cfg, vocab)
     _, h2 = train_tagger(pairs, cfg, vocab)
     assert h1 == h2
+
+
+# -- batched decode against one sentence at a time -------------------------------
+
+
+def _decode_alone(model, tokens):
+    """The decode the batch replaced: unpadded emissions, the scalar Viterbi loop."""
+    emis = model.emissions(tokens).data
+    return crf_oracle.crf_viterbi(emis, model.trans.data, model.start.data, model.stop.data)
+
+
+def _sentences(pairs):
+    # one-token, longer and out-of-vocabulary sentences beside the corpus
+    return [t for t, _ in pairs] + [["zorg03"], ["who", "knows", "zorg01", "town", "of", "?"]]
+
+
+@pytest.mark.parametrize("batch", [1, 3, 256])
+def test_decode_all_equals_one_sentence_at_a_time(trained_tagger, monkeypatch, batch):
+    model, _, pairs = trained_tagger
+    monkeypatch.setattr(tagger_mod, "DECODE_BATCH", batch)
+    sentences = _sentences(pairs)
+    emis, lengths = model.batch_emissions(sentences)
+    assert lengths.tolist() == [len(t) for t in sentences]
+    for row, tokens in zip(emis, sentences):
+        np.testing.assert_allclose(row[:len(tokens)], model.emissions(tokens).data,
+                                   rtol=0, atol=1e-12)
+    decoded = model.decode_all(sentences)
+    assert len(decoded) == len(sentences)
+    for tags, tokens in zip(decoded, sentences):
+        assert np.array_equal(tags, _decode_alone(model, tokens))
+        assert np.array_equal(model.decode(tokens), tags)
+
+
+def test_span_accuracy_and_predict_spans_equal_one_sentence_at_a_time(trained_tagger):
+    model, _, pairs = trained_tagger
+    sentences = _sentences(pairs)
+    want = [longest_run(_decode_alone(model, tokens)) for tokens in sentences]
+    got = predict_spans(model, sentences)
+    for tokens, span, fq in zip(sentences, want, got):
+        assert fq == (None if span is None else span_to_formatted(tokens, span))
+        assert predict_span(model, tokens) == fq
+    # the corpus spans with the last two flipped to some other span
+    gold = [tags for _, tags in pairs]
+    for i in (-1, -2):
+        gold[i] = tags_for_span(len(gold[i]), (0, 1))
+    scored = list(zip([t for t, _ in pairs], gold))
+    hits = sum(longest_run(_decode_alone(model, tokens)) == longest_run(tags)
+               for tokens, tags in scored)
+    assert span_accuracy(model, scored) == hits / len(scored)

@@ -6,9 +6,10 @@ from ksaqa.kb import ingest_triples
 from ksaqa.kernels import transe_ops
 from ksaqa.autodiff import Rng
 from ksaqa.transe import (EmbeddingSet, TransEConfig, export_relation_embeddings,
-                          mean_tail_rank, train_transe, triple_score)
+                          mean_tail_rank, train_transe)
 
 from corpus_util import EPREFIX, RPREFIX, chain_kb
+from transe_oracle import triple_score
 
 
 def test_config_validation():

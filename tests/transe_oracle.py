@@ -2,10 +2,13 @@
 
 One example at a time: score, hinge test, five gradient rows, then every
 update in order and one renormalization per entity-row update.  The array
-kernel must give the same loss, ``ent`` and ``rel`` bit for bit.
+kernel must give the same loss, ``ent`` and ``rel`` bit for bit.  Also the
+scalar score of one triple, :func:`triple_score`.
 """
 
 import numpy as np
+
+from ksaqa.transe import EmbeddingSet
 
 
 def transe_batch(ent, rel, h, r, t, nh, nt, valid, use_l2, lr, margin):
@@ -61,3 +64,11 @@ def transe_batch(ent, rel, h, r, t, nh, nt, valid, use_l2, lr, margin):
             if nrm > 0.0:
                 ent[row] /= nrm
     return loss
+
+
+def triple_score(h: int, r: int, t: int, emb: EmbeddingSet, norm: str | None = None) -> float:
+    """||E[h] + R[r] - E[t]|| under the configured norm; lower is better."""
+    v = emb.entity[h] + emb.relation[r] - emb.entity[t]
+    if (norm or emb.norm) == "l1":
+        return float(np.abs(v).sum())
+    return float(np.linalg.norm(v))
