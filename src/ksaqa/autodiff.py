@@ -100,7 +100,8 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, g):
-        """Add ``g`` to ``.grad``: the first gradient is copied, later ones add in place."""
+        """Add ``g`` to ``.grad`` in place; a tensor without one (any tensor
+        outside an optimizer's arena) takes a copy of its first gradient."""
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
@@ -119,24 +120,16 @@ class Tensor:
 class Parameter(Tensor):
     """A named, always-tracked tensor.
 
-    ``slot`` is the parameter's view of an optimizer's gradient buffer (see
-    :class:`ksaqa.optim.Adam`), or None: a first gradient is written into it
-    instead of into a new array.
+    Under an optimizer (:class:`ksaqa.optim.Adam`), ``data`` and ``grad`` are
+    views of its arena, bound for its lifetime: write into them, never rebind
+    them.
     """
 
-    __slots__ = ("name", "slot")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.slot = None
-
-    def accumulate(self, g):
-        if self.grad is None and self.slot is not None:
-            self.slot[...] = g
-            self.grad = self.slot
-        else:
-            super().accumulate(g)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -412,6 +405,8 @@ def gru_sequence(x: Tensor, h0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     if active is not None and (hd.ndim != 2 or active.shape != (xd.shape[0], hd.shape[0])):
         raise ShapeError(f"gru_sequence: mask {active.shape} vs {xd.shape[0]} steps, "
                          f"state {hd.shape}")
+    if active is not None and active.all():
+        active = None   # no padded step: the unmasked kernels give the same numbers
     hs, zs, rs, ns, hwn = gru_k.gru_forward(xd, hd, wx.data, wh.data, b.data, active)
 
     def bwd(g):

@@ -86,17 +86,15 @@ class EvalReport:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def summarize(results: list[QuestionResult], total_questions: int | None = None,
+def summarize(results: list[QuestionResult],
               skip_detection_failures: bool = False) -> EvalReport:
     """Aggregate per-question results into the macro report."""
-    n_all = total_questions if total_questions is not None else len(results)
     failures = sum(1 for r in results if r.detection_failed)
-    failures += (n_all - len(results))   # questions that never produced a result
+    failure_rate = failures / len(results) if results else 0.0
     scored = [r for r in results if not (skip_detection_failures and r.detection_failed)]
     n = len(scored)
     if n == 0:
-        return EvalReport(0.0, 0.0, 0.0, 0.0, 0.0, 0,
-                          failures / n_all if n_all else 0.0, results)
+        return EvalReport(0.0, 0.0, 0.0, 0.0, 0.0, 0, failure_rate, results)
     return EvalReport(
         macro_precision=sum(r.precision for r in scored) / n,
         macro_recall=sum(r.recall for r in scored) / n,
@@ -104,25 +102,18 @@ def summarize(results: list[QuestionResult], total_questions: int | None = None,
         top1_accuracy=sum(r.top1_correct for r in scored) / n,
         hit_any_rate=sum(r.hit_any for r in scored) / n,
         question_count=n,
-        detection_failure_rate=failures / n_all if n_all else 0.0,
+        detection_failure_rate=failure_rate,
         results=results,
     )
 
 
-def _question_result(ex, scores, threshold) -> QuestionResult:
-    """The result of one question from its sorted scores; None when it had no
-    candidate subject (a detection failure)."""
-    if scores is None:
-        return QuestionResult(
-            question=ex.record.text, predicted=set(), gold_pairs=set(ex.positives),
-            gold_pair=ex.gold, precision=0.0, recall=0.0, f1=0.0,
-            top1=None, detection_failed=True)
-    predicted = {s.pair for s in scores if s.probability > threshold}
-    top1 = scores[0].pair if scores else None
+def _question_result(ex, predicted: set, top1, detection_failed: bool = False
+                     ) -> QuestionResult:
     p, r, f1 = prf1(predicted, set(ex.positives))
     return QuestionResult(
         question=ex.record.text, predicted=predicted, gold_pairs=set(ex.positives),
-        gold_pair=ex.gold, precision=p, recall=r, f1=f1, top1=top1)
+        gold_pair=ex.gold, precision=p, recall=r, f1=f1, top1=top1,
+        detection_failed=detection_failed)
 
 
 def evaluate(examples, model, kb, aliases=None, tagger=None,
@@ -148,9 +139,14 @@ def evaluate(examples, model, kb, aliases=None, tagger=None,
     scores = model.score_questions([fq.tokens if fq else [] for fq in formatted],
                                    candidate_sets, kb)
     threshold = model.config.lam if lam is None else lam
-    results = [_question_result(ex, s if candidates else None, threshold)
-               for ex, s, candidates in zip(examples, scores, candidate_sets)]
-    return summarize(results, len(examples), skip_detection_failures)
+    results = []
+    for ex, ss, candidates in zip(examples, scores, candidate_sets):
+        if not candidates:
+            results.append(_question_result(ex, set(), None, detection_failed=True))
+            continue
+        predicted = {s.pair for s in ss if s.probability > threshold}
+        results.append(_question_result(ex, predicted, ss[0].pair if ss else None))
+    return summarize(results, skip_detection_failures)
 
 
 def random_baseline(examples, kb, rng: Rng,
@@ -168,11 +164,8 @@ def random_baseline(examples, kb, rng: Rng,
             pairs.extend((s, kb.relations[ri]) for ri in kb.subgraph_relations(kb.entity_id(s)))
         predicted = {p for p in pairs if rng.random() < 0.5}
         top1 = pairs[int(rng.integers(0, len(pairs)))] if pairs else None
-        p, r, f1 = prf1(predicted, set(ex.positives))
-        results.append(QuestionResult(
-            question=ex.record.text, predicted=predicted, gold_pairs=set(ex.positives),
-            gold_pair=ex.gold, precision=p, recall=r, f1=f1, top1=top1))
-    return summarize(results, len(examples), skip_detection_failures)
+        results.append(_question_result(ex, predicted, top1))
+    return summarize(results, skip_detection_failures)
 
 
 @dataclass

@@ -75,12 +75,10 @@ def gru_params(name: str, d_in: int, hidden: int, params) -> dict[str, Parameter
     }
 
 
-def run_gru(params: dict, x: Tensor, h0: Tensor | None = None, active=None) -> Tensor:
-    """All hidden states, [m, H] for x [m, d] and [m, n, H] for x [m, n, d];
-    zero initial state unless given.  ``active`` [m, n] masks padded steps."""
-    hidden = params["wh"].data.shape[0]
-    if h0 is None:
-        h0 = Tensor(np.zeros(x.data.shape[1:-1] + (hidden,)))
+def run_gru(params: dict, x: Tensor, active=None) -> Tensor:
+    """All hidden states from a zero initial state, [m, H] for x [m, d] and
+    [m, n, H] for x [m, n, d].  ``active`` [m, n] masks padded steps."""
+    h0 = Tensor(np.zeros(x.data.shape[1:-1] + (params["wh"].data.shape[0],)))
     return ad.gru_sequence(x, h0, params["wx"], params["wh"], params["b"], active)
 
 

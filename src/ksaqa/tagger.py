@@ -66,27 +66,23 @@ class TaggerModel:
         return nn.collect_params([self.word_emb, self.fwd, self.bwd, self.emit,
                                   self.trans, self.start, self.stop])
 
-    def emissions(self, tokens: list[str]) -> Tensor:
-        ids = self.vocab.encode(tokens)
-        x = ad.embedding_lookup(self.word_emb, ids)
-        hs, _ = nn.bigru(self.fwd, self.bwd, x)
-        return nn.linear(self.emit, hs)
-
     def log_likelihood(self, tokens: list[str], tags) -> Tensor:
-        emis = self.emissions(tokens)
-        return ad.crf_log_likelihood(emis, self.trans, self.start, self.stop, tags)
+        emis, _ = self.batch_emissions([tokens])
+        return ad.crf_log_likelihood(ad.reshape(emis, (len(tokens), self.K)),
+                                     self.trans, self.start, self.stop, tags)
 
     def decode(self, tokens: list[str]) -> np.ndarray:
         return self.decode_all([tokens])[0]
 
-    def batch_emissions(self, sentences: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-        """(emissions [B, M, K], lengths [B]) of B sentences right-padded to
-        the longest, M, from one length-masked BiGRU pass (no tape)."""
+    def batch_emissions(self, sentences: list[list[str]]) -> tuple[Tensor, np.ndarray]:
+        """(emissions [M, B, K], lengths [B]) of B sentences right-padded to
+        the longest, M, from one length-masked BiGRU pass.  Training takes
+        them with B = 1, on the tape; decoding takes them in batches."""
         ids, active = nn.padded([self.vocab.encode(tokens) for tokens in sentences])
         hs, _ = nn.bigru(self.fwd, self.bwd, ad.embedding_lookup(self.word_emb, ids), active)
         m, b, width = hs.data.shape
-        emis = nn.linear(self.emit, ad.reshape(hs, (m * b, width))).data
-        return emis.reshape(m, b, self.K).transpose(1, 0, 2), active.sum(axis=0)
+        emis = nn.linear(self.emit, ad.reshape(hs, (m * b, width)))
+        return ad.reshape(emis, (m, b, self.K)), active.sum(axis=0)
 
     def decode_all(self, sentences: list[list[str]]) -> list[np.ndarray]:
         """Viterbi tags of each sentence, ``DECODE_BATCH`` sentences at a time
@@ -94,8 +90,8 @@ class TaggerModel:
         tags: list[np.ndarray] = []
         for lo in range(0, len(sentences), DECODE_BATCH):
             emis, lengths = self.batch_emissions(sentences[lo:lo + DECODE_BATCH])
-            paths = crf_k.crf_viterbi(emis, self.trans.data, self.start.data, self.stop.data,
-                                      lengths)
+            paths = crf_k.crf_viterbi(emis.data.transpose(1, 0, 2), self.trans.data,
+                                      self.start.data, self.stop.data, lengths)
             tags.extend(path[:n] for path, n in zip(paths, lengths))
         return tags
 

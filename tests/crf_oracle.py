@@ -4,9 +4,16 @@ One label pair at a time, as written for the deleted numba lane:
 forward pass, backward pass with pairwise sums, and Viterbi with strict
 ``>`` scans (lowest label wins every tie).  The array kernels must give the
 same logZ, alpha and expectations to 1e-10 and the same Viterbi path.
+
+``emissions_alone`` and ``decode_alone`` are the tagger's one-sentence path
+that its length-masked batch path replaced: an unpadded BiGRU over one
+sentence, then this module's Viterbi loop.
 """
 
 import numpy as np
+
+from ksaqa import autodiff as ad
+from ksaqa import nn
 
 
 def crf_logz(emis, trans, start, stop):
@@ -99,3 +106,16 @@ def crf_viterbi(emis, trans, start, stop):
     for t in range(m - 1, 0, -1):
         tags[t - 1] = back[t, tags[t]]
     return tags
+
+
+def emissions_alone(model, tokens):
+    """Emission scores [m, K] of one sentence from an unpadded BiGRU pass."""
+    x = ad.embedding_lookup(model.word_emb, model.vocab.encode(tokens))
+    hs, _ = nn.bigru(model.fwd, model.bwd, x)
+    return nn.linear(model.emit, hs)
+
+
+def decode_alone(model, tokens):
+    """Viterbi tags of one sentence: its unpadded emissions, the scalar loop."""
+    return crf_viterbi(emissions_alone(model, tokens).data, model.trans.data,
+                       model.start.data, model.stop.data)

@@ -371,7 +371,7 @@ def test_init_ranges():
 def test_adam_first_step_is_signed_lr():
     p = Parameter("p", np.array([1.0, -2.0]))
     opt = Adam([p], lr=0.01)
-    p.grad = np.array([0.5, -3.0])
+    p.grad[...] = [0.5, -3.0]
     opt.step()
     # bias-corrected first Adam step ~= lr * sign(g)
     assert np.allclose(p.data, [1.0 - 0.01, -2.0 + 0.01], atol=1e-6)
@@ -386,6 +386,6 @@ def test_adam_rejects_duplicate_parameter_names():
 def test_adam_zero_grad_clears():
     p = Parameter("p", np.ones(3))
     opt = Adam([p], lr=0.1)
-    p.grad = np.ones(3)
+    p.grad[...] = 1.0
     opt.zero_grad()
     assert p.grad is None or not p.grad.any()

@@ -130,6 +130,10 @@ def test_masked_steps_before_a_row_ends_are_bit_equal_to_the_unmasked_batch():
     everywhere = gru.gru_forward(x, h0, wx, wh, b, np.ones_like(active))
     for i, n in enumerate(LENGTHS):
         assert np.array_equal(masked[0][:n + 1, i], plain[0][:n + 1, i])
+    # an all-active mask is exactly no mask, backward too (gru_sequence drops it)
+    dout = np.random.default_rng(8).standard_normal((6,) + h0.shape)
+    everywhere += gru.gru_backward(dout, x, wx, wh, *everywhere, np.ones_like(active))
+    plain += gru.gru_backward(dout, x, wx, wh, *plain)
     for u, v in zip(everywhere, plain):
         assert np.array_equal(u, v)
 

@@ -1,6 +1,7 @@
 """The parameter arena and in-place Adam against the per-tensor Adam it
 replaced (``adam_oracle``): bit-equal parameters and moments after whole
-training runs of both trainers, and the edge cases of one step."""
+training runs of both trainers, the gradients bound to the arena, and the
+edge cases of one step."""
 
 import numpy as np
 import pytest
@@ -8,15 +9,14 @@ import pytest
 import ksaqa.model as model_mod
 import ksaqa.tagger as tagger_mod
 from ksaqa import nn
-from ksaqa.autodiff import Parameter, Tape, backward
+from ksaqa.autodiff import Parameter, Rng, Tape, backward, scale
 from ksaqa.dataset import build_vocabulary
 from ksaqa.kernels import adam_ops
-from ksaqa.model import KsaModel, ModelConfig, train_model
+from ksaqa.model import KsaModel, ModelConfig, build_training_items, train_model
 from ksaqa.optim import Adam
-from ksaqa.tagger import TaggerConfig, tags_for_span, train_tagger
+from ksaqa.tagger import TaggerConfig, TaggerModel, tags_for_span, train_tagger
 
 import adam_oracle
-from extra_ops import mul, sum_all
 
 
 def _assert_same_state(opt, ref):
@@ -76,58 +76,48 @@ def test_train_tagger_arena_equals_per_tensor_adam(monkeypatch):
     _assert_same_state(opt, ref)
 
 
-def test_a_parameter_without_a_gradient_neither_moves_nor_decays(monkeypatch):
-    rng = np.random.default_rng(5)
-    shapes = [(3, 2), (4,), (2, 2)]
-    params = [Parameter(f"p{i}", rng.standard_normal(s)) for i, s in enumerate(shapes)]
-    twins = [Parameter(p.name, p.data.copy()) for p in params]
-    opt, ref = Adam(params, lr=0.01), adam_oracle.Adam(twins, lr=0.01)
-    calls = []
-    kernel = adam_ops.adam_update
-    monkeypatch.setattr(adam_ops, "adam_update", lambda *a: calls.append(a[0].size) or kernel(*a))
-    # which parameters get a gradient, step by step, and the kernel calls that takes
-    plan = [((1, 1, 1), [14]), ((1, 0, 1), [6, 4]), ((0, 1, 0), [4]), ((1, 1, 1), [14])]
-    for has, want_calls in plan:
-        before = {p.name: (p.data.copy(), opt.m[p.name].copy(), opt.v[p.name].copy())
-                  for p in params}
-        opt.zero_grad()
-        ref.zero_grad()
-        for p, twin, h in zip(params, twins, has):
-            if h:
-                g = rng.standard_normal(p.data.shape)
-                p.accumulate(g)
-                twin.accumulate(g)
-        calls.clear()
-        opt.step()
-        ref.step()
-        assert calls == want_calls
-        _assert_same_state(opt, ref)
-        for p, h in zip(params, has):
-            if not h:
-                for got, was in zip((p.data, opt.m[p.name], opt.v[p.name]), before[p.name]):
-                    assert np.array_equal(got, was)
-
-
-def test_the_first_gradient_is_written_into_the_arena_slot():
-    p = Parameter("p", np.array([1.0, 2.0, 3.0]))
-    opt = Adam([p])
-    assert np.shares_memory(p.data, opt.data) and np.array_equal(p.data, [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("variant", model_mod.VARIANTS)
+def test_one_predictor_step_gives_every_parameter_a_gradient(world, variant):
+    # the arena updates every parameter at every step, so none may lack a gradient
+    kb, vocab, examples = world
+    cfg = ModelConfig(d_word=10, d_rel=8, d_hidden=6, attention_hidden=5, dropout=0.3,
+                      shuffle_augment=True, batch_size=3, variant=variant, seed=4)
+    model = KsaModel(vocab, kb.relations, cfg)
+    rng = Rng(5)
+    batch = build_training_items(model, examples, kb, rng)[: cfg.batch_size]
     with Tape():
-        out = sum_all(mul(p, p))       # p used twice: a write, then an in-place add
-        backward(out)
-    assert p.grad is p.slot and np.shares_memory(p.grad, opt.grad)
-    assert np.array_equal(p.grad, [2.0, 4.0, 6.0])
+        backward(model.loss(batch, rng))
+    assert [p.name for p in model.parameters() if p.grad is None] == []
 
 
-def test_a_gradient_set_by_hand_is_still_taken():
+def test_one_tagger_step_gives_every_parameter_a_gradient():
+    tokens = ["what", "is", "zorg", "made", "of", "?"]
+    model = TaggerModel(build_vocabulary([tokens]), TaggerConfig(d_word=8, hidden=5, seed=2))
+    with Tape():
+        backward(scale(model.log_likelihood(tokens, tags_for_span(6, (2, 3))), -1.0))
+    assert [p.name for p in model.parameters() if p.grad is None] == []
+
+
+def test_adam_binds_every_gradient_to_its_arena_view():
+    rng = np.random.default_rng(3)
+    params = [Parameter("a", rng.standard_normal((2, 3))), Parameter("b", rng.standard_normal(4))]
+    opt = Adam(params)
+    grads = [p.grad for p in params]
+    for p in params:
+        assert np.shares_memory(p.grad, opt.grad) and p.grad.shape == p.data.shape
+        p.accumulate(rng.standard_normal(p.data.shape))
+    assert opt.grad.any()
+    opt.zero_grad()
+    assert not opt.grad.any()
+    assert all(p.grad is g for p, g in zip(params, grads))
+
+
+def test_a_rebound_gradient_is_refused():
     p = Parameter("p", np.array([1.0, -2.0]))
-    twin = Parameter("p", p.data.copy())
-    opt, ref = Adam([p], lr=0.01), adam_oracle.Adam([twin], lr=0.01)
+    opt = Adam([p], lr=0.01)
     p.grad = np.array([0.5, -3.0])
-    twin.grad = p.grad.copy()
-    opt.step()
-    ref.step()
-    _assert_same_state(opt, ref)
+    with pytest.raises(ValueError, match="grad was rebound"):
+        opt.step()
 
 
 def test_snapshot_and_restore_round_trip_the_arena_views():

@@ -125,7 +125,7 @@ def test_log_likelihood_equals_score_minus_logz():
     tags = np.array([0, 1, 1, 0])
     with Tape():
         ll = model.log_likelihood(tokens, tags)
-    em = model.emissions(tokens).data
+    em = crf_oracle.emissions_alone(model, tokens).data
     tr, st, en = model.trans.data, model.start.data, model.stop.data
     gold = st[0] + em[0, 0] + en[0] + sum(
         tr[tags[t - 1], tags[t]] + em[t, tags[t]] for t in range(1, 4))
@@ -275,12 +275,6 @@ def test_training_is_seed_deterministic():
 # -- batched decode against one sentence at a time -------------------------------
 
 
-def _decode_alone(model, tokens):
-    """The decode the batch replaced: unpadded emissions, the scalar Viterbi loop."""
-    emis = model.emissions(tokens).data
-    return crf_oracle.crf_viterbi(emis, model.trans.data, model.start.data, model.stop.data)
-
-
 def _sentences(pairs):
     # one-token, longer and out-of-vocabulary sentences beside the corpus
     return [t for t, _ in pairs] + [["zorg03"], ["who", "knows", "zorg01", "town", "of", "?"]]
@@ -293,20 +287,21 @@ def test_decode_all_equals_one_sentence_at_a_time(trained_tagger, monkeypatch, b
     sentences = _sentences(pairs)
     emis, lengths = model.batch_emissions(sentences)
     assert lengths.tolist() == [len(t) for t in sentences]
-    for row, tokens in zip(emis, sentences):
-        np.testing.assert_allclose(row[:len(tokens)], model.emissions(tokens).data,
+    for row, tokens in zip(emis.data.transpose(1, 0, 2), sentences):
+        np.testing.assert_allclose(row[:len(tokens)],
+                                   crf_oracle.emissions_alone(model, tokens).data,
                                    rtol=0, atol=1e-12)
     decoded = model.decode_all(sentences)
     assert len(decoded) == len(sentences)
     for tags, tokens in zip(decoded, sentences):
-        assert np.array_equal(tags, _decode_alone(model, tokens))
+        assert np.array_equal(tags, crf_oracle.decode_alone(model, tokens))
         assert np.array_equal(model.decode(tokens), tags)
 
 
 def test_span_accuracy_and_predict_spans_equal_one_sentence_at_a_time(trained_tagger):
     model, _, pairs = trained_tagger
     sentences = _sentences(pairs)
-    want = [longest_run(_decode_alone(model, tokens)) for tokens in sentences]
+    want = [longest_run(crf_oracle.decode_alone(model, tokens)) for tokens in sentences]
     got = predict_spans(model, sentences)
     for tokens, span, fq in zip(sentences, want, got):
         assert fq == (None if span is None else span_to_formatted(tokens, span))
@@ -316,6 +311,6 @@ def test_span_accuracy_and_predict_spans_equal_one_sentence_at_a_time(trained_ta
     for i in (-1, -2):
         gold[i] = tags_for_span(len(gold[i]), (0, 1))
     scored = list(zip([t for t, _ in pairs], gold))
-    hits = sum(longest_run(_decode_alone(model, tokens)) == longest_run(tags)
+    hits = sum(longest_run(crf_oracle.decode_alone(model, tokens)) == longest_run(tags)
                for tokens, tags in scored)
     assert span_accuracy(model, scored) == hits / len(scored)
