@@ -2,8 +2,9 @@
 
 Ops record onto the innermost active :class:`Tape` whenever any input is
 tracked; with no tape active they are plain numpy computations, which is the
-inference fast path.  Every op output is checked for NaN/Inf.  Gradients
-accumulate into ``Tensor.grad`` on :func:`backward`.
+inference fast path.  Gradients accumulate into ``Tensor.grad`` on
+:func:`backward`.  NaN/Inf is refused in data wrapped as a :class:`Tensor`, in a
+loss by :func:`backward` and in an update by :meth:`ksaqa.optim.Adam.step`.
 
 The GRU sequence and CRF log-likelihood are fused primitives backed by the
 ``kernels`` package; their hand-derived backwards are covered by the
@@ -138,10 +139,7 @@ class Parameter(Tensor):
 def _make(data, parents, bwd, op):
     """Wrap an op result; record on the tape when tracking applies."""
     out = Tensor.__new__(Tensor)
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"op {op!r} produced non-finite values")
-    out.data = arr
+    out.data = np.asarray(data, dtype=np.float64)
     out.grad = None
     out.parents = ()
     out.bwd = None
@@ -164,6 +162,8 @@ def backward(loss: Tensor):
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if loss.tape is None:
         raise ShapeError("backward called on an untracked tensor (no tape active?)")
+    if not np.isfinite(loss.data).all():
+        raise NonFiniteError(f"loss is {float(loss.data)}")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(loss.tape.nodes[: loss.node_id + 1]):
         if node.grad is None or node.bwd is None:

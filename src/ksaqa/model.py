@@ -161,11 +161,12 @@ class KsaModel:
         if not questions or not all(questions):
             raise ShapeError("cannot encode an empty question")
         ids, active = nn.padded([self.vocab.encode(tokens) for tokens in questions])
-        x = ad.embedding_lookup(self.word_emb, ids)
-        hs0, _ = nn.bigru(self.q0f, self.q0b, x, active)
+        hs0 = nn.bigru(self.q0f, self.q0b, ad.embedding_lookup(self.word_emb, ids), active)
         if dropout is not None:
             hs0 = ad.apply_mask(hs0, dropout)
-        return nn.bigru(self.q1f, self.q1b, hs0, active)
+        hs = nn.bigru(self.q1f, self.q1b, hs0, active)
+        h = self.config.d_hidden
+        return hs, ad.concat([hs[-1, :, :h], hs[0, :, h:]], axis=-1)
 
     def attend(self, hs: Tensor, u_ks: Tensor, lengths, question_of=None
                ) -> tuple[Tensor, Tensor]:

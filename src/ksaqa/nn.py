@@ -98,20 +98,15 @@ def padded(seqs) -> tuple[np.ndarray, np.ndarray]:
     return ids, active
 
 
-def bigru(fwd: dict, bwd: dict, x: Tensor, active=None) -> tuple[Tensor, Tensor]:
-    """Bidirectional pass: (per-token states, final-state concat).
-
-    For x [m, d] these are [m, 2H] and [2H].  For a batch of sequences x
-    [m, n, d], right-padded as ``active`` [m, n] marks, they are [m, n, 2H]
-    and [n, 2H]: the backward direction runs the flipped input under the
-    flipped (left-padded) mask, so both directions end in the last step.
-    """
+def bigru(fwd: dict, bwd: dict, x: Tensor, active=None) -> Tensor:
+    """Bidirectional pass: the per-token states hs, [m, 2H] for x [m, d] and
+    [m, n, 2H] for a batch x [m, n, d] right-padded as ``active`` [m, n] marks.
+    The backward direction runs the flipped input under the flipped (left-padded)
+    mask, so both directions end in the last step: ``hs[-1, ..., :H]`` and
+    ``hs[0, ..., H:]`` are the final states."""
     f = run_gru(fwd, x, active=active)
     b = ad.flip0(run_gru(bwd, ad.flip0(x), active=None if active is None else active[::-1]))
-    m = x.data.shape[0]
-    hs = ad.concat([f, b], axis=-1)
-    u = ad.concat([f[m - 1], b[0]], axis=-1)
-    return hs, u
+    return ad.concat([f, b], axis=-1)
 
 
 def linear_params(name: str, d_in: int, d_out: int, params) -> dict[str, Parameter]:

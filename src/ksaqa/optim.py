@@ -5,7 +5,7 @@
 of the same layout, for the optimizer's lifetime.  Backward adds every
 gradient into the bound view in place (:meth:`Tensor.accumulate`),
 :meth:`Adam.zero_grad` zeroes the gradient buffer, and :meth:`Adam.step`
-updates the whole arena in one kernel call.
+updates the whole arena in one kernel call, then refuses it if a value is NaN or Inf.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Parameter
+from .errors import NonFiniteError
 from .kernels import adam_ops
 
 BETA1 = 0.9
@@ -56,3 +57,6 @@ class Adam:
         self.step_count += 1
         adam_ops.adam_update(self.data, self.grad, self.m_flat, self.v_flat,
                              self.step_count, self.lr, BETA1, BETA2, EPS)
+        if not np.isfinite(self.data).all():
+            bad = next(p.name for p in self.params if not np.isfinite(p.data).all())
+            raise NonFiniteError(f"step {self.step_count} left parameter {bad} not finite")

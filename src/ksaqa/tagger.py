@@ -68,21 +68,18 @@ class TaggerModel:
 
     def log_likelihood(self, tokens: list[str], tags) -> Tensor:
         emis, _ = self.batch_emissions([tokens])
-        return ad.crf_log_likelihood(ad.reshape(emis, (len(tokens), self.K)),
-                                     self.trans, self.start, self.stop, tags)
+        return ad.crf_log_likelihood(emis, self.trans, self.start, self.stop, tags)
 
     def decode(self, tokens: list[str]) -> np.ndarray:
         return self.decode_all([tokens])[0]
 
     def batch_emissions(self, sentences: list[list[str]]) -> tuple[Tensor, np.ndarray]:
-        """(emissions [M, B, K], lengths [B]) of B sentences right-padded to
-        the longest, M, from one length-masked BiGRU pass.  Training takes
-        them with B = 1, on the tape; decoding takes them in batches."""
+        """(emissions [M·B, K] with token t of sentence b in row t·B + b,
+        lengths [B]) of B sentences right-padded to the longest, M, from one
+        length-masked BiGRU pass.  Training takes them with B = 1, on the tape."""
         ids, active = nn.padded([self.vocab.encode(tokens) for tokens in sentences])
-        hs, _ = nn.bigru(self.fwd, self.bwd, ad.embedding_lookup(self.word_emb, ids), active)
-        m, b, width = hs.data.shape
-        emis = nn.linear(self.emit, ad.reshape(hs, (m * b, width)))
-        return ad.reshape(emis, (m, b, self.K)), active.sum(axis=0)
+        hs = nn.bigru(self.fwd, self.bwd, ad.embedding_lookup(self.word_emb, ids), active)
+        return nn.linear(self.emit, ad.reshape(hs, (-1, hs.data.shape[-1]))), active.sum(axis=0)
 
     def decode_all(self, sentences: list[list[str]]) -> list[np.ndarray]:
         """Viterbi tags of each sentence, ``DECODE_BATCH`` sentences at a time
@@ -90,7 +87,8 @@ class TaggerModel:
         tags: list[np.ndarray] = []
         for lo in range(0, len(sentences), DECODE_BATCH):
             emis, lengths = self.batch_emissions(sentences[lo:lo + DECODE_BATCH])
-            paths = crf_k.crf_viterbi(emis.data.transpose(1, 0, 2), self.trans.data,
+            per_sentence = emis.data.reshape(-1, len(lengths), self.K).transpose(1, 0, 2)
+            paths = crf_k.crf_viterbi(per_sentence, self.trans.data,
                                       self.start.data, self.stop.data, lengths)
             tags.extend(path[:n] for path, n in zip(paths, lengths))
         return tags

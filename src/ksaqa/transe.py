@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Parameter, Rng, init_embedding
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, NonFiniteError, require_positive
 from .kb import KnowledgeBase
 from .kernels import transe_ops
 
@@ -117,7 +117,8 @@ def _draw_negatives(kb, h, r, t, rng):
 
 def train_transe(kb: KnowledgeBase, config: TransEConfig,
                  log=None) -> tuple[EmbeddingSet, list[float]]:
-    """SGD over margin-ranking loss; returns embeddings and per-epoch losses."""
+    """SGD over margin-ranking loss; returns embeddings and per-epoch losses.
+    A batch whose loss is not finite is a diverged step: NonFiniteError."""
     if kb.triple_count == 0:
         raise ConfigError("cannot pretrain on an empty KB")
     rng = Rng(config.seed)
@@ -139,10 +140,11 @@ def train_transe(kb: KnowledgeBase, config: TransEConfig,
             sel = order[lo : lo + config.batch_size]
             h, r, t = h_all[sel], r_all[sel], t_all[sel]
             nh, nt, valid = _draw_negatives(kb, h, r, t, rng)
-            total += transe_ops.transe_batch(
-                ent, rel, h, r, t, nh, nt, valid,
-                use_l2, config.lr, config.margin,
-            )
+            loss = transe_ops.transe_batch(ent, rel, h, r, t, nh, nt, valid,
+                                           use_l2, config.lr, config.margin)
+            if not np.isfinite(loss):
+                raise NonFiniteError(f"transe epoch {epoch + 1}: batch loss is {loss}")
+            total += loss
         history.append(total)
         if log:
             log(f"transe epoch {epoch + 1}/{config.epochs} loss {total:.4f}")

@@ -111,8 +111,7 @@ def crf_viterbi(emis, trans, start, stop):
 def emissions_alone(model, tokens):
     """Emission scores [m, K] of one sentence from an unpadded BiGRU pass."""
     x = ad.embedding_lookup(model.word_emb, model.vocab.encode(tokens))
-    hs, _ = nn.bigru(model.fwd, model.bwd, x)
-    return nn.linear(model.emit, hs)
+    return nn.linear(model.emit, nn.bigru(model.fwd, model.bwd, x))
 
 
 def decode_alone(model, tokens):

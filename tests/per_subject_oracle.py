@@ -25,9 +25,10 @@ def encode_question(model, tokens, rng=None):
     """(h_1..h_m [m, 2H], u_Q [2H]): the two-layer BiGRU over one question,
     with dropout between the layers when an ``rng`` is given."""
     x = ad.embedding_lookup(model.word_emb, model.vocab.encode(tokens))
-    hs0, _ = nn.bigru(model.q0f, model.q0b, x)
-    hs0 = dropout(hs0, model.config.dropout, rng)
-    return nn.bigru(model.q1f, model.q1b, hs0)
+    hs0 = dropout(nn.bigru(model.q0f, model.q0b, x), model.config.dropout, rng)
+    hs = nn.bigru(model.q1f, model.q1b, hs0)
+    h = model.config.d_hidden
+    return hs, ad.concat([hs[-1, :h], hs[0, h:]], axis=0)
 
 
 def encode_subgraph(model, rel_rows, rng=None):

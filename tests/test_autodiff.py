@@ -337,6 +337,18 @@ def test_nonfinite_data_rejected():
         Parameter("bad", np.array([np.nan]))
 
 
+@pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
+def test_backward_refuses_a_loss_that_is_not_finite(factor):
+    """An op output is not scanned (here the loss itself); backward refuses it."""
+    with Tape():
+        p = Parameter("p", np.ones(3))
+        loss = scale(sum_all(p), factor)
+        assert not np.isfinite(loss.data)
+        with pytest.raises(NonFiniteError, match="loss is"):
+            backward(loss)
+    assert p.grad is None
+
+
 def test_gradient_accumulation_across_reuse():
     with Tape():
         p = Parameter("p", np.array([3.0]))

@@ -472,6 +472,7 @@ FAULTS = [
     # training divergence
     ("transe-diverges", ["pretrain-transe", "--transe-lr", "1e300"], _keep, 3),
     ("tagger-diverges", ["train-tagger", "--tagger-lr", "1e30"], _keep, 3),
+    ("model-diverges", ["train", "--lr", "1e300"], _keep, 3),
 ]
 
 

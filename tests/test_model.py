@@ -290,6 +290,29 @@ def test_score_questions_equal_one_question_at_a_time(world, monkeypatch, varian
                 assert abs(a.probability - b.probability) <= 1e-12
 
 
+def _at_float32_max(params, seed):
+    """Set every parameter to +-float32 max, signs drawn from ``seed``: the
+    largest weights a finite checkpoint can hold."""
+    rng = np.random.default_rng(seed)
+    big = float(np.finfo(np.float32).max)
+    for p in params:
+        p.data[...] = np.where(rng.random(p.data.shape) < 0.5, -big, big)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_weights_at_float32_max_still_score_finite_probabilities(world, variant):
+    """Inference scans no op output: every value it forms from finite
+    weights, however large, stays finite, and each probability in [0, 1]."""
+    kb, _, _ = world
+    model = _model(world, variant=variant)
+    _at_float32_max(model.parameters(), seed=4)
+    cases = [(tokens, candidates) for tokens in QUESTIONS for candidates in CANDIDATE_SETS]
+    with np.errstate(all="ignore"):
+        got = model.score_questions([t for t, _ in cases], [c for _, c in cases], kb)
+    probs = [s.probability for scores in got for s in scores]
+    assert probs and all(0.0 <= p <= 1.0 for p in probs), probs
+
+
 def test_exported_attention_equals_the_oracle_alpha(world):
     kb, _, _ = world
     model = _model(world)

@@ -1,7 +1,8 @@
 """The parameter arena and in-place Adam against the per-tensor Adam it
 replaced (``adam_oracle``): bit-equal parameters and moments after whole
 training runs of both trainers, the gradients bound to the arena, and the
-edge cases of one step."""
+edge cases of one step: its tape size, and an update that leaves a parameter
+not finite."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import ksaqa.tagger as tagger_mod
 from ksaqa import nn
 from ksaqa.autodiff import Parameter, Rng, Tape, backward, scale
 from ksaqa.dataset import build_vocabulary
+from ksaqa.errors import NonFiniteError
 from ksaqa.kernels import adam_ops
 from ksaqa.model import KsaModel, ModelConfig, build_training_items, train_model
 from ksaqa.optim import Adam
@@ -76,6 +78,11 @@ def test_train_tagger_arena_equals_per_tensor_adam(monkeypatch):
     _assert_same_state(opt, ref)
 
 
+# tape nodes recorded by one training step: a node the loss does not read costs
+# a record and a backward call at every step
+STEP_NODES = {"BiGRU": 27, "KS-BiGRU": 31, "KSA-BiGRU": 49, "tagger": 11}
+
+
 @pytest.mark.parametrize("variant", model_mod.VARIANTS)
 def test_one_predictor_step_gives_every_parameter_a_gradient(world, variant):
     # the arena updates every parameter at every step, so none may lack a gradient
@@ -85,17 +92,19 @@ def test_one_predictor_step_gives_every_parameter_a_gradient(world, variant):
     model = KsaModel(vocab, kb.relations, cfg)
     rng = Rng(5)
     batch = build_training_items(model, examples, kb, rng)[: cfg.batch_size]
-    with Tape():
+    with Tape() as tape:
         backward(model.loss(batch, rng))
     assert [p.name for p in model.parameters() if p.grad is None] == []
+    assert len(tape.nodes) == STEP_NODES[variant]
 
 
 def test_one_tagger_step_gives_every_parameter_a_gradient():
     tokens = ["what", "is", "zorg", "made", "of", "?"]
     model = TaggerModel(build_vocabulary([tokens]), TaggerConfig(d_word=8, hidden=5, seed=2))
-    with Tape():
+    with Tape() as tape:
         backward(scale(model.log_likelihood(tokens, tags_for_span(6, (2, 3))), -1.0))
     assert [p.name for p in model.parameters() if p.grad is None] == []
+    assert len(tape.nodes) == STEP_NODES["tagger"]
 
 
 def test_adam_binds_every_gradient_to_its_arena_view():
@@ -117,6 +126,22 @@ def test_a_rebound_gradient_is_refused():
     opt = Adam([p], lr=0.01)
     p.grad = np.array([0.5, -3.0])
     with pytest.raises(ValueError, match="grad was rebound"):
+        opt.step()
+
+
+@pytest.mark.parametrize("grad,lr,bad_step", [(np.nan, 0.001, 1), (1.0, 1e308, 2)])
+def test_an_update_that_leaves_a_parameter_not_finite_is_refused(grad, lr, bad_step):
+    """A NaN gradient spoils ``b`` at once; at lr 1e308 a unit gradient moves
+    ``b`` to about -1e308, and the second step past the float range.  ``a``
+    takes no gradient and stays finite, so the message names ``b``."""
+    params = [Parameter("a", np.ones(3)), Parameter("b", np.ones((2, 2)))]
+    opt = Adam(params, lr=lr)
+    for _ in range(bad_step - 1):
+        params[1].grad[1, 0] = grad
+        opt.step()
+    params[1].grad[1, 0] = grad
+    with pytest.raises(NonFiniteError, match=f"step {bad_step} left parameter b not finite"), \
+            np.errstate(over="ignore"):
         opt.step()
 
 

@@ -280,6 +280,24 @@ def _sentences(pairs):
     return [t for t, _ in pairs] + [["zorg03"], ["who", "knows", "zorg01", "town", "of", "?"]]
 
 
+def test_weights_at_float32_max_still_decode_tags():
+    """Inference scans no op output: from +-float32-max weights (the largest a
+    finite checkpoint can hold) every emission stays finite and every
+    sentence gets a 0/1 tag per token."""
+    sentences = _sentences(_tagger_corpus())
+    model = TaggerModel(build_vocabulary(sentences), TaggerConfig(d_word=16, hidden=8, seed=5))
+    rng = np.random.default_rng(6)
+    big = float(np.finfo(np.float32).max)
+    for p in model.parameters():
+        p.data[...] = np.where(rng.random(p.data.shape) < 0.5, -big, big)
+    with np.errstate(all="ignore"):
+        emis, _ = model.batch_emissions(sentences)
+        decoded = model.decode_all(sentences)
+    assert np.isfinite(emis.data).all()
+    assert [len(tags) for tags in decoded] == [len(t) for t in sentences]
+    assert all(set(tags.tolist()) <= {0, 1} for tags in decoded)
+
+
 @pytest.mark.parametrize("batch", [1, 3, 256])
 def test_decode_all_equals_one_sentence_at_a_time(trained_tagger, monkeypatch, batch):
     model, _, pairs = trained_tagger
@@ -287,7 +305,8 @@ def test_decode_all_equals_one_sentence_at_a_time(trained_tagger, monkeypatch, b
     sentences = _sentences(pairs)
     emis, lengths = model.batch_emissions(sentences)
     assert lengths.tolist() == [len(t) for t in sentences]
-    for row, tokens in zip(emis.data.transpose(1, 0, 2), sentences):
+    per_sentence = emis.data.reshape(-1, len(sentences), model.K).transpose(1, 0, 2)
+    for row, tokens in zip(per_sentence, sentences):
         np.testing.assert_allclose(row[:len(tokens)],
                                    crf_oracle.emissions_alone(model, tokens).data,
                                    rtol=0, atol=1e-12)

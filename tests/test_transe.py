@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ksaqa.errors import ConfigError
+from ksaqa.errors import ConfigError, NonFiniteError
 from ksaqa.kb import ingest_triples
 from ksaqa.kernels import transe_ops
 from ksaqa.autodiff import Rng
@@ -60,6 +60,18 @@ def test_entity_norms_stay_unit_after_every_batch():
         norms = np.linalg.norm(ent, axis=1)
         touched = np.unique(np.concatenate([h, t, nt]))
         assert np.abs(norms[touched] - 1.0).max() < 1e-9
+
+
+def test_training_stops_at_the_first_batch_whose_loss_is_not_finite(monkeypatch):
+    losses = []
+    batch = transe_ops.transe_batch
+    monkeypatch.setattr(transe_ops, "transe_batch",
+                        lambda *a: losses.append(batch(*a)) or losses[-1])
+    cfg = TransEConfig(dim=8, epochs=5, batch_size=4, lr=1e300, seed=0)
+    with pytest.raises(NonFiniteError, match="transe epoch 1: batch loss is"), \
+            np.errstate(all="ignore"):
+        train_transe(chain_kb(), cfg)
+    assert np.isfinite(losses[:-1]).all() and not np.isfinite(losses[-1])
 
 
 def test_training_is_seed_deterministic():
