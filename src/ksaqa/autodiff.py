@@ -6,6 +6,12 @@ inference fast path.  Gradients accumulate into ``Tensor.grad`` on
 :func:`backward`.  NaN/Inf is refused in data wrapped as a :class:`Tensor`, in a
 loss by :func:`backward` and in an update by :meth:`ksaqa.optim.Adam.step`.
 
+Every tensor is float64 but one kind of parameter: a table loaded from a
+checkpoint (:meth:`Parameter.loaded`, see :class:`ksaqa.nn.Saved`) that is
+read only through gathers may stay float32.  :func:`embedding_lookup` and
+:func:`_getitem` widen what they take in :func:`_make`, which is exact, and
+their gradients are float64; Adam refuses such a parameter.
+
 The GRU sequence and CRF log-likelihood are fused primitives backed by the
 ``kernels`` package; their hand-derived backwards are covered by the
 finite-difference suite like every other primitive.
@@ -87,7 +93,10 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("tensor initialized with non-finite values")
-        self.data = arr
+        self._bind(arr, requires_grad)
+
+    def _bind(self, data: np.ndarray, requires_grad: bool):
+        self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self.parents = ()
@@ -132,23 +141,27 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
         self.name = name
 
+    @classmethod
+    def loaded(cls, name: str, data: np.ndarray) -> "Parameter":
+        """A parameter over ``data`` as it is, with no copy and no scan: an
+        array its loader has already found finite, float64 or a float32
+        table read only through gathers."""
+        p = cls.__new__(cls)
+        p._bind(data, True)
+        p.name = name
+        return p
+
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 def _make(data, parents, bwd, op):
     """Wrap an op result; record on the tape when tracking applies."""
-    out = Tensor.__new__(Tensor)
-    out.data = np.asarray(data, dtype=np.float64)
-    out.grad = None
-    out.parents = ()
-    out.bwd = None
-    out.op = op
-    out.node_id = None
-    out.tape = None
     tape = _active_tape()
     tracked = tape is not None and any(p.requires_grad for p in parents)
-    out.requires_grad = tracked
+    out = Tensor.__new__(Tensor)
+    out._bind(np.asarray(data, dtype=np.float64), tracked)
+    out.op = op
     if tracked:
         out.parents = tuple(parents)
         out.bwd = bwd
@@ -156,14 +169,19 @@ def _make(data, parents, bwd, op):
     return out
 
 
-def backward(loss: Tensor):
-    """Propagate d(loss)/d(node) through the tape; fills ``.grad`` fields."""
+def backward(loss: Tensor, where: str | None = None):
+    """Propagate d(loss)/d(node) through the tape; fills ``.grad`` fields.
+
+    A loss that is not finite is a NonFiniteError, its message led by
+    ``where`` (the training step) when given.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if loss.tape is None:
         raise ShapeError("backward called on an untracked tensor (no tape active?)")
     if not np.isfinite(loss.data).all():
-        raise NonFiniteError(f"loss is {float(loss.data)}")
+        fault = f"loss is {float(loss.data)}"
+        raise NonFiniteError(fault if where is None else f"{where}: {fault}")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(loss.tape.nodes[: loss.node_id + 1]):
         if node.grad is None or node.bwd is None:
@@ -259,7 +277,7 @@ def _getitem(a: Tensor, key) -> Tensor:
                 for k in (key if isinstance(key, tuple) else (key,)))
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a.data.shape)
         if basic:
             full[key] = g
         else:
@@ -312,7 +330,7 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     data = table.data[idx]
 
     def bwd(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(table.data.shape)
         np.add.at(full, idx, g)
         table.accumulate(full)
 

@@ -11,7 +11,9 @@ Tensor file layout (all integers little-endian):
         dims     rank * u32
         payload  prod(dims) * f32
 
-Arrays are float64 in memory and float32 on disk.  Loading a file saved from
+Arrays are saved as float32.  They load back as float32 arrays on the mapped
+file, checked finite; :class:`ksaqa.nn.Saved` widens each to float64 except
+the tables read only through gathers.  Loading a file saved from
 already-float32-valued arrays reproduces them bit-exactly.
 
 The manifest ``<name>.ckpt.json`` holds the owner's config and a SHA-256 of
@@ -69,12 +71,13 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as float64 arrays, keyed by name.
+    """Read a checkpoint back as read-only float32 arrays, keyed by name.
 
-    The file is mapped, not read into memory first: each payload converts
-    straight from the mapped pages, and the map goes with the last view of it
-    when this returns.  Saves replace a checkpoint by renaming a complete
-    file over it, so a mapped file never changes under the reader.
+    The file is mapped, not read into memory first: each array is a view of
+    the mapped pages, and the map goes with the last view of it.  Saves
+    replace a checkpoint by renaming a complete file over it, so a mapped
+    file never changes under the reader.  A payload holding NaN or Inf is a
+    CheckpointError naming the tensor.
     """
     with open(path, "rb") as fh:
         # mmap refuses an empty file, which holds no magic anyway
@@ -103,7 +106,9 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         (rank,) = struct.unpack("<I", take(4, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
         payload = take(4 * math.prod(dims), f"payload of {name!r}")   # Python ints: no wrap
-        flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        flat = np.frombuffer(payload, dtype="<f4")
+        if not np.isfinite(flat).all():
+            raise CheckpointError(f"{path}: tensor {name} is not finite")
         try:
             arrays[name] = flat.reshape(dims)
         except ValueError:     # a 0 among dims whose other product overflows

@@ -18,7 +18,8 @@ Exit codes:
     6  missing pipeline artifact (run the earlier stage first)
     7  detection failure (no subject mention or no matching entity)
     8  corrupt or incompatible checkpoint (also a non-finite tensor), unreadable
-       kb.npz, aliases.tsv or vocab.txt
+       kb.npz, aliases.tsv or vocab.txt (also a kb.npz in an older layout, and
+       aliases.tsv rows out of entity order)
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ canonical order for free.
 
 from __future__ import annotations
 
+import bisect
 import re
 import zipfile
 import zlib
@@ -36,13 +37,16 @@ def normalize_text(text: str) -> str:
     return " ".join(tokenize(text))
 
 
+_ID_PREFIXES = ("/", "www.freebase.com/", "m/")
+
+
 def strip_id_prefix(raw: str) -> str:
     """Unify URL-style and bare machine ids ("www.freebase.com/m/x" -> "x").
 
     Prefixes come off until none is left, so a stripped id strips to itself.
     """
     s = raw.strip()
-    while s.startswith(("/", "www.freebase.com/", "m/")):
+    while s.startswith(_ID_PREFIXES):
         s = s.removeprefix("/").removeprefix("www.freebase.com/").removeprefix("m/").strip()
     return s
 
@@ -69,8 +73,8 @@ class Interner:
         return len(self.texts)
 
 
-def read_artifact_lines(path, stage: str) -> list[str]:
-    """The lines of a text file that ``stage`` wrote, each ended by "\n".
+def read_artifact_text(path, stage: str) -> str:
+    """The text of a file that ``stage`` wrote: empty, or lines each ended by "\n".
 
     Bytes that are not UTF-8, or text after the last newline (a file cut off
     mid-line), are a CheckpointError naming the file, the line and ``stage``.
@@ -81,10 +85,15 @@ def read_artifact_lines(path, stage: str) -> list[str]:
     except UnicodeDecodeError as exc:
         line_no = blob.count(b"\n", 0, exc.start) + 1
         raise CheckpointError(f"{path}: line {line_no}: not UTF-8; rerun {stage}") from None
-    lines = text.split("\n")
-    if lines.pop():           # the text after the last newline
-        raise CheckpointError(f"{path}: line {len(lines) + 1}: cut off; rerun {stage}")
-    return lines
+    if text and not text.endswith("\n"):
+        line_no = text.count("\n") + 1
+        raise CheckpointError(f"{path}: line {line_no}: cut off; rerun {stage}")
+    return text
+
+
+def read_artifact_lines(path, stage: str) -> list[str]:
+    """The lines of :func:`read_artifact_text`, without their "\n"."""
+    return read_artifact_text(path, stage).split("\n")[:-1]
 
 
 def read_tsv(source, fields: int, check):
@@ -213,24 +222,29 @@ class KnowledgeBase:
         return self.triple_keys[pos] == key
 
     def save(self, path) -> None:
-        np.savez_compressed(
-            path,
-            entities=np.array(self.entities, dtype=str),
-            relations=np.array(self.relations, dtype=str),
-            triple_keys=self.triple_keys,
-        )
+        """Write ``kb.npz``: the entity then the relation names as one UTF-8
+        blob, each name ended by "\n" (no id field holds one), the entity
+        count and the triple keys, uncompressed."""
+        names = "".join(f"{name}\n" for name in (*self.entities, *self.relations))
+        np.savez(path, names=np.frombuffer(names.encode("utf-8"), dtype=np.uint8),
+                 entity_count=np.int64(len(self.entities)), triple_keys=self.triple_keys)
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
         try:
             with open(path, "rb") as fh, np.load(fh) as z:
-                return cls(
-                    entities=z["entities"].tolist(),
-                    relations=z["relations"].tolist(),
-                    triple_keys=z["triple_keys"].astype(np.int64),
-                )
-        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+                if "entities" in z.files:
+                    raise CheckpointError(f"{path}: names in the fixed-width layout of "
+                                          f"an older version; rerun ingest-kb")
+                names = z["names"].tobytes().decode("utf-8").split("\n")
+                ne = int(z["entity_count"])
+                keys = z["triple_keys"].astype(np.int64, copy=False)
+        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError,
+                ValueError) as exc:
             raise CheckpointError(f"{path}: unreadable KB archive ({exc})") from None
+        if names.pop() or not 0 <= ne <= len(names):
+            raise CheckpointError(f"{path}: unreadable KB archive (bad names blob)")
+        return cls(entities=names[:ne], relations=names[ne:], triple_keys=keys)
 
 
 def ingest_triples(source) -> KnowledgeBase:
@@ -286,20 +300,20 @@ def ingest_triples(source) -> KnowledgeBase:
 
 
 class AliasTable:
-    """Normalized alias text -> entity ids, plus the reverse listing."""
+    """Normalized alias text -> entity ids, plus the reverse listing.
 
-    def __init__(self):
-        self.map: dict[str, set[str]] = {}
-        self.reverse: dict[str, list[str]] = {}
+    The rows are two columns in save order: ``entities`` sorted (a stable
+    sort, so each entity's aliases keep their first-seen order) and
+    ``aliases`` beside it.  ``map`` takes each alias to the entities it
+    names, in entity order.
+    """
 
-    def add(self, entity: str, alias_text: str) -> None:
-        key = normalize_text(alias_text)
-        if not key:
-            return
-        self.map.setdefault(key, set()).add(entity)
-        seen = self.reverse.setdefault(entity, [])
-        if key not in seen:
-            seen.append(key)
+    def __init__(self, entities: list[str], aliases: list[str]):
+        self.entities = entities
+        self.aliases = aliases
+        self.map: dict[str, list[str]] = {}
+        for entity, alias in zip(entities, aliases):
+            self.map.setdefault(alias, []).append(entity)
 
     def entities_for_alias(self, text) -> set[str]:
         """Exact lookup; ``text`` may be a string or a token sequence."""
@@ -307,59 +321,112 @@ class AliasTable:
         return set(self.map.get(key, ()))
 
     def aliases_of(self, entity: str) -> list[str]:
-        return list(self.reverse.get(entity, ()))
+        lo = bisect.bisect_left(self.entities, entity)
+        return self.aliases[lo:bisect.bisect_right(self.entities, entity, lo)]
 
     def __len__(self):
         return len(self.map)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for entity in sorted(self.reverse):
-                for alias in self.reverse[entity]:
-                    fh.write(f"{entity}\t{alias}\n")
+            fh.writelines(f"{entity}\t{alias}\n"
+                          for entity, alias in zip(self.entities, self.aliases))
 
     @classmethod
     def load(cls, path) -> "AliasTable":
-        """Read back the file :meth:`save` wrote, in one pass.
+        """Read back the file :meth:`save` wrote.
 
-        Nothing is re-derived; each row is checked to be one ``save`` writes:
-        UTF-8, two fields, the entity an id that :func:`strip_id_prefix`
-        leaves as it is, the alias normalized text and no row twice.  Any
-        other row, or a file cut off mid-row, is a CheckpointError naming
-        the file and line.
+        Nothing is re-derived; the rows are checked to be ones ``save``
+        writes: UTF-8, two fields, the entity an id that
+        :func:`strip_id_prefix` leaves as it is, the alias non-empty
+        normalized text, no row twice, the rows in entity order and a final
+        newline.  The checks run in bulk, over whole columns; only a file
+        that fails one is read again row by row, to name its first bad line.
+        Any fault is a CheckpointError naming the file and line.
         """
-        table = cls()
-        for line_no, row in enumerate(read_artifact_lines(path, "ingest-kb"), start=1):
-            fields = row.split("\t")
-            if len(fields) != 2:
-                fault = f"expected 2 tab-separated fields, got {len(fields)}"
+        text = read_artifact_text(path, "ingest-kb")
+        columns = _alias_columns(text)
+        if columns is None:
+            columns = _alias_rows(path, text.split("\n")[:-1])
+        return cls(*columns)
+
+
+_TWO_TABS = re.compile(r"\t[^\t\n]*\t")   # a line with a third field
+_SPACES = re.compile(r"[^\S\n]+")      # a run of whitespace within one line
+_EDGE_SPACE = re.compile(r"^ | $", re.MULTILINE)
+
+
+def _normalize_lines(text: str) -> str:
+    """:func:`normalize_text` of every line of ``text`` at once.
+
+    Each "\n" stays: ``lower`` never makes one, and its final-sigma rule
+    looks at no letter across one; whitespace collapses within a line.
+    """
+    return _EDGE_SPACE.sub("", _SPACES.sub(" ", _PUNCT_RE.sub(r" \1 ", text.lower())))
+
+
+def _alias_columns(text: str) -> tuple[list[str], list[str]] | None:
+    """The entity and alias columns of the ``aliases.tsv`` ``text``, or None
+    when a check :meth:`AliasTable.load` makes fails anywhere in it."""
+    n = text.count("\n")
+    if text.count("\t") != n or _TWO_TABS.search(text):
+        return None            # some line does not hold exactly two fields
+    cells = text.replace("\t", "\n").split("\n")
+    entities, aliases = cells[0:-1:2], cells[1::2]
+    line_starts = "\n" + text           # each line starts with its entity
+    distinct = dict.fromkeys(aliases)
+    names = "\n".join(distinct)
+    if (list(map(str.strip, entities)) != entities
+            or any(f"\n{prefix}" in line_starts for prefix in _ID_PREFIXES)
+            or "" in distinct or _normalize_lines(names) != names
+            or len(set(text.split("\n"))) != n + 1 or entities != sorted(entities)):
+        return None
+    return entities, aliases
+
+
+def _alias_rows(path, lines: list[str]) -> tuple[list[str], list[str]]:
+    """:func:`_alias_columns` of the ``aliases.tsv`` ``lines``, checked row by
+    row: the first bad line is a CheckpointError naming it."""
+    entities: list[str] = []
+    aliases: list[str] = []
+    named: dict[str, set[str]] = {}    # alias -> its entities so far
+    for line_no, row in enumerate(lines, start=1):
+        fields = row.split("\t")
+        if len(fields) != 2:
+            fault = f"expected 2 tab-separated fields, got {len(fields)}"
+        else:
+            entity, alias = fields
+            seen = named.get(alias)       # an alias seen before was checked then
+            new_entity = not entities or entity != entities[-1]
+            if new_entity and entity != strip_id_prefix(entity):
+                fault = f"entity {entity!r} is not a stripped id"
+            elif seen is None and (not alias or alias != normalize_text(alias)):
+                fault = f"alias {alias!r} is not normalized text"
+            elif seen is not None and entity in seen:
+                fault = f"row {entity!r} {alias!r} repeats"
+            elif new_entity and entities and entity < entities[-1]:
+                fault = f"entity {entity!r} follows {entities[-1]!r}, out of entity order"
             else:
-                entity, alias = fields
-                names = table.reverse.get(entity)
-                entities = table.map.get(alias)   # an alias seen before was checked then
-                if names is None and entity != strip_id_prefix(entity):
-                    fault = f"entity {entity!r} is not a stripped id"
-                elif entities is None and (not alias or alias != normalize_text(alias)):
-                    fault = f"alias {alias!r} is not normalized text"
-                elif entities is not None and entity in entities:
-                    fault = f"row {entity!r} {alias!r} repeats"
-                else:
-                    fault = None
-            if fault is not None:
-                raise CheckpointError(f"{path}: line {line_no}: {fault}; rerun ingest-kb")
-            if entities is None:
-                entities = table.map[alias] = set()
-            entities.add(entity)
-            if names is None:
-                names = table.reverse[entity] = []
-            names.append(alias)
-        return table
+                fault = None
+        if fault is not None:
+            raise CheckpointError(f"{path}: line {line_no}: {fault}; rerun ingest-kb")
+        named.setdefault(alias, set()).add(entity)
+        entities.append(entity)
+        aliases.append(alias)
+    return entities, aliases
 
 
 def ingest_aliases(source) -> AliasTable:
-    """Build an AliasTable from entity<TAB>alias lines."""
-    table = AliasTable()
+    """Build an AliasTable from entity<TAB>alias lines.
+
+    Each row is the stripped entity id and the normalized alias; an alias
+    that normalizes to nothing and a repeated row are dropped.
+    """
+    rows: dict[tuple[str, str], None] = {}     # first-seen order
     for entity, alias in read_tsv(
             source, 2, lambda f: None if f[0].strip() else "empty entity field"):
-        table.add(strip_id_prefix(entity), alias)
-    return table
+        key = normalize_text(alias)
+        if key:
+            rows.setdefault((strip_id_prefix(entity), key))
+    ordered = sorted(rows, key=lambda row: row[0])
+    return AliasTable([entity for entity, _ in ordered], [alias for _, alias in ordered])

@@ -115,7 +115,9 @@ class KsaModel:
         proj_in = 2 * h if config.variant == "BiGRU" else 3 * h
         self.proj = nn.linear_params("ksa.proj", proj_in, h, params)
         self.decoder = nn.gru_params("ksa.decoder", dr, h, params)
-        self.out = nn.linear_params("ksa.out", h, nr, params)
+        # decode_logits reads the output weight only by the columns it gathers
+        self.out = {"w": params.weight("ksa.out.w", h, nr, (h, nr), gathered=True),
+                    "b": params.zeros("ksa.out.b", (nr,))}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -443,7 +445,7 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
             with Tape():
                 loss = model.loss(batch, rng)
                 opt.zero_grad()
-                ad.backward(loss)
+                ad.backward(loss, where=f"epoch {epoch + 1}, step {opt.step_count + 1}")
             opt.step()
             total += float(loss.data)
         entry = {"epoch": epoch + 1, "train_loss": total}

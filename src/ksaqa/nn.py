@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Rng, Tensor
-from .errors import CheckpointError, NonFiniteError
+from .errors import CheckpointError
 
 
 class Fresh:
@@ -21,7 +21,7 @@ class Fresh:
     def __init__(self, rng: Rng):
         self.rng = rng
 
-    def weight(self, name: str, fan_in: int, fan_out: int, shape) -> Parameter:
+    def weight(self, name: str, fan_in: int, fan_out: int, shape, gathered=False) -> Parameter:
         return Parameter(name, ad.init_weight(self.rng, fan_in, fan_out, shape))
 
     def embedding(self, name: str, shape) -> Parameter:
@@ -32,11 +32,14 @@ class Fresh:
 
 
 class Saved:
-    """Parameters that wrap the arrays loaded from ``source``: nothing is drawn
-    or copied.
+    """Parameters that wrap the float32 arrays loaded from ``source``, which
+    the loader has found finite; nothing is drawn or scanned.
 
-    Each array must be there, in the shape asked for, and finite; a fault is
-    a CheckpointError naming the tensor.  :meth:`check_all_taken` then refuses
+    Each array must be there, in the shape asked for; a fault is a
+    CheckpointError naming the tensor.  A table read only through gathers
+    (every embedding, and a weight asked for as ``gathered``) stays float32
+    on the loaded pages, since a gather widens exactly what it takes; every
+    other array is widened to float64.  :meth:`check_all_taken` then refuses
     any array no parameter took.
     """
 
@@ -44,21 +47,21 @@ class Saved:
         self.arrays = arrays
         self.source = source
 
-    def take(self, name: str, shape) -> Parameter:
+    def take(self, name: str, shape, widen=True) -> Parameter:
         arr = self.arrays.pop(name, None)
         if arr is None:
             raise CheckpointError(f"{self.source}: missing tensor {name}")
         if arr.shape != shape:
             raise CheckpointError(f"{self.source}: {name} has shape {arr.shape}, expected {shape}")
-        try:
-            return Parameter(name, arr)
-        except NonFiniteError:
-            raise CheckpointError(f"{self.source}: tensor {name} is not finite") from None
+        return Parameter.loaded(name, arr.astype(np.float64) if widen else arr)
 
-    def weight(self, name: str, fan_in: int, fan_out: int, shape) -> Parameter:
-        return self.take(name, shape)
+    def weight(self, name: str, fan_in: int, fan_out: int, shape, gathered=False) -> Parameter:
+        return self.take(name, shape, widen=not gathered)
 
-    embedding = zeros = take
+    def embedding(self, name: str, shape) -> Parameter:
+        return self.take(name, shape, widen=False)
+
+    zeros = take
 
     def check_all_taken(self) -> None:
         if self.arrays:

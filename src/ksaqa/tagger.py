@@ -172,7 +172,7 @@ def train_tagger(train_pairs, config: TaggerConfig, vocab: Vocabulary,
             with Tape():
                 loss = ad.scale(model.log_likelihood(tokens, tags), -1.0)
                 opt.zero_grad()
-                ad.backward(loss)
+                ad.backward(loss, where=f"tagger epoch {epoch + 1}, step {opt.step_count + 1}")
             opt.step()
             total += float(loss.data)
         entry = {"epoch": epoch + 1, "train_loss": total}

@@ -118,7 +118,8 @@ def _draw_negatives(kb, h, r, t, rng):
 def train_transe(kb: KnowledgeBase, config: TransEConfig,
                  log=None) -> tuple[EmbeddingSet, list[float]]:
     """SGD over margin-ranking loss; returns embeddings and per-epoch losses.
-    A batch whose loss is not finite is a diverged step: NonFiniteError."""
+    A batch whose loss is not finite, or an epoch that leaves a table not
+    finite, is a diverged step: NonFiniteError."""
     if kb.triple_count == 0:
         raise ConfigError("cannot pretrain on an empty KB")
     rng = Rng(config.seed)
@@ -145,6 +146,10 @@ def train_transe(kb: KnowledgeBase, config: TransEConfig,
             if not np.isfinite(loss):
                 raise NonFiniteError(f"transe epoch {epoch + 1}: batch loss is {loss}")
             total += loss
+        # a batch loss is taken before its update: the last update is checked here
+        for name, table in (("entity", ent), ("relation", rel)):
+            if not np.isfinite(table).all():
+                raise NonFiniteError(f"transe epoch {epoch + 1}: {name} table is not finite")
         history.append(total)
         if log:
             log(f"transe epoch {epoch + 1}/{config.epochs} loss {total:.4f}")

@@ -36,8 +36,8 @@ def test_round_trip_preserves_names_shapes_and_f32_values(tmp_path):
     assert list(back) == list(arrays)  # insertion order kept
     for name, arr in arrays.items():
         assert back[name].shape == arr.shape
-        assert back[name].dtype == np.float64
-        assert np.array_equal(back[name], arr.astype(np.float32).astype(np.float64))
+        assert back[name].dtype == np.float32 and not back[name].flags.writeable
+        assert np.array_equal(back[name], arr.astype(np.float32))
 
 
 def test_second_round_trip_is_bitwise_stable(tmp_path):
@@ -182,6 +182,9 @@ OWNERS = {
 }
 
 
+GATHERED = {"ksa.word_emb", "ksa.rel_emb", "ksa.out.w", "tagger.word_emb"}
+
+
 @pytest.mark.parametrize("owner", OWNERS)
 def test_load_equals_construct_then_restore_without_a_draw(tmp_path, monkeypatch, owner):
     make, load, build = OWNERS[owner]
@@ -197,8 +200,10 @@ def test_load_equals_construct_then_restore_without_a_draw(tmp_path, monkeypatch
     got, want = loaded.parameters(), oracle.parameters()
     assert [p.name for p in got] == [p.name for p in want]
     for g, w in zip(got, want):
-        assert g.data.dtype == w.data.dtype == np.float64
-        assert g.data.shape == w.data.shape and g.data.tobytes() == w.data.tobytes(), g.name
+        # the tables read only through gathers stay float32; widening is exact
+        assert g.data.dtype == (np.float32 if g.name in GATHERED else np.float64), g.name
+        assert w.data.dtype == np.float64 and g.data.shape == w.data.shape
+        assert g.data.astype(np.float64).tobytes() == w.data.tobytes(), g.name
     if owner == "transe":     # the tables are the parameters' arrays
         assert loaded.entity.tobytes() == oracle.entity.tobytes()
         assert loaded.relation.tobytes() == oracle.relation.tobytes()

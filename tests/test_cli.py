@@ -12,6 +12,7 @@ import shutil
 import struct
 import warnings
 
+import numpy as np
 import pytest
 
 from ksaqa import cli
@@ -19,6 +20,7 @@ from ksaqa import kb as kb_module
 from ksaqa.checkpoint import MAGIC, load_arrays, save_arrays
 from ksaqa.cli import build_parser, main
 from ksaqa.config import KEYS
+from ksaqa.kb import KnowledgeBase
 
 CFG_TEMPLATE = """
 kb_triples = {data}/triples.txt
@@ -368,6 +370,33 @@ def _nan_last_value(name):
     return mutate
 
 
+def _nan_first_value(name):
+    """Overwrite the first float32 of the file's first tensor with NaN."""
+    def mutate(work, mp):
+        blob = bytearray((work / name).read_bytes())
+        (name_len,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+        at = len(MAGIC) + 8 + name_len
+        (rank,) = struct.unpack_from("<I", blob, at)
+        struct.pack_into("<f", blob, at + 4 + 4 * rank, float("nan"))
+        (work / name).write_bytes(bytes(blob))
+    return mutate
+
+
+def _old_kb_layout(work, mp):
+    """Rewrite kb.npz with its names as fixed-width UTF-32 arrays, as older versions did."""
+    kb = KnowledgeBase.load(work / "kb.npz")
+    with open(work / "kb.npz", "wb") as fh:
+        np.savez_compressed(fh, entities=np.array(kb.entities, dtype=str),
+                            relations=np.array(kb.relations, dtype=str),
+                            triple_keys=kb.triple_keys)
+
+
+def _bare_array_kb(work, mp):
+    """Overwrite kb.npz with one array in the .npy format, not an archive."""
+    with open(work / "kb.npz", "wb") as fh:
+        np.save(fh, np.arange(3))
+
+
 NOT_UTF8 = b"caf\xe9\tbar\n"
 
 
@@ -401,8 +430,12 @@ FAULTS = [
      _write_bytes("model.ckpt", _dims(0, 2 ** 32 - 1, 2 ** 32 - 1)), 8),
     # a NaN in ksa.out.b, the last tensor saved
     ("model-tensor-nonfinite", PREDICT, _nan_last_value("model.ckpt"), 8),
+    # a NaN in ksa.word_emb, the first tensor saved, a table that loads as float32
+    ("model-table-nonfinite", PREDICT, _nan_first_value("model.ckpt"), 8),
     # other corrupt artifacts
     ("kb-truncated", ["stats"], _truncate("kb.npz"), 8),
+    ("kb-old-layout", ["stats"], _old_kb_layout, 8),
+    ("kb-a-bare-array", ["stats"], _bare_array_kb, 8),
     ("vocab-empty", PREDICT, _write("vocab.txt", ""), 8),
     # an aliases.tsv that `ingest-kb` cannot have written
     ("workdir-aliases-not-utf8", PREDICT,
@@ -413,6 +446,8 @@ FAULTS = [
     ("workdir-aliases-repeated-row", PREDICT,
      _write("aliases.tsv", "01\tjohn smith\n01\tjohn smith\n"), 8),
     ("workdir-aliases-cut-off", PREDICT, _write("aliases.tsv", "01\tjohn smith\n02\tjohn sm"), 8),
+    ("workdir-aliases-out-of-order", PREDICT,
+     _write("aliases.tsv", "02\tjohn smith\n01\tjohn smith\n"), 8),
     # a relabeled split that `relabel` cannot have written
     ("workdir-jsonl-cut-off", ["train-tagger"],
      _second_jsonl_line("train.jsonl", lambda line: line[: len(line) // 2]), 8),
@@ -482,6 +517,12 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
             "triples-not-utf8", "questions-not-utf8", "triples-two-fields",
             "triples-empty-field", "aliases-empty-entity", "questions-empty")},
         "model-tensor-nonfinite": "{work}/model.ckpt: tensor ksa.out.b is not finite",
+        "model-table-nonfinite": "{work}/model.ckpt: tensor ksa.word_emb is not finite",
+        "kb-old-layout": "{work}/kb.npz: names in the fixed-width layout of an older version; "
+                         "rerun ingest-kb",
+        "workdir-aliases-out-of-order":
+            "{work}/aliases.tsv: line 2: entity '01' follows '02', out of entity order",
+        "model-diverges": "training diverged; lower the learning rate: epoch 1, step 2: loss is nan",
         "workdir-aliases-not-utf8": "{work}/aliases.tsv: line 2: not UTF-8; rerun ingest-kb",
         "workdir-aliases-one-field": "{work}/aliases.tsv: line 2: expected 2 tab-separated",
         "workdir-aliases-unnormalized": "{work}/aliases.tsv: line 1: alias 'John Smith'",

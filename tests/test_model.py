@@ -22,6 +22,7 @@ from ksaqa.errors import CheckpointError, ConfigError, ShapeError
 from ksaqa.evaluation import export_attention
 from ksaqa.model import (KsaModel, ModelConfig, VARIANTS, build_training_items,
                          train_model, valid_macro_f1)
+from ksaqa.optim import Adam
 
 import per_subject_oracle as oracle
 
@@ -455,6 +456,31 @@ def test_checkpoint_round_trip_preserves_scores(world, tmp_path):
     again = second.score_pairs(["who", "wrote", "<e>"], ["01", "02"], kb)
     assert [(s.pair, s.probability) for s in again] \
         == [(s.pair, s.probability) for s in after]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_loaded_scores_are_bit_equal_to_a_float64_widened_load(world, tmp_path, variant):
+    """A loaded model keeps its gathered tables float32; every score equals,
+    bit for bit, that of the same load with each table widened to float64."""
+    kb, vocab, _ = world
+    model = _model(world, variant=variant)
+    rng = np.random.default_rng(6)
+    for p in model.parameters():     # off every init value, zero biases included
+        p.data += rng.standard_normal(p.data.shape)
+    model.save(tmp_path / "m.ckpt")
+    loaded, widened = (KsaModel.load(tmp_path / "m.ckpt", vocab, kb.relations) for _ in "ab")
+    assert {p.name for p in loaded.parameters() if p.data.dtype == np.float32} == {
+        "ksa.word_emb", "ksa.rel_emb", "ksa.out.w"}
+    with pytest.raises(ValueError, match="ksa.word_emb is float32"):
+        Adam(loaded.parameters())
+    for p in widened.parameters():
+        p.data = p.data.astype(np.float64)
+    cases = [(tokens, candidates) for tokens in QUESTIONS for candidates in CANDIDATE_SETS]
+    got, want = (m.score_questions([t for t, _ in cases], [c for _, c in cases], kb)
+                 for m in (loaded, widened))
+    assert any(got)
+    assert [[(s.pair, s.probability) for s in q] for q in got] == \
+        [[(s.pair, s.probability) for s in q] for q in want]
 
 
 def test_checkpoint_rejects_foreign_vocabulary(world, tmp_path):

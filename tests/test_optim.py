@@ -121,6 +121,13 @@ def test_adam_binds_every_gradient_to_its_arena_view():
     assert all(p.grad is g for p, g in zip(params, grads))
 
 
+def test_adam_refuses_a_parameter_that_is_not_float64():
+    """A loaded model's gathered tables stay float32: they are not trainable."""
+    table = Parameter.loaded("emb", np.zeros((2, 3), dtype=np.float32))
+    with pytest.raises(ValueError, match="parameter emb is float32"):
+        Adam([Parameter("a", np.ones(3)), table])
+
+
 def test_a_rebound_gradient_is_refused():
     p = Parameter("p", np.array([1.0, -2.0]))
     opt = Adam([p], lr=0.01)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ksaqa.autodiff import Parameter, Tape, backward, crf_log_likelihood
+from ksaqa.autodiff import Parameter, Tape, backward, crf_log_likelihood, scale
 from ksaqa.dataset import ENT, build_vocabulary
-from ksaqa.errors import CheckpointError, ConfigError
+from ksaqa.errors import CheckpointError, ConfigError, NonFiniteError
 from ksaqa.kernels import crf
 
 import crf_oracle
@@ -249,6 +249,22 @@ def test_tagger_checkpoint_round_trip(tmp_path, trained_tagger):
         assert np.array_equal(back.decode(tokens), model.decode(tokens))
 
 
+def test_loaded_tagger_decodes_as_a_float64_widened_load(tmp_path, trained_tagger):
+    """The loaded tagger keeps its word table float32; its emissions and tags
+    equal, bit for bit, those of the same load with the table widened."""
+    model, _, pairs = trained_tagger
+    model.save(tmp_path / "t.ckpt")
+    loaded, widened = (TaggerModel.load(tmp_path / "t.ckpt", model.vocab) for _ in "ab")
+    assert [p.name for p in loaded.parameters() if p.data.dtype == np.float32] == [
+        "tagger.word_emb"]
+    widened.word_emb.data = widened.word_emb.data.astype(np.float64)
+    sentences = [tokens for tokens, _ in pairs]
+    got, want = (m.batch_emissions(sentences)[0].data for m in (loaded, widened))
+    assert got.tobytes() == want.tobytes()
+    for a, b in zip(loaded.decode_all(sentences), widened.decode_all(sentences)):
+        assert np.array_equal(a, b)
+
+
 def test_tagger_load_rejects_other_vocab(tmp_path, trained_tagger):
     model, _, _ = trained_tagger
     model.save(tmp_path / "t.ckpt")
@@ -261,6 +277,21 @@ def test_train_tagger_rejects_empty():
     vocab = build_vocabulary([["a"]])
     with pytest.raises(ConfigError):
         train_tagger([], TaggerConfig(), vocab)
+
+
+def test_a_loss_that_is_not_finite_names_its_epoch_and_step(monkeypatch):
+    pairs = _tagger_corpus()[:4]
+    log_likelihood, calls = TaggerModel.log_likelihood, []
+
+    def spoiled(model, tokens, tags):     # the sixth step's loss is NaN
+        calls.append(tokens)
+        ll = log_likelihood(model, tokens, tags)
+        return scale(ll, math.nan) if len(calls) == 6 else ll
+
+    monkeypatch.setattr(TaggerModel, "log_likelihood", spoiled)
+    with pytest.raises(NonFiniteError, match="^tagger epoch 2, step 6: loss is nan$"):
+        train_tagger(pairs, TaggerConfig(d_word=8, hidden=4, epochs=3, seed=9),
+                     build_vocabulary([t for t, _ in pairs]))
 
 
 def test_training_is_seed_deterministic():

@@ -74,6 +74,20 @@ def test_training_stops_at_the_first_batch_whose_loss_is_not_finite(monkeypatch)
     assert np.isfinite(losses[:-1]).all() and not np.isfinite(losses[-1])
 
 
+def test_an_epoch_whose_last_update_leaves_a_table_not_finite_is_refused(monkeypatch):
+    """A batch loss is taken before its update: at lr 1e308 the epoch's one
+    batch scores a finite loss, then moves the relation table past the float range."""
+    losses = []
+    batch = transe_ops.transe_batch
+    monkeypatch.setattr(transe_ops, "transe_batch",
+                        lambda *a: losses.append(batch(*a)) or losses[-1])
+    cfg = TransEConfig(dim=8, epochs=1, batch_size=100, lr=1e308, seed=0)
+    with pytest.raises(NonFiniteError, match="transe epoch 1: relation table is not finite"), \
+            np.errstate(all="ignore"):
+        train_transe(chain_kb(), cfg)
+    assert len(losses) == 1 and np.isfinite(losses[0])
+
+
 def test_training_is_seed_deterministic():
     kb = chain_kb()
     cfg = TransEConfig(dim=8, epochs=5, batch_size=4, lr=0.01, seed=7)
