@@ -39,13 +39,13 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 STAGES = ("parser", "kb", "aliases", "vocab", "model", "score")
 PAPER_DIMS = dict(d_word=500, d_rel=300, d_hidden=300, attention_hidden=650)
+REPEATS = 15
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("seed", type=int)
     parser.add_argument("--src", type=Path, default=HERE.parent / "src")
-    parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args()
     sys.path[:0] = [str(args.src.resolve()), str(HERE.parent / "perfbench")]
 
@@ -90,13 +90,13 @@ def main() -> None:
             "score": score,
         }
         times = {name: [] for name in STAGES}
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             for name in STAGES:
                 t0 = time.perf_counter()
                 loaded[name] = stages[name]()
                 times[name].append(time.perf_counter() - t0)
         print(f"# cold stages, seed {args.seed}, src {args.src.resolve()}, "
-              f"median of {args.repeats} (ms)")
+              f"median of {REPEATS} (ms)")
         for name in STAGES:
             print(f"{name:8s} {statistics.median(times[name]) * 1e3:8.2f}")
         total = sum(statistics.median(times[name]) for name in STAGES)

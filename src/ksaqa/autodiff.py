@@ -10,7 +10,7 @@ Every tensor is float64 but one kind of parameter: a table loaded from a
 checkpoint (:meth:`Parameter.loaded`, see :class:`ksaqa.nn.Saved`) that is
 read only through gathers may stay float32.  :func:`embedding_lookup` and
 :func:`_getitem` widen what they take in :func:`_make`, which is exact, and
-their gradients are float64; Adam refuses such a parameter.
+their gradients are float64; Adam's arena copy widens such a table.
 
 The GRU sequence and CRF log-likelihood are fused primitives backed by the
 ``kernels`` package; their hand-derived backwards are covered by the

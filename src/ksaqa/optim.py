@@ -2,8 +2,8 @@
 
 ``Adam(params)`` copies the parameters into one float64 buffer and binds each
 ``p.data`` and ``p.grad`` to its view of that buffer and of a gradient buffer
-of the same layout, for the optimizer's lifetime; it refuses a parameter that
-is not float64, such as a loaded model's float32 table.  Backward adds every
+of the same layout, for the optimizer's lifetime; the copy widens any float32
+table of a loaded model, exactly.  Backward adds every
 gradient into the bound view in place (:meth:`Tensor.accumulate`),
 :meth:`Adam.zero_grad` zeroes the gradient buffer, and :meth:`Adam.step`
 updates the whole arena in one kernel call, then refuses it if a value is NaN or Inf.
@@ -29,10 +29,6 @@ class Adam:
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names passed to Adam")
-        for p in params:
-            if p.data.dtype != np.float64:
-                raise ValueError(f"parameter {p.name} is {p.data.dtype}, not float64: "
-                                 f"a loaded model's float32 tables are not trainable")
         self.params = list(params)
         self.lr = lr
         self.step_count = 0

@@ -22,7 +22,6 @@ from ksaqa.errors import CheckpointError, ConfigError, ShapeError
 from ksaqa.evaluation import export_attention
 from ksaqa.model import (KsaModel, ModelConfig, VARIANTS, build_training_items,
                          train_model, valid_macro_f1)
-from ksaqa.optim import Adam
 
 import per_subject_oracle as oracle
 
@@ -471,8 +470,6 @@ def test_loaded_scores_are_bit_equal_to_a_float64_widened_load(world, tmp_path, 
     loaded, widened = (KsaModel.load(tmp_path / "m.ckpt", vocab, kb.relations) for _ in "ab")
     assert {p.name for p in loaded.parameters() if p.data.dtype == np.float32} == {
         "ksa.word_emb", "ksa.rel_emb", "ksa.out.w"}
-    with pytest.raises(ValueError, match="ksa.word_emb is float32"):
-        Adam(loaded.parameters())
     for p in widened.parameters():
         p.data = p.data.astype(np.float64)
     cases = [(tokens, candidates) for tokens in QUESTIONS for candidates in CANDIDATE_SETS]

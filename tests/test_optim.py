@@ -121,11 +121,12 @@ def test_adam_binds_every_gradient_to_its_arena_view():
     assert all(p.grad is g for p, g in zip(params, grads))
 
 
-def test_adam_refuses_a_parameter_that_is_not_float64():
-    """A loaded model's gathered tables stay float32: they are not trainable."""
-    table = Parameter.loaded("emb", np.zeros((2, 3), dtype=np.float32))
-    with pytest.raises(ValueError, match="parameter emb is float32"):
-        Adam([Parameter("a", np.ones(3)), table])
+def test_adam_widens_a_float32_table_into_its_arena():
+    values = np.array([[0.1, -2.5, 3.0]], dtype=np.float32)
+    table = Parameter.loaded("emb", values)
+    Adam([table])
+    assert table.data.dtype == np.float64
+    assert np.array_equal(table.data, values.astype(np.float64))
 
 
 def test_a_rebound_gradient_is_refused():
