@@ -13,10 +13,15 @@ each is printed in ms:
   ``Vocabulary.load`` and ``KsaModel.load``;
 * score: the alias lookup and ``score_pairs`` of the question.
 
-The sizes of the artifacts follow.  ``--src`` picks the ``ksaqa`` sources to
-build and load with (by default this checkout's), so that a parent checkout
-can be timed on the same host.  Run with BLAS on one thread, as perfbench
-pins it:
+Before the timing, the process's first ``KsaModel.load`` plus one score is
+run on its own, and a line gives the resident MB it adds: VmRSS from
+``/proc/self/status`` before and after, split into RssAnon (the widened
+copies; heap that the set-up freed is reused, so this can fall short of the
+bytes they hold) and RssFile (the checkpoint pages left mapped in), then the
+process's peak RSS so far (``ru_maxrss``).  The sizes of the artifacts
+follow the table.  ``--src`` picks the ``ksaqa`` sources to build and load
+with (by default this checkout's), so that a parent checkout can be timed
+on the same host.  Run with BLAS on one thread, as perfbench pins it:
 
     OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench_cold.py 1
     OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench_cold.py 1 --src ../parent/src
@@ -28,6 +33,8 @@ This is a diagnostic, not the benchmark: ask-paper's ``cold_ms`` in
 from __future__ import annotations
 
 import argparse
+import gc
+import resource
 import statistics
 import sys
 import tempfile
@@ -40,6 +47,15 @@ HERE = Path(__file__).resolve().parent
 STAGES = ("parser", "kb", "aliases", "vocab", "model", "score")
 PAPER_DIMS = dict(d_word=500, d_rel=300, d_hidden=300, attention_hidden=650)
 REPEATS = 15
+
+
+def resident_mb() -> dict[str, float]:
+    """This process's resident set now, in MB, from /proc/self/status: all of
+    it (VmRSS), its heap and other anonymous pages (RssAnon) and its mapped
+    file pages (RssFile)."""
+    fields = dict(line.split(":", 1) for line in
+                  Path("/proc/self/status").read_text().splitlines() if ":" in line)
+    return {key: int(fields[key].split()[0]) / 1024 for key in ("VmRSS", "RssAnon", "RssFile")}
 
 
 def main() -> None:
@@ -89,6 +105,17 @@ def main() -> None:
                                            loaded["kb"].relations),
             "score": score,
         }
+        for name in ("kb", "aliases", "vocab"):
+            loaded[name] = stages[name]()
+        gc.collect()
+        before = resident_mb()
+        loaded["model"] = stages["model"]()
+        score()
+        after = resident_mb()
+        print("# first model load + score: resident " + ", ".join(
+            f"{key} +{after[key] - before[key]:.1f}" for key in before) + " MB (VmRSS "
+            f"{before['VmRSS']:.1f} -> {after['VmRSS']:.1f}); ru_maxrss "
+            f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
         times = {name: [] for name in STAGES}
         for _ in range(REPEATS):
             for name in STAGES:

@@ -11,10 +11,14 @@ Tensor file layout (all integers little-endian):
         dims     rank * u32
         payload  prod(dims) * f32
 
-Arrays are saved as float32.  They load back as float32 arrays on the mapped
-file, checked finite; :class:`ksaqa.nn.Saved` widens each to float64 except
-the tables read only through gathers.  Loading a file saved from
-already-float32-valued arrays reproduces them bit-exactly.
+Arrays are saved as float32, each streamed into the file once found finite,
+so a save holds one tensor's float32 copy at a time.  They load back as
+float32 arrays on the mapped file, each checked finite through a bounded
+read window, so a load maps in none of the payload pages and a later read
+only what it touches; :class:`ksaqa.nn.Saved` widens each to float64 except
+the tables read only through gathers, and gives back the pages it read to
+widen.  Loading a file saved from already-float32-valued arrays reproduces
+them bit-exactly.
 
 The manifest ``<name>.ckpt.json`` holds the owner's config and a SHA-256 of
 each list (vocabulary, relations) the tensors are indexed by.
@@ -22,6 +26,7 @@ each list (vocabulary, relations) the tensors are indexed by.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -37,14 +42,18 @@ from .errors import (BadMagicError, CheckpointError, DuplicateNameError, KsaqaEr
 from .nn import Saved
 
 MAGIC = b"KSAQA1"
+WINDOW = 1 << 18     # float32 values a load reads at a time to check them (1 MB)
 
 
-def _write_atomic(path, blob: bytes) -> None:
-    """Write to a temp file in the same directory, then move it into place."""
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file handle on a temp file in the same directory, moved into
+    place once the block completes; an exception leaves ``path`` as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(blob)
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -56,63 +65,70 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     names = [name for name, _ in items]
     if len(set(names)) != len(names):
         raise DuplicateNameError("duplicate tensor name in checkpoint input")
-    chunks = [MAGIC, struct.pack("<I", len(items))]
-    for name, arr in items:
-        nb = name.encode("utf-8")
-        a = np.ascontiguousarray(arr, dtype=np.float32)
-        if not np.isfinite(a).all():
-            raise NonFiniteError(f"{path}: tensor {name} is not finite in float32; not saved")
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", a.ndim))
-        chunks.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        chunks.append(a.tobytes())
-    _write_atomic(path, b"".join(chunks))
+    with _replacing(path) as fh:
+        fh.write(MAGIC + struct.pack("<I", len(items)))
+        for name, arr in items:
+            nb = name.encode("utf-8")
+            a = np.ascontiguousarray(arr, dtype="<f4")
+            if not np.isfinite(a).all():
+                raise NonFiniteError(f"{path}: tensor {name} is not finite in float32; not saved")
+            fh.write(struct.pack(f"<I{len(nb)}sI{a.ndim}I", len(nb), nb, a.ndim, *a.shape))
+            fh.write(a)
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back as read-only float32 arrays, keyed by name.
 
-    The file is mapped, not read into memory first: each array is a view of
-    the mapped pages, and the map goes with the last view of it.  Saves
-    replace a checkpoint by renaming a complete file over it, so a mapped
-    file never changes under the reader.  A payload holding NaN or Inf is a
-    CheckpointError naming the tensor.
+    The file is mapped, not read into memory: each array is a view of the
+    mapped pages, which come in as a reader touches them, and the map goes
+    with the last view of it.  Saves replace a checkpoint by renaming a
+    complete file over it, so a mapped file never changes under the reader.
+    Each payload is checked finite as it is read through one window of
+    WINDOW values, so the check leaves none of the file's pages in memory;
+    a payload holding NaN or Inf is a CheckpointError naming the tensor.
     """
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         # mmap refuses an empty file, which holds no magic anyway
-        buf = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                         if os.fstat(fh.fileno()).st_size else b"")
-    if len(buf) < len(MAGIC) or buf[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"{path}: not a KSAQA1 checkpoint")
-    off = len(MAGIC)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if end else b""
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise BadMagicError(f"{path}: not a KSAQA1 checkpoint")
+        off = len(MAGIC)
+        window = np.empty(WINDOW, dtype="<f4")
 
-    def take(n, what):
-        nonlocal off
-        if off + n > len(buf):
-            raise TruncatedCheckpointError(off, f"{path}: truncated while reading {what}")
-        piece = buf[off : off + n]
-        off += n
-        return piece
+        def skip(n, what):
+            """The offset of the next ``n`` bytes, which must be in the file."""
+            nonlocal off
+            if off + n > end:
+                raise TruncatedCheckpointError(off, f"{path}: truncated while reading {what}")
+            off += n
+            return off - n
 
-    (count,) = struct.unpack("<I", take(4, "entry count"))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        # a garbled name still fails the owner's name check on load
-        name = str(take(name_len, "name"), "utf-8", "replace")
-        if name in arrays:
-            raise DuplicateNameError(f"{path}: duplicate entry {name!r}")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-        payload = take(4 * math.prod(dims), f"payload of {name!r}")   # Python ints: no wrap
-        flat = np.frombuffer(payload, dtype="<f4")
-        if not np.isfinite(flat).all():
-            raise CheckpointError(f"{path}: tensor {name} is not finite")
-        try:
-            arrays[name] = flat.reshape(dims)
-        except ValueError:     # a 0 among dims whose other product overflows
-            raise CheckpointError(f"{path}: no array has the dims {dims} of {name!r}") from None
+        def take(n, what):
+            skip(n, what)
+            return fh.read(n)
+
+        (count,) = struct.unpack("<I", take(4, "entry count"))
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4, "name length"))
+            # a garbled name still fails the owner's name check on load
+            name = str(take(name_len, "name"), "utf-8", "replace")
+            if name in arrays:
+                raise DuplicateNameError(f"{path}: duplicate entry {name!r}")
+            (rank,) = struct.unpack("<I", take(4, "rank"))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
+            size = math.prod(dims)     # Python ints: no wrap
+            start = skip(4 * size, f"payload of {name!r}")
+            for done in range(0, size, WINDOW):
+                part = window[: min(WINDOW, size - done)]
+                fh.readinto(part)
+                if not np.isfinite(part).all():
+                    raise CheckpointError(f"{path}: tensor {name} is not finite")
+            try:
+                arrays[name] = np.frombuffer(mapped, "<f4", size, offset=start).reshape(dims)
+            except ValueError:     # a 0 among dims whose other product overflows
+                raise CheckpointError(f"{path}: no array has the dims {dims} of {name!r}") from None
     return arrays
 
 
@@ -124,13 +140,13 @@ def save_checkpoint(path, params, config: dict, **identity: list[str]) -> None:
     """Write the parameters to ``path``, then the manifest beside it.
 
     Each file is moved into place only once complete, and a non-finite
-    tensor is refused before either file is touched.
+    tensor is refused before either file is replaced.
     """
     manifest = {"config": config}
     manifest.update({f"{key}_sha256": fingerprint(texts) for key, texts in identity.items()})
     save_arrays(path, {p.name: p.data for p in params})
-    _write_atomic(f"{path}.json",
-                  (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    with _replacing(f"{path}.json") as fh:
+        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def load_checkpoint(path, build, **identity: list[str]):

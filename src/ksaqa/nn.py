@@ -8,6 +8,8 @@ draws them (the training init), ``Saved`` wraps the arrays of a checkpoint.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from . import autodiff as ad
@@ -33,14 +35,16 @@ class Fresh:
 
 class Saved:
     """Parameters that wrap the float32 arrays loaded from ``source``, which
-    the loader has found finite; nothing is drawn or scanned.
+    the loader has found finite without leaving their pages in memory;
+    nothing is drawn or scanned.
 
     Each array must be there, in the shape asked for; a fault is a
     CheckpointError naming the tensor.  A table read only through gathers
     (every embedding, and a weight asked for as ``gathered``) stays float32
-    on the loaded pages, since a gather widens exactly what it takes; every
-    other array is widened to float64.  :meth:`check_all_taken` then refuses
-    any array no parameter took.
+    on the mapped file, since a gather widens exactly what it takes, so only
+    the pages a gather touches come into memory.  Every other array is
+    widened to float64, and the float32 pages read to widen it are given
+    back.  :meth:`check_all_taken` then refuses any array no parameter took.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], source: str):
@@ -53,7 +57,11 @@ class Saved:
             raise CheckpointError(f"{self.source}: missing tensor {name}")
         if arr.shape != shape:
             raise CheckpointError(f"{self.source}: {name} has shape {arr.shape}, expected {shape}")
-        return Parameter.loaded(name, arr.astype(np.float64) if widen else arr)
+        if not widen:
+            return Parameter.loaded(name, arr)
+        wide = arr.astype(np.float64)
+        _give_back(arr)
+        return Parameter.loaded(name, wide)
 
     def weight(self, name: str, fan_in: int, fan_out: int, shape, gathered=False) -> Parameter:
         return self.take(name, shape, widen=not gathered)
@@ -66,6 +74,22 @@ class Saved:
     def check_all_taken(self) -> None:
         if self.arrays:
             raise CheckpointError(f"{self.source}: unexpected tensors {sorted(self.arrays)}")
+
+
+def _give_back(view: np.ndarray) -> None:
+    """Give back this process's copies of the pages wholly inside ``view``,
+    an array over a memoryview of a read-only file map (as
+    :func:`ksaqa.checkpoint.load_arrays` returns them): the file keeps the
+    values, and a later read maps them in again.  The pages ``view`` shares
+    with its neighbours stay."""
+    whole = view.base
+    while isinstance(whole, np.ndarray):    # a reshaped view of the payload
+        whole = whole.base                  # on to the memoryview of the map
+    start = view.ctypes.data - np.frombuffer(whole, np.uint8, count=0).ctypes.data
+    lo = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
+    hi = (start + view.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    if lo < hi:
+        whole.obj.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def gru_params(name: str, d_in: int, hidden: int, params) -> dict[str, Parameter]:

@@ -1,12 +1,14 @@
 import json
+import re
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ksaqa import autodiff as ad
-from ksaqa import nn
+from ksaqa import checkpoint, nn
 from ksaqa.autodiff import Parameter
 from ksaqa.checkpoint import (MAGIC, load_arrays, load_checkpoint, save_arrays,
                               save_checkpoint)
@@ -17,6 +19,8 @@ from ksaqa.model import VARIANTS, KsaModel, ModelConfig
 from ksaqa.nn import Saved
 from ksaqa.tagger import TaggerConfig, TaggerModel
 from ksaqa.transe import EmbeddingSet
+
+from ckpt_bytes import PAGE, PAGED, payload_offset, set_value
 
 
 def _sample():
@@ -149,6 +153,80 @@ def test_refused_save_keeps_the_previous_checkpoint(tmp_path, bad):
     assert sorted(p.name for p in tmp_path.iterdir()) == before == ["m.ckpt", "m.ckpt.json"]
     back = load_checkpoint(path, Owner)
     assert back.config == {"k": 1} and back.x.data.tolist() == [1.0, 2.0]
+
+
+def test_refused_last_tensor_leaves_the_previous_checkpoint_and_no_temp_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [Parameter(name, a) for name, a in PAGED.items()], {"k": 1})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    streamed = []
+
+    class Diverged:
+        """The last tensor: notes how much of the temp file is written when it is read."""
+
+        def __array__(self, dtype=None, copy=None):
+            streamed.append((tmp_path / "m.ckpt.tmp").stat().st_size)
+            return np.array([1.0, np.nan])
+
+    params = [Parameter(name, a + 1) for name, a in PAGED.items()]
+    with pytest.raises(NonFiniteError, match="tensor last is not finite"):
+        save_checkpoint(path, params + [SimpleNamespace(name="last", data=Diverged())], {"k": 2})
+    # the earlier tensors were already streamed out, the multi-page one past the write buffer
+    wide_end = payload_offset(before["m.ckpt"], "wide") + 4 * PAGED["wide"].size
+    assert len(streamed) == 1 and streamed[0] >= wide_end
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert sorted(before) == ["m.ckpt", "m.ckpt.json"]
+
+
+NONFINITE_AT = {"the last float of a multi-page tensor": ("wide", PAGED["wide"].size - 1),
+                "a tensor whose payload starts mid-page": ("wide", 0),
+                "a tensor under a page": ("tail", 1)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", NONFINITE_AT)
+def test_load_refuses_a_nonfinite_value_wherever_it_lies(tmp_path, monkeypatch, where, bad):
+    # a check window of 1000 values: the multi-page tensor spans four windows,
+    # its last float in a partial one
+    monkeypatch.setattr(checkpoint, "WINDOW", 1000)
+    path = tmp_path / "m.ckpt"
+    save_arrays(path, PAGED)
+    assert payload_offset(path.read_bytes(), "wide") % PAGE and PAGED["wide"].size > PAGE // 2
+    tensor, index = NONFINITE_AT[where]
+    set_value(path, tensor, index, bad)
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: tensor {tensor} is not finite$"):
+        load_arrays(path)
+
+
+def _resident(path) -> int:
+    """Bytes of the file at ``path`` that this process has mapped in."""
+    total, inside = 0, False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):
+            inside = line.endswith(str(path))
+        elif inside and line.startswith("Rss:"):
+            total += int(line.split()[1]) * 1024
+    return total
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").is_file(), reason="reads /proc/self/smaps")
+def test_load_keeps_only_the_touched_pages_resident(tmp_path):
+    # two payloads of 8 MB each.  A read maps in the pages around the one it
+    # touches too (the kernel's fault-around, or a whole large folio of the
+    # page cache, up to 2 MB), so the bounds leave that room; a load that kept
+    # its pages would hold all 16 MB.
+    path = tmp_path / "big.ckpt"
+    shape = (2048, 1024)
+    save_arrays(path, {"table": np.ones(shape), "weight": np.full(shape, 0.5)})
+    saved = Saved(load_arrays(path), str(path))
+    assert _resident(path) <= 4 << 20         # the check read every payload, mapped none
+    table = saved.take("table", shape, widen=False)
+    weight = saved.take("weight", shape)
+    assert weight.data.dtype == np.float64 and (weight.data == 0.5).all()
+    assert _resident(path) <= 4 << 20         # the widened copy gave its float32 pages back
+    assert table.data[1000].sum() == 1024     # a gather maps in the pages around its row
+    assert PAGE <= _resident(path) <= 6 << 20
 
 
 # -- the owners' load path against the construct-then-restore load it replaced --

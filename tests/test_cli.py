@@ -22,6 +22,8 @@ from ksaqa.cli import build_parser, main
 from ksaqa.config import KEYS
 from ksaqa.kb import KnowledgeBase
 
+from ckpt_bytes import PAGED, set_value
+
 CFG_TEMPLATE = """
 kb_triples = {data}/triples.txt
 kb_aliases = {data}/aliases.txt
@@ -382,6 +384,15 @@ def _nan_first_value(name):
     return mutate
 
 
+def _paged_transe(tensor, index, value):
+    """Rewrite transe.ckpt as tensors under a page, over several pages and
+    under a page again, with ``value`` at ``index`` of ``tensor``."""
+    def mutate(work, mp):
+        save_arrays(work / "transe.ckpt", PAGED)
+        set_value(work / "transe.ckpt", tensor, index, value)
+    return mutate
+
+
 def _old_kb_layout(work, mp):
     """Rewrite kb.npz with its names as fixed-width UTF-32 arrays, as older versions did."""
     kb = KnowledgeBase.load(work / "kb.npz")
@@ -432,6 +443,15 @@ FAULTS = [
     ("model-tensor-nonfinite", PREDICT, _nan_last_value("model.ckpt"), 8),
     # a NaN in ksa.word_emb, the first tensor saved, a table that loads as float32
     ("model-table-nonfinite", PREDICT, _nan_first_value("model.ckpt"), 8),
+    # a value the load checks before it gives back the payload's pages: the
+    # last float of a multi-page tensor, the first of one that starts mid-page,
+    # one in a tensor under a page
+    ("transe-multipage-last-nonfinite", ["train", "--epochs", "1"],
+     _paged_transe("wide", PAGED["wide"].size - 1, float("nan")), 8),
+    ("transe-midpage-start-nonfinite", ["train", "--epochs", "1"],
+     _paged_transe("wide", 0, float("inf")), 8),
+    ("transe-subpage-nonfinite", ["train", "--epochs", "1"],
+     _paged_transe("tail", 1, float("-inf")), 8),
     # other corrupt artifacts
     ("kb-truncated", ["stats"], _truncate("kb.npz"), 8),
     ("kb-old-layout", ["stats"], _old_kb_layout, 8),
@@ -518,6 +538,9 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
             "triples-empty-field", "aliases-empty-entity", "questions-empty")},
         "model-tensor-nonfinite": "{work}/model.ckpt: tensor ksa.out.b is not finite",
         "model-table-nonfinite": "{work}/model.ckpt: tensor ksa.word_emb is not finite",
+        "transe-multipage-last-nonfinite": "{work}/transe.ckpt: tensor wide is not finite",
+        "transe-midpage-start-nonfinite": "{work}/transe.ckpt: tensor wide is not finite",
+        "transe-subpage-nonfinite": "{work}/transe.ckpt: tensor tail is not finite",
         "kb-old-layout": "{work}/kb.npz: names in the fixed-width layout of an older version; "
                          "rerun ingest-kb",
         "workdir-aliases-out-of-order":
