@@ -26,7 +26,6 @@ each list (vocabulary, relations) the tensors are indexed by.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -37,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import replacing, save_text
 from .errors import (BadMagicError, CheckpointError, DuplicateNameError, KsaqaError,
                      NonFiniteError, TruncatedCheckpointError)
 from .nn import Saved
@@ -45,27 +45,13 @@ MAGIC = b"KSAQA1"
 WINDOW = 1 << 18     # float32 values a load reads at a time to check them (1 MB)
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """A binary file handle on a temp file in the same directory, moved into
-    place once the block completes; an exception leaves ``path`` as it was."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     """Write named arrays in order; refuses any not finite in float32."""
     items = list(arrays.items())
     names = [name for name, _ in items]
     if len(set(names)) != len(names):
         raise DuplicateNameError("duplicate tensor name in checkpoint input")
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(MAGIC + struct.pack("<I", len(items)))
         for name, arr in items:
             nb = name.encode("utf-8")
@@ -145,8 +131,7 @@ def save_checkpoint(path, params, config: dict, **identity: list[str]) -> None:
     manifest = {"config": config}
     manifest.update({f"{key}_sha256": fingerprint(texts) for key, texts in identity.items()})
     save_arrays(path, {p.name: p.data for p in params})
-    with _replacing(f"{path}.json") as fh:
-        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    save_text(f"{path}.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path, build, **identity: list[str]):

@@ -5,9 +5,13 @@ train, eval, predict, attention, answer.  Configuration comes from a flat
 key=value file (--config) with per-flag overrides; later sources win.
 
 Artifacts live in the work directory: kb.npz, aliases.tsv, vocab.txt,
-{train,valid,test}.jsonl, alias_report.tsv, pattern_report.tsv,
-transe.ckpt, tagger.ckpt, model.ckpt (each with a .json manifest),
-history.json, report.{txt,json}, diff.jsonl, attention.tsv.
+{train,valid,test}.jsonl, {train,valid,test}_formatted.tsv,
+alias_report.tsv, pattern_report.tsv, transe.ckpt, tagger.ckpt, model.ckpt,
+tagger_history.json, history.json, report.{txt,json}, diff.jsonl,
+attention.tsv.  Each is written whole or not at all (see
+:mod:`ksaqa.artifacts`).  aliases.tsv, vocab.txt, the *.jsonl splits and
+the checkpoints each carry a sibling <name>.json manifest; the text
+artifacts' manifest holds their SHA-256, checked on every read.
 
 Exit codes:
     0  success
@@ -15,11 +19,11 @@ Exit codes:
     3  configuration error (unreadable config, unknown key, bad value, divergence)
     4  missing input file
     5  malformed input data (bad or non-UTF-8 line, with its number; KB too large)
-    6  missing pipeline artifact (run the earlier stage first)
+    6  missing pipeline artifact or its manifest (run the earlier stage first)
     7  detection failure (no subject mention or no matching entity)
     8  corrupt or incompatible checkpoint (also a non-finite tensor), unreadable
-       kb.npz, aliases.tsv or vocab.txt (also a kb.npz in an older layout, and
-       aliases.tsv rows out of entity order)
+       kb.npz (also one in an older layout), or aliases.tsv, vocab.txt or a
+       *.jsonl split changed since its stage wrote it
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import save_text
 from .autodiff import Rng
 from .config import KEYS, PipelineConfig, load_config, stage_config, stage_keys
 from .dataset import (build_vocabulary, find_span, format_question, parse_simplequestions,
@@ -72,10 +77,11 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _checkpoint(work: Path, name: str, hint: str) -> Path:
-    """Path of checkpoint ``name`` once both it and its manifest exist."""
+def _sealed(work: Path, name: str, hint: str) -> Path:
+    """Path of artifact ``name`` once both it and its manifest exist."""
+    path = _require(work / name, hint)
     _require(work / f"{name}.json", hint)
-    return _require(work / name, hint)
+    return path
 
 
 def _open_input(path_str: str, what: str) -> Path:
@@ -92,15 +98,15 @@ def _load_kb(work: Path) -> KnowledgeBase:
 
 
 def _load_aliases(work: Path) -> AliasTable:
-    return AliasTable.load(_require(work / "aliases.tsv", "ingest-kb"))
+    return AliasTable.load(_sealed(work, "aliases.tsv", "ingest-kb"))
 
 
 def _load_vocab(work: Path) -> Vocabulary:
-    return Vocabulary.load(_require(work / "vocab.txt", "relabel"))
+    return Vocabulary.load(_sealed(work, "vocab.txt", "relabel"))
 
 
 def _load_model(work: Path, kb: KnowledgeBase, vocab: Vocabulary) -> KsaModel:
-    return KsaModel.load(_checkpoint(work, "model.ckpt", "train"), vocab, kb.relations)
+    return KsaModel.load(_sealed(work, "model.ckpt", "train"), vocab, kb.relations)
 
 
 def _entity_label(aliases: AliasTable, entity: str) -> str:
@@ -180,9 +186,8 @@ def cmd_stats(args, cfg: PipelineConfig) -> int:
     _log(f"triples   {kb.triple_count}")
     _log(f"aliases   {len(aliases)}")
     for split in ("train", "valid", "test"):
-        path = work / f"{split}.jsonl"
-        if path.exists():
-            examples = load_jsonl(path, split)
+        if (work / f"{split}.jsonl").exists():
+            examples = load_jsonl(_sealed(work, f"{split}.jsonl", "relabel"), split)
             _log(f"{split}: {len(examples)} examples, "
                  f"ambiguity rate {ambiguity_rate(examples):.4f}")
     return 0
@@ -206,13 +211,14 @@ def cmd_train_tagger(args, cfg: PipelineConfig) -> int:
         return [(ex.record.tokens, tags_for_span(len(ex.record.tokens), ex.formatted.mention_span))
                 for ex in load_jsonl(path, split)]
 
-    pairs = tagged(_require(work / "train.jsonl", "relabel"), "train")
-    valid_path = work / "valid.jsonl"
-    valid_pairs = tagged(valid_path, "valid") if valid_path.exists() else None
+    pairs = tagged(_sealed(work, "train.jsonl", "relabel"), "train")
+    valid_pairs = None
+    if (work / "valid.jsonl").exists():
+        valid_pairs = tagged(_sealed(work, "valid.jsonl", "relabel"), "valid")
     model, history = train_tagger(pairs, stage_config(cfg, TaggerConfig), vocab, valid_pairs,
                                   log=_log)
     model.save(work / "tagger.ckpt")
-    (work / "tagger_history.json").write_text(json.dumps(history, indent=2) + "\n")
+    save_text(work / "tagger_history.json", json.dumps(history, indent=2) + "\n")
     _log("saved tagger.ckpt")
     return 0
 
@@ -221,17 +227,17 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     work = _work(cfg)
     kb = _load_kb(work)
     vocab = _load_vocab(work)
-    train_examples = load_jsonl(_require(work / "train.jsonl", "relabel"), "train")
+    train_examples = load_jsonl(_sealed(work, "train.jsonl", "relabel"), "train")
     valid_examples = None
     if (work / "valid.jsonl").exists():
-        valid_examples = load_jsonl(work / "valid.jsonl", "valid")
+        valid_examples = load_jsonl(_sealed(work, "valid.jsonl", "relabel"), "valid")
     mcfg = stage_config(cfg, ModelConfig)
     model = KsaModel(vocab, kb.relations, mcfg)
     transe_path = work / "transe.ckpt"
     if args.no_transe_init:
         _log("relation embeddings: random init (--no-transe-init)")
     elif transe_path.exists():
-        emb = EmbeddingSet.load(_checkpoint(work, "transe.ckpt", "pretrain-transe"))
+        emb = EmbeddingSet.load(_sealed(work, "transe.ckpt", "pretrain-transe"))
         rows = export_relation_embeddings(emb, model.relations, Rng(cfg.seed + 7))
         if rows.shape[1] != cfg.d_rel:
             raise ConfigError(
@@ -243,7 +249,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
         _log("relation embeddings: random init (no transe.ckpt found)")
     history = train_model(model, train_examples, kb, valid_examples, log=_log)
     model.save(work / "model.ckpt")
-    (work / "history.json").write_text(json.dumps(history, indent=2) + "\n")
+    save_text(work / "history.json", json.dumps(history, indent=2) + "\n")
     _log(f"saved model.ckpt ({model.parameter_count()} parameters, "
          f"variant {mcfg.variant})")
     return 0
@@ -255,16 +261,16 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     vocab = _load_vocab(work)
     model = _load_model(work, kb, vocab)
     split = args.split
-    examples = load_jsonl(_require(work / f"{split}.jsonl", "relabel"), split)
+    examples = load_jsonl(_sealed(work, f"{split}.jsonl", "relabel"), split)
     tagger = None
     if not cfg.gold_spans:
-        tagger = TaggerModel.load(_checkpoint(work, "tagger.ckpt", "train-tagger"), vocab)
+        tagger = TaggerModel.load(_sealed(work, "tagger.ckpt", "train-tagger"), vocab)
     report = evaluate(examples, model, kb, aliases=aliases, tagger=tagger,
                       gold_spans=cfg.gold_spans, lam=cfg.lam,
                       skip_detection_failures=cfg.skip_detection_failures)
     _log(report.table())
-    (work / "report.txt").write_text(report.table() + "\n")
-    (work / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    save_text(work / "report.txt", report.table() + "\n")
+    save_text(work / "report.json", json.dumps(report.to_dict(), indent=2) + "\n")
     n_diff = diff_report(report.results, work / "diff.jsonl")
     _log(f"diff.jsonl: {n_diff} disagreeing questions")
     if args.baseline:
@@ -284,7 +290,7 @@ def _resolve_mention(work, vocab, tokens, mention_flag):
                 f"--mention {mention_flag!r} does not occur in the question")
         return span_to_formatted(tokens, span)
     tagger = TaggerModel.load(
-        _checkpoint(work, "tagger.ckpt", "train-tagger` or pass `--mention"), vocab)
+        _sealed(work, "tagger.ckpt", "train-tagger` or pass `--mention"), vocab)
     fq = predict_span(tagger, tokens)
     if fq is None:
         raise DetectionFailureError("the tagger found no subject mention")

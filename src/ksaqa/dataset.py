@@ -8,11 +8,10 @@ tokenization, so punctuation splitting can never mangle them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .artifacts import read_sealed, save_text, seal
 from .kb import AliasTable, read_tsv, strip_id_prefix, tokenize
 
 PAD = "<pad>"
@@ -133,14 +132,12 @@ class Vocabulary:
         return np.array([self.lookup(t) for t in tokens], dtype=np.int64)
 
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        seal(path, "\n".join(self.tokens) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        try:
-            return cls(Path(path).read_text(encoding="utf-8").splitlines())
-        except ValueError as exc:      # also UnicodeDecodeError
-            raise CheckpointError(f"{path}: not a vocabulary file ({exc})") from None
+        """Read back the file :meth:`save` wrote; no token holds a line break."""
+        return cls(read_sealed(path, "relabel").split("\n")[:-1])
 
 
 def build_vocabulary(token_streams, min_count: int = 1) -> Vocabulary:
@@ -169,6 +166,6 @@ def write_formatted_tsv(path, records, formatted) -> None:
 
     Rows without an alias match carry an empty formatted column.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec, fq in zip(records, formatted):
-            fh.write(f"{rec.text}\t{fq.text if fq else ''}\t{rec.subject}\t{rec.relation}\n")
+    save_text(path, "".join(
+        f"{rec.text}\t{fq.text if fq else ''}\t{rec.subject}\t{rec.relation}\n"
+        for rec, fq in zip(records, formatted)))

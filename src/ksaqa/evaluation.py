@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import save_text
 from .autodiff import Rng
 from .errors import ConfigError
 from .tagger import predict_spans
@@ -193,23 +194,18 @@ def export_attention(model, fq_tokens: list[str], subject: str, kb,
     _, alpha = model.encoder_output([fq_tokens], [model.subject_rows(kb, subject)])
     amap = AttentionMap(tokens=list(fq_tokens), weights=alpha.data[0].copy(), subject=subject)
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("token\tweight\n")
-            for tok, w in amap.rows():
-                fh.write(f"{tok}\t{w:.6f}\n")
+        save_text(path, "token\tweight\n" + "".join(f"{tok}\t{w:.6f}\n" for tok, w in amap.rows()))
     return amap
 
 
 def diff_report(results: list[QuestionResult], path) -> int:
     """Write one JSON line per disagreeing question; returns the row count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in results:
-            over = sorted(r.predicted - r.gold_pairs)
-            under = sorted(r.gold_pairs - r.predicted)
-            if not over and not under:
-                continue
-            fh.write(json.dumps({
+    lines = []
+    for r in results:
+        over = sorted(r.predicted - r.gold_pairs)
+        under = sorted(r.gold_pairs - r.predicted)
+        if over or under:
+            lines.append(json.dumps({
                 "question": r.question,
                 "gold": sorted(r.gold_pairs),
                 "predicted": sorted(r.predicted),
@@ -217,5 +213,5 @@ def diff_report(results: list[QuestionResult], path) -> int:
                 "under_predictions": under,
                 "detection_failed": r.detection_failed,
             }, ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    save_text(path, "".join(lines))
+    return len(lines)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_sealed, save_npz, seal
 from .errors import CheckpointError, IngestError
 
 _PUNCT_RE = re.compile(r"([^\w\s])")
@@ -71,29 +72,6 @@ class Interner:
 
     def __len__(self):
         return len(self.texts)
-
-
-def read_artifact_text(path, stage: str) -> str:
-    """The text of a file that ``stage`` wrote: empty, or lines each ended by "\n".
-
-    Bytes that are not UTF-8, or text after the last newline (a file cut off
-    mid-line), are a CheckpointError naming the file, the line and ``stage``.
-    """
-    blob = Path(path).read_bytes()
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = blob.count(b"\n", 0, exc.start) + 1
-        raise CheckpointError(f"{path}: line {line_no}: not UTF-8; rerun {stage}") from None
-    if text and not text.endswith("\n"):
-        line_no = text.count("\n") + 1
-        raise CheckpointError(f"{path}: line {line_no}: cut off; rerun {stage}")
-    return text
-
-
-def read_artifact_lines(path, stage: str) -> list[str]:
-    """The lines of :func:`read_artifact_text`, without their "\n"."""
-    return read_artifact_text(path, stage).split("\n")[:-1]
 
 
 def read_tsv(source, fields: int, check):
@@ -226,8 +204,8 @@ class KnowledgeBase:
         blob, each name ended by "\n" (no id field holds one), the entity
         count and the triple keys, uncompressed."""
         names = "".join(f"{name}\n" for name in (*self.entities, *self.relations))
-        np.savez(path, names=np.frombuffer(names.encode("utf-8"), dtype=np.uint8),
-                 entity_count=np.int64(len(self.entities)), triple_keys=self.triple_keys)
+        save_npz(path, names=np.frombuffer(names.encode("utf-8"), dtype=np.uint8),
+                  entity_count=np.int64(len(self.entities)), triple_keys=self.triple_keys)
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
@@ -328,92 +306,14 @@ class AliasTable:
         return len(self.map)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{entity}\t{alias}\n"
-                          for entity, alias in zip(self.entities, self.aliases))
+        seal(path, "".join(f"{entity}\t{alias}\n"
+                           for entity, alias in zip(self.entities, self.aliases)))
 
     @classmethod
     def load(cls, path) -> "AliasTable":
-        """Read back the file :meth:`save` wrote.
-
-        Nothing is re-derived; the rows are checked to be ones ``save``
-        writes: UTF-8, two fields, the entity an id that
-        :func:`strip_id_prefix` leaves as it is, the alias non-empty
-        normalized text, no row twice, the rows in entity order and a final
-        newline.  The checks run in bulk, over whole columns; only a file
-        that fails one is read again row by row, to name its first bad line.
-        Any fault is a CheckpointError naming the file and line.
-        """
-        text = read_artifact_text(path, "ingest-kb")
-        columns = _alias_columns(text)
-        if columns is None:
-            columns = _alias_rows(path, text.split("\n")[:-1])
-        return cls(*columns)
-
-
-_TWO_TABS = re.compile(r"\t[^\t\n]*\t")   # a line with a third field
-_SPACES = re.compile(r"[^\S\n]+")      # a run of whitespace within one line
-_EDGE_SPACE = re.compile(r"^ | $", re.MULTILINE)
-
-
-def _normalize_lines(text: str) -> str:
-    """:func:`normalize_text` of every line of ``text`` at once.
-
-    Each "\n" stays: ``lower`` never makes one, and its final-sigma rule
-    looks at no letter across one; whitespace collapses within a line.
-    """
-    return _EDGE_SPACE.sub("", _SPACES.sub(" ", _PUNCT_RE.sub(r" \1 ", text.lower())))
-
-
-def _alias_columns(text: str) -> tuple[list[str], list[str]] | None:
-    """The entity and alias columns of the ``aliases.tsv`` ``text``, or None
-    when a check :meth:`AliasTable.load` makes fails anywhere in it."""
-    n = text.count("\n")
-    if text.count("\t") != n or _TWO_TABS.search(text):
-        return None            # some line does not hold exactly two fields
-    cells = text.replace("\t", "\n").split("\n")
-    entities, aliases = cells[0:-1:2], cells[1::2]
-    line_starts = "\n" + text           # each line starts with its entity
-    distinct = dict.fromkeys(aliases)
-    names = "\n".join(distinct)
-    if (list(map(str.strip, entities)) != entities
-            or any(f"\n{prefix}" in line_starts for prefix in _ID_PREFIXES)
-            or "" in distinct or _normalize_lines(names) != names
-            or len(set(text.split("\n"))) != n + 1 or entities != sorted(entities)):
-        return None
-    return entities, aliases
-
-
-def _alias_rows(path, lines: list[str]) -> tuple[list[str], list[str]]:
-    """:func:`_alias_columns` of the ``aliases.tsv`` ``lines``, checked row by
-    row: the first bad line is a CheckpointError naming it."""
-    entities: list[str] = []
-    aliases: list[str] = []
-    named: dict[str, set[str]] = {}    # alias -> its entities so far
-    for line_no, row in enumerate(lines, start=1):
-        fields = row.split("\t")
-        if len(fields) != 2:
-            fault = f"expected 2 tab-separated fields, got {len(fields)}"
-        else:
-            entity, alias = fields
-            seen = named.get(alias)       # an alias seen before was checked then
-            new_entity = not entities or entity != entities[-1]
-            if new_entity and entity != strip_id_prefix(entity):
-                fault = f"entity {entity!r} is not a stripped id"
-            elif seen is None and (not alias or alias != normalize_text(alias)):
-                fault = f"alias {alias!r} is not normalized text"
-            elif seen is not None and entity in seen:
-                fault = f"row {entity!r} {alias!r} repeats"
-            elif new_entity and entities and entity < entities[-1]:
-                fault = f"entity {entity!r} follows {entities[-1]!r}, out of entity order"
-            else:
-                fault = None
-        if fault is not None:
-            raise CheckpointError(f"{path}: line {line_no}: {fault}; rerun ingest-kb")
-        named.setdefault(alias, set()).add(entity)
-        entities.append(entity)
-        aliases.append(alias)
-    return entities, aliases
+        """Read back the file :meth:`save` wrote; its seal stands for the checks."""
+        cells = read_sealed(path, "ingest-kb").replace("\t", "\n").split("\n")
+        return cls(cells[0:-1:2], cells[1::2])
 
 
 def ingest_aliases(source) -> AliasTable:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .artifacts import read_sealed, save_text, seal
 from .autodiff import Rng
 from .dataset import ENT, FormattedQuestion, QuestionRecord, span_to_formatted
-from .errors import CheckpointError
-from .kb import AliasTable, KnowledgeBase, read_artifact_lines
+from .kb import AliasTable, KnowledgeBase
 
 
 class PatternIndex:
@@ -152,14 +152,10 @@ def pattern_fanout_rows(examples) -> list[tuple[str, str, int]]:
 
 
 def write_report(examples, alias_path, pattern_path) -> None:
-    with open(alias_path, "w", encoding="utf-8") as fh:
-        fh.write("alias\tentity\n")
-        for alias, ent in alias_entity_rows(examples):
-            fh.write(f"{alias}\t{ent}\n")
-    with open(pattern_path, "w", encoding="utf-8") as fh:
-        fh.write("pattern\trelation\tquestions\n")
-        for pat, rel, n in pattern_fanout_rows(examples):
-            fh.write(f"{pat}\t{rel}\t{n}\n")
+    save_text(alias_path, "alias\tentity\n" + "".join(
+        f"{alias}\t{ent}\n" for alias, ent in alias_entity_rows(examples)))
+    save_text(pattern_path, "pattern\trelation\tquestions\n" + "".join(
+        f"{pat}\t{rel}\t{n}\n" for pat, rel, n in pattern_fanout_rows(examples)))
 
 
 def negative_pool(example: LabeledExample, s: str, kb: KnowledgeBase) -> list[str]:
@@ -180,67 +176,25 @@ def sample_negatives(pool: list[str], k: int, rng: Rng) -> list[str]:
 
 def export_jsonl(examples, path) -> None:
     """One JSON object per example; lists sorted for stable bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps({
-                "question": ex.record.text,
-                "formatted": ex.formatted.text,
-                "mention": ex.formatted.mention_text,
-                "candidates": sorted(ex.candidates),
-                "positives": [list(p) for p in sorted(ex.positives)],
-                "gold": list(ex.gold),
-                "ambiguous": ex.ambiguous,
-            }, ensure_ascii=False) + "\n")
-
-
-# the fields load_jsonl reads, shaped as export_jsonl writes them: a type,
-# [shape] for a list of any length, or a list of fixed length
-_ROW_SHAPES = {"question": str, "formatted": str, "mention": str,
-               "candidates": [str], "positives": [[str, str]], "gold": [str, str]}
-
-
-def _has_shape(value, shape) -> bool:
-    if isinstance(shape, type):
-        return isinstance(value, shape)
-    if not isinstance(value, list):
-        return False
-    if len(shape) == 1:
-        return all(_has_shape(v, shape[0]) for v in value)
-    return len(value) == len(shape) and all(map(_has_shape, value, shape))
-
-
-def _row_fault(obj) -> str | None:
-    """Why a parsed line is not one :func:`export_jsonl` writes, or None."""
-    if not isinstance(obj, dict):
-        return "not a JSON object"
-    for key, shape in _ROW_SHAPES.items():
-        if not _has_shape(obj.get(key), shape):
-            return f"field {key!r} is missing or of the wrong type"
-    formatted = obj["formatted"].split()
-    if ENT not in formatted:
-        return f"'formatted' has no {ENT}"
-    if formatted.index(ENT) + len(obj["mention"].split()) > len(obj["question"].split()):
-        return "the mention runs past the end of the question"
-    return None
+    seal(path, "".join(json.dumps({
+        "question": ex.record.text,
+        "formatted": ex.formatted.text,
+        "mention": ex.formatted.mention_text,
+        "candidates": sorted(ex.candidates),
+        "positives": [list(p) for p in sorted(ex.positives)],
+        "gold": list(ex.gold),
+        "ambiguous": ex.ambiguous,
+    }, ensure_ascii=False) + "\n" for ex in examples))
 
 
 def load_jsonl(path, split: str = "train") -> list[LabeledExample]:
     """Rebuild LabeledExamples from an export; spans recomputed from <e>.
 
-    A line that is not one :func:`export_jsonl` writes (see
-    :func:`read_artifact_lines` and :func:`_row_fault`) is a CheckpointError
-    naming the file and line.
+    The export's seal stands for the shape of every line.
     """
     examples = []
-    for line_no, line in enumerate(read_artifact_lines(path, "relabel"), start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            fault = f"not valid JSON ({exc.msg} at column {exc.colno})"
-        else:
-            fault = _row_fault(obj)
-        if fault is not None:
-            raise CheckpointError(f"{path}: line {line_no}: {fault}; rerun relabel")
+    for line in read_sealed(path, "relabel").split("\n")[:-1]:
+        obj = json.loads(line)
         gold_s, gold_r = obj["gold"]
         q_tokens = obj["question"].split()
         start = obj["formatted"].split().index(ENT)

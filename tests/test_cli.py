@@ -1,8 +1,9 @@
 """End-to-end CLI tests on the micro world: artifacts, reruns, exit codes.
 
-One module-scoped fixture drives the full pipeline (ingest -> relabel ->
-pretrain -> tag -> train) into a shared work directory; the tests then
-exercise the read-only subcommands and the documented exit codes against it.
+One module-scoped fixture (``pipeline``, in conftest.py) drives the full
+pipeline (ingest -> relabel -> pretrain -> tag -> train) into a shared work
+directory; the tests then exercise the read-only subcommands and the
+documented exit codes against it.
 """
 
 import argparse
@@ -20,64 +21,17 @@ from ksaqa import kb as kb_module
 from ksaqa.checkpoint import MAGIC, load_arrays, save_arrays
 from ksaqa.cli import build_parser, main
 from ksaqa.config import KEYS
+from ksaqa.dataset import Vocabulary
 from ksaqa.kb import KnowledgeBase
 
 from ckpt_bytes import PAGED, set_value
 
-CFG_TEMPLATE = """
-kb_triples = {data}/triples.txt
-kb_aliases = {data}/aliases.txt
-train_file = {data}/train.txt
-valid_file = {data}/valid.txt
-test_file  = {data}/test.txt
-workdir    = {work}
-
-seed = 0
-dropout = 0.0
-d_word = 16
-d_rel = 12
-d_hidden = 10
-attention_hidden = 8
-lr = 0.05
-epochs = 10
-batch_size = 8
-
-transe_dim = 12
-transe_epochs = 10
-transe_batch_size = 4
-transe_lr = 0.05
-
-tagger_d_word = 12
-tagger_hidden = 8
-tagger_lr = 0.02
-tagger_epochs = 40
-tagger_patience = 40
-"""
-
-
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory, micro_raw):
-    """Run every build stage once; returns (cfg_path, data_dir, work_dir)."""
-    root = tmp_path_factory.mktemp("cli")
-    data, work = root / "data", root / "work"
-    data.mkdir()
-    (data / "triples.txt").write_text("".join(micro_raw.triple_lines))
-    (data / "aliases.txt").write_text("".join(micro_raw.alias_lines))
-    (data / "train.txt").write_text("".join(micro_raw.question_lines))
-    (data / "valid.txt").write_text("".join(micro_raw.question_lines[:4]))
-    (data / "test.txt").write_text("".join(micro_raw.question_lines[4:]))
-    cfg = root / "pipeline.cfg"
-    cfg.write_text(CFG_TEMPLATE.format(data=data, work=work))
-    for argv in (["ingest-kb"], ["relabel"], ["pretrain-transe"],
-                 ["train-tagger"], ["train"]):
-        assert main(argv + ["--config", str(cfg)]) == 0, argv
-    return cfg, data, work
-
 
 def test_pipeline_writes_every_artifact(pipeline):
     _, _, work = pipeline
-    for name in ("kb.npz", "aliases.tsv", "vocab.txt",
+    for name in ("kb.npz", "aliases.tsv", "aliases.tsv.json", "vocab.txt", "vocab.txt.json",
                  "train.jsonl", "valid.jsonl", "test.jsonl",
+                 "train.jsonl.json", "valid.jsonl.json", "test.jsonl.json",
                  "train_formatted.tsv", "alias_report.tsv", "pattern_report.tsv",
                  "transe.ckpt", "transe.ckpt.json",
                  "tagger.ckpt", "tagger.ckpt.json", "tagger_history.json",
@@ -336,11 +290,17 @@ def _edit_manifest(name, edit):
     return mutate
 
 
+def _edit_bytes(name, edit):
+    return lambda work, mp: (work / name).write_bytes(edit((work / name).read_bytes()))
+
+
 def _truncate(name):
-    def mutate(work, mp):
-        blob = (work / name).read_bytes()
-        (work / name).write_bytes(blob[: len(blob) // 2])
-    return mutate
+    return _edit_bytes(name, lambda blob: blob[: len(blob) // 2])
+
+
+def _foreign_vocabulary(work, mp):
+    """Reseal vocab.txt with one token more than the checkpoints were trained on."""
+    Vocabulary(Vocabulary.load(work / "vocab.txt").tokens + ["extra"]).save(work / "vocab.txt")
 
 
 def _second_jsonl_line(name, edit):
@@ -432,9 +392,8 @@ FAULTS = [
      _edit_tensors("tagger.ckpt", lambda a: a.update({"tagger.emit.w": a["tagger.emit.w"].T})), 8),
     ("transe-tensor-misshaped", ["train", "--epochs", "1"],
      _edit_tensors("transe.ckpt", lambda a: a.update({"transe.entity": a["transe.entity"][:1]})), 8),
-    ("foreign-vocabulary", PREDICT,
-     lambda work, mp: (work / "vocab.txt").write_text((work / "vocab.txt").read_text() + "extra\n"),
-     8),
+    # a sealed vocabulary the checkpoints were not trained on
+    ("foreign-vocabulary", PREDICT, _foreign_vocabulary, 8),
     # dims whose product wraps to 0 in int64, or that no array can take around a 0
     ("model-dims-overflow", PREDICT, _write_bytes("model.ckpt", _dims(2 ** 31, 2 ** 31, 2 ** 31)), 8),
     ("model-dims-unallocatable", PREDICT,
@@ -456,8 +415,12 @@ FAULTS = [
     ("kb-truncated", ["stats"], _truncate("kb.npz"), 8),
     ("kb-old-layout", ["stats"], _old_kb_layout, 8),
     ("kb-a-bare-array", ["stats"], _bare_array_kb, 8),
+    # a vocabulary that `relabel` cannot have written: empty, cut off, CRLF endings
     ("vocab-empty", PREDICT, _write("vocab.txt", ""), 8),
-    # an aliases.tsv that `ingest-kb` cannot have written
+    ("vocab-cut-off", PREDICT, _edit_bytes("vocab.txt", lambda blob: blob[:-2]), 8),
+    ("vocab-edited", PREDICT,
+     _edit_bytes("vocab.txt", lambda blob: blob.replace(b"\n", b"\r\n")), 8),
+    # an aliases.tsv that `ingest-kb` cannot have written, refused by its seal
     ("workdir-aliases-not-utf8", PREDICT,
      _write_bytes("aliases.tsv", b"01\tjohn smith\n" + NOT_UTF8), 8),
     ("workdir-aliases-one-field", PREDICT, _write("aliases.tsv", "01\tjohn smith\n02\n"), 8),
@@ -468,7 +431,7 @@ FAULTS = [
     ("workdir-aliases-cut-off", PREDICT, _write("aliases.tsv", "01\tjohn smith\n02\tjohn sm"), 8),
     ("workdir-aliases-out-of-order", PREDICT,
      _write("aliases.tsv", "02\tjohn smith\n01\tjohn smith\n"), 8),
-    # a relabeled split that `relabel` cannot have written
+    # a relabeled split that `relabel` cannot have written, refused by its seal
     ("workdir-jsonl-cut-off", ["train-tagger"],
      _second_jsonl_line("train.jsonl", lambda line: line[: len(line) // 2]), 8),
     ("workdir-jsonl-not-json", ["train"],
@@ -543,22 +506,24 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
         "transe-subpage-nonfinite": "{work}/transe.ckpt: tensor tail is not finite",
         "kb-old-layout": "{work}/kb.npz: names in the fixed-width layout of an older version; "
                          "rerun ingest-kb",
-        "workdir-aliases-out-of-order":
-            "{work}/aliases.tsv: line 2: entity '01' follows '02', out of entity order",
         "model-diverges": "training diverged; lower the learning rate: epoch 1, step 2: loss is nan",
-        "workdir-aliases-not-utf8": "{work}/aliases.tsv: line 2: not UTF-8; rerun ingest-kb",
-        "workdir-aliases-one-field": "{work}/aliases.tsv: line 2: expected 2 tab-separated",
-        "workdir-aliases-unnormalized": "{work}/aliases.tsv: line 1: alias 'John Smith'",
-        "workdir-aliases-unstripped-id": "{work}/aliases.tsv: line 1: entity 'm/01'",
-        "workdir-aliases-repeated-row": "{work}/aliases.tsv: line 2: row '01' 'john smith'",
-        "workdir-aliases-cut-off": "{work}/aliases.tsv: line 2: cut off; rerun ingest-kb",
-        "workdir-jsonl-cut-off": "{work}/train.jsonl: line 2: cut off; rerun relabel",
-        "workdir-jsonl-not-json": "{work}/train.jsonl: line 2: not valid JSON (",
-        "workdir-jsonl-gold-not-a-pair":
-            "{work}/train.jsonl: line 2: field 'gold' is missing or of the wrong type",
-        "workdir-jsonl-no-mention-marker":
-            "{work}/train.jsonl: line 2: 'formatted' has no <e>; rerun relabel",
+        **{name: "{work}/aliases.tsv changed since ingest-kb wrote it; rerun ingest-kb"
+           for name in ("workdir-aliases-not-utf8", "workdir-aliases-one-field",
+                        "workdir-aliases-unnormalized", "workdir-aliases-unstripped-id",
+                        "workdir-aliases-repeated-row", "workdir-aliases-cut-off",
+                        "workdir-aliases-out-of-order")},
+        **{name: "{work}/train.jsonl changed since relabel wrote it; rerun relabel"
+           for name in ("workdir-jsonl-cut-off", "workdir-jsonl-not-json",
+                        "workdir-jsonl-gold-not-a-pair", "workdir-jsonl-no-mention-marker")},
+        **{name: "{work}/vocab.txt changed since relabel wrote it; rerun relabel"
+           for name in ("vocab-empty", "vocab-cut-off", "vocab-edited")},
+        "foreign-vocabulary":
+            "{work}/tagger.ckpt.json records no vocabulary_sha256, or a different vocabulary",
         "unknown-mention-model-unread": "no entity is known under the alias 'born'"}
+
+
+def _files(work):
+    return {p.name: p.read_bytes() for p in work.iterdir()}
 
 
 @pytest.mark.parametrize("name,argv,mutate,code", FAULTS, ids=[f[0] for f in FAULTS])
@@ -568,7 +533,7 @@ def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, monkeypatch, name
     broken = tmp_path / "work"
     shutil.copytree(work, broken)
     mutate(broken, monkeypatch)
-    before = {p.name: p.read_bytes() for p in broken.glob("*.ckpt*")}
+    before = _files(broken)
     argv = [a.format(work=broken) for a in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -579,8 +544,8 @@ def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, monkeypatch, name
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
     if name in SAYS:
         assert SAYS[name].format(work=broken) in err, err
-    # a refused or failed run leaves every checkpoint as it was, and no temp file
-    assert {p.name: p.read_bytes() for p in broken.glob("*.ckpt*")} == before
+    # a refused or failed run leaves every workdir file as it was, and no temp file
+    assert _files(broken) == before
 
 
 def test_training_stages_do_not_read_aliases(pipeline, tmp_path, capsys):
@@ -594,7 +559,7 @@ def test_training_stages_do_not_read_aliases(pipeline, tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict"] + common + PREDICT[1:]) == 8
     err = capsys.readouterr().err
-    assert f"{broken}/aliases.tsv: line 2: not UTF-8; rerun ingest-kb" in err, err
+    assert f"{broken}/aliases.tsv changed since ingest-kb wrote it; rerun ingest-kb" in err, err
 
 
 # -- flags: each sets the config key (or argument) it set before the flags ----

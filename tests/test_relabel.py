@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ksaqa.artifacts import seal
 from ksaqa.autodiff import Rng
 from ksaqa.dataset import format_question
 from ksaqa.errors import CheckpointError
@@ -132,26 +133,22 @@ _ROW = {"question": "where was john smith born", "formatted": "where was <e> bor
         "gold": ["01", "born_in"], "ambiguous": False}
 
 
-@pytest.mark.parametrize("second,says", [
-    (b"[1, 2]\n", "not a JSON object"),
-    (json.dumps({**_ROW, "mention": "john smith was born now"}).encode() + b"\n",
-     "the mention runs past the end of the question"),
-    (json.dumps({k: v for k, v in _ROW.items() if k != "candidates"}).encode() + b"\n",
-     "field 'candidates' is missing or of the wrong type"),
-    (json.dumps({**_ROW, "positives": [["01"]]}).encode() + b"\n",
-     "field 'positives' is missing or of the wrong type"),
-    (json.dumps({**_ROW, "question": "caf\u00e9"}, ensure_ascii=False).encode("latin-1") + b"\n",
-     "not UTF-8"),
+@pytest.mark.parametrize("second", [
+    b"[1, 2]\n",
+    json.dumps({**_ROW, "mention": "john smith was born now"}).encode() + b"\n",
+    json.dumps({k: v for k, v in _ROW.items() if k != "candidates"}).encode() + b"\n",
+    json.dumps({**_ROW, "positives": [["01"]]}).encode() + b"\n",
+    json.dumps({**_ROW, "question": "caf\u00e9"}, ensure_ascii=False).encode("latin-1") + b"\n",
 ], ids=["not-an-object", "mention-too-long", "no-candidates", "short-pair", "not-utf8"])
-def test_load_jsonl_refuses_a_line_export_does_not_write(tmp_path, second, says):
+def test_load_jsonl_refuses_a_line_export_does_not_write(tmp_path, second):
+    """Any line after the ones ``export_jsonl`` sealed refuses the file as a whole."""
     path = tmp_path / "ex.jsonl"
+    seal(path, json.dumps(_ROW) + "\n")
+    assert load_jsonl(path)[0].formatted.mention_span == (2, 4)
     path.write_bytes(json.dumps(_ROW).encode() + b"\n" + second)
     with pytest.raises(CheckpointError) as err:
         load_jsonl(path)
-    assert str(err.value).startswith(f"{path}: line 2: {says}")
-    assert str(err.value).endswith("; rerun relabel")
-    path.write_bytes(json.dumps(_ROW).encode() + b"\n")
-    assert load_jsonl(path)[0].formatted.mention_span == (2, 4)
+    assert str(err.value) == f"{path} changed since relabel wrote it; rerun relabel"
 
 
 def test_reports_written_with_headers(tmp_path, labeled):
