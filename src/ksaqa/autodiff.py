@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation on a tape.
 
 Ops record onto the innermost active :class:`Tape` whenever any input is
-tracked; with no tape active they are plain numpy computations, which is the
-inference fast path.  Gradients accumulate into ``Tensor.grad`` on
-:func:`backward`.  NaN/Inf is refused in data wrapped as a :class:`Tensor`, in a
-loss by :func:`backward` and in an update by :meth:`ksaqa.optim.Adam.step`.
+tracked (the tapes are the process's, so an op on a worker thread records
+onto the caller's tape); with no tape active they are plain numpy
+computations, which is the inference fast path.  Gradients accumulate into
+``Tensor.grad`` on :func:`backward`.  NaN/Inf is refused in data wrapped as
+a :class:`Tensor`, in a loss by :func:`backward` and in an update by
+:meth:`ksaqa.optim.Adam.step`.
 
 Every tensor is float64 but one kind of parameter: a table loaded from a
 checkpoint (:meth:`Parameter.loaded`, see :class:`ksaqa.nn.Saved`) that is
@@ -18,6 +20,8 @@ finite-difference suite like every other primitive.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -55,11 +59,13 @@ class Tape:
     """Ordered record of op nodes; creation order is topological order.
 
     :func:`backward` runs inside the ``with`` block: closing the tape
-    unlinks its nodes from it.
+    unlinks its nodes from it.  Two threads may record onto one tape, each
+    node after its parents.
     """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self._lock = threading.Lock()
 
     def __enter__(self):
         _TAPES.append(self)
@@ -75,9 +81,10 @@ class Tape:
         return False
 
     def record(self, t: "Tensor"):
-        t.node_id = len(self.nodes)
         t.tape = self
-        self.nodes.append(t)
+        with self._lock:
+            t.node_id = len(self.nodes)
+            self.nodes.append(t)
 
 
 def _active_tape():

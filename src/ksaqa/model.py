@@ -10,7 +10,8 @@ one sigmoid score per relation.  One batched encoder serves scoring (one
 question, its candidate subjects) and training (B questions, one subject
 each): the questions and the subjects' relation lists each run as one
 length-masked, padded batch, and only the logits of the relation rows that
-are read are computed.
+are read are computed.  From ``PARALLEL_WIDTH`` on, the subgraph GRU runs on
+a worker thread beside the question BiGRU.
 
 Loss: summed binary cross entropy over plausible positives and, per
 positive, a fresh sample of negatives drawn from the subject's non-plausible
@@ -19,6 +20,9 @@ relations.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,6 +44,18 @@ VARIANTS = ("BiGRU", "KS-BiGRU", "KSA-BiGRU")
 # decoder's [subjects, pairs] product grows with its square (desk eval: 60
 # questions, 2786 pairs, peak RSS +13 MB at 4096 and +4.5 MB at 1024)
 PAIR_BUDGET = 1024
+
+# d_hidden from which encoder_output runs the subgraph GRU on _BRANCH, beside
+# the question BiGRU on the caller's thread, when the process may run on two
+# or more CPUs.  Both branches are BLAS calls that release the GIL, but on
+# narrow arrays the threads mostly trade the GIL (median encoder_output time,
+# offloaded / inline, benchmarks/bench_branches.py on a 2-vCPU host: 1.21x at
+# 32, 1.08x at 128, 1.00x at 160, 0.92x at 192, 0.86x at 256, 0.80x at 300;
+# an earlier run put the break-even at 192, so the offload starts above it)
+PARALLEL_WIDTH = 256
+
+# the one worker thread of every model; it starts on the first offload
+_BRANCH = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ksaqa-subgraph")
 
 
 @dataclass
@@ -160,8 +176,7 @@ class KsaModel:
         read by nothing downstream.  ``dropout`` holds the [M, B, 2H] factors
         applied between the two layers (training), or is None.
         """
-        if not questions or not all(questions):
-            raise ShapeError("cannot encode an empty question")
+        _require_questions(questions)
         ids, active = nn.padded([self.vocab.encode(tokens) for tokens in questions])
         hs0 = nn.bigru(self.q0f, self.q0b, ad.embedding_lookup(self.word_emb, ids), active)
         if dropout is not None:
@@ -212,20 +227,44 @@ class KsaModel:
         mask of the subject's question (when first read) and then the
         subject's ``shuffle_augment`` permutation, the order in which one
         pass per subject would draw them.  Without one the pass is inference.
+
+        From ``PARALLEL_WIDTH`` on, the subgraph GRU runs on the worker
+        thread while the question BiGRU runs on this one (see
+        :meth:`_branches`); the outputs and the gradients are the same bits.
         """
+        _require_questions(questions)
         dropout, subject_rows = self._training_draws(questions, subject_rows, question_of, rng)
         lengths = [len(q) for q in questions]
-        hs, u_q = self.encode_question(questions, dropout)
-        if question_of is not None:
-            u_q = u_q[question_of]
         variant = self.config.variant
         if variant == "BiGRU":
-            return nn.linear(self.proj, u_q), None
-        u_ks = self.encode_subgraph(subject_rows)
+            hs, u_q = self.encode_question(questions, dropout)
+            return nn.linear(self.proj, u_q if question_of is None else u_q[question_of]), None
+        (hs, u_q), u_ks = self._branches(questions, dropout, subject_rows)
+        if question_of is not None:
+            u_q = u_q[question_of]
         if variant == "KS-BiGRU":
             return nn.linear(self.proj, ad.concat([u_q, u_ks], axis=1)), None
         p, alpha = self.attend(hs, u_ks, lengths, question_of)
         return nn.linear(self.proj, ad.concat([p, u_ks], axis=1)), alpha
+
+    def _branches(self, questions, dropout, subject_rows):
+        """(:meth:`encode_question`, :meth:`encode_subgraph`) of one pass.
+
+        A wide enough model with a second CPU runs the subgraph GRU on
+        ``_BRANCH`` in a copy of this thread's context, so that its numpy
+        error state holds there too; it records onto this thread's tape, and
+        is waited for before this returns or raises, so no node lands on the
+        tape later.  Each branch keeps one BLAS thread per call.
+        """
+        if self.config.d_hidden < PARALLEL_WIDTH or _cpus() < 2:
+            return self.encode_question(questions, dropout), self.encode_subgraph(subject_rows)
+        branch = _BRANCH.submit(contextvars.copy_context().run, self.encode_subgraph,
+                                subject_rows)
+        try:
+            question = self.encode_question(questions, dropout)
+        finally:
+            branch.exception()
+        return question, branch.result()
 
     def _training_draws(self, questions, subject_rows, question_of, rng):
         """(dropout factors [M, B, 2H] or None, subject rows as read).
@@ -357,6 +396,19 @@ class KsaModel:
         return load_checkpoint(
             path, lambda c, saved: cls(vocab, relations, ModelConfig(**c), saved),
             vocabulary=vocab.tokens, relations=list(relations))
+
+
+def _require_questions(questions) -> None:
+    if not questions or not all(questions):
+        raise ShapeError("cannot encode an empty question")
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _chunks(sizes):

@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -328,6 +330,32 @@ def test_a_closed_tape_is_freed_without_the_cycle_collector():
             backward(out)                 # the graph no longer has a tape
     finally:
         gc.enable()
+
+
+def test_threads_recording_onto_one_tape_lose_no_node():
+    """Eight threads record onto one tape with the GIL handed over every
+    microsecond: every node keeps its own id, its place on the tape."""
+    per_thread, threads = 2000, 8
+    p = Parameter("p", np.ones(2))
+
+    def record():
+        for _ in range(per_thread):
+            tanh(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Tape() as tape:
+            workers = [threading.Thread(target=record) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert len(tape.nodes) == threads * per_thread
+            assert [node.node_id for node in tape.nodes] == list(range(len(tape.nodes)))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_nonfinite_data_rejected():

@@ -9,6 +9,11 @@ it replaced (``per_subject_oracle``).
 """
 
 import math
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -585,3 +590,171 @@ def test_gradients_flow_through_every_parameter_group(world):
     dead = [p.name for p in model.parameters()
             if p.grad is None or not np.any(p.grad)]
     assert dead == []
+
+
+# -- the two-branch schedule -------------------------------------------------------
+
+# the pipeline-desk and the paper dims: either side of model.PARALLEL_WIDTH
+DESK = dict(d_word=64, d_rel=32, d_hidden=32, attention_hidden=48)
+PAPER = dict(d_word=500, d_rel=300, d_hidden=300, attention_hidden=650)
+
+
+def _schedule(monkeypatch, threaded):
+    """Run encoder_output's branches one after the other, or the subgraph GRU
+    on the worker thread, at any width and on a host with any CPU count."""
+    monkeypatch.setattr(model_mod, "PARALLEL_WIDTH", 0 if threaded else sys.maxsize)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 2)
+
+
+def _subgraph_threads(model, monkeypatch):
+    """The name of the thread of each encode_subgraph call made from now on."""
+    names = []
+    encode = model.encode_subgraph
+
+    def traced(rows):
+        names.append(threading.current_thread().name)
+        return encode(rows)
+
+    monkeypatch.setattr(model, "encode_subgraph", traced)
+    return names
+
+
+def _on_schedule(world, monkeypatch, threaded, run, **over):
+    """``run(model)`` on a fresh model, on the schedule asked for, checking
+    that the subgraph GRU ran where that schedule puts it."""
+    model = _model(world, **over)
+    with monkeypatch.context() as patch:
+        _schedule(patch, threaded)
+        names = _subgraph_threads(model, patch)
+        result = run(model)
+    if model.subgraph is not None:
+        assert names and all((name != threading.current_thread().name) == threaded
+                             for name in names), names
+    return result
+
+
+@pytest.mark.parametrize("variant", ["KS-BiGRU", "KSA-BiGRU"])
+def test_threaded_scores_are_bit_equal_to_inline(world, monkeypatch, variant):
+    kb, _, _ = world
+    cases = [(tokens, candidates) for tokens in QUESTIONS for candidates in CANDIDATE_SETS]
+
+    def scores(model):
+        got = model.score_questions([t for t, _ in cases], [c for _, c in cases], kb)
+        return [[(s.pair, s.probability) for s in q] for q in got]
+
+    inline, threaded = (_on_schedule(world, monkeypatch, on, scores, variant=variant)
+                        for on in (False, True))
+    assert any(inline) and threaded == inline
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("seed", [None, 9])
+def test_threaded_loss_and_gradients_are_bit_equal_to_inline(world, monkeypatch, variant,
+                                                             seed):
+    kb, _, examples = world
+
+    def step(model):
+        batch = build_training_items(model, examples, kb, Rng(2))
+        return _loss_and_grads(KsaModel.loss, model, batch, None if seed is None else Rng(seed))
+
+    (loss, grads), (want_loss, want_grads) = (
+        _on_schedule(world, monkeypatch, on, step, variant=variant, dropout=0.3,
+                     shuffle_augment=True) for on in (True, False))
+    assert loss == want_loss
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        assert g is not None and np.array_equal(g, want_grads[name]), name
+
+
+def test_threaded_training_reruns_to_the_same_parameters(world, monkeypatch):
+    kb, _, examples = world
+
+    def train(model):
+        history = train_model(model, examples, kb, valid_examples=examples)
+        return history, nn.snapshot(model.parameters())
+
+    (h1, p1), (h2, p2), (h_inline, p_inline) = (
+        _on_schedule(world, monkeypatch, on, train) for on in (True, True, False))
+    assert h1 == h2 == h_inline
+    for name, arr in p1.items():
+        assert np.array_equal(arr, p2[name]) and np.array_equal(arr, p_inline[name]), name
+
+
+@pytest.mark.parametrize("dims, starts", [(DESK, 0), (PAPER, 1)])
+def test_only_the_paper_dims_start_the_worker_thread(world, monkeypatch, dims, starts):
+    """A desk-dims score runs both branches on the caller's thread; a
+    paper-dims one starts the worker, once, on a host with a second CPU."""
+    kb, _, _ = world
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 2)
+    fresh = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(model_mod, "_BRANCH", fresh)
+    try:
+        model = _model(world, **dims)
+        before = threading.active_count()
+        for _ in range(2):
+            assert model.score_pairs(QUESTIONS[0], CANDIDATE_SETS[0], kb)
+        assert threading.active_count() == before + starts
+    finally:
+        fresh.shutdown(wait=True)
+
+
+def test_one_cpu_runs_both_branches_on_the_callers_thread(world, monkeypatch):
+    kb, _, _ = world
+    model = _model(world, **PAPER)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
+    names = _subgraph_threads(model, monkeypatch)
+    assert model.score_pairs(QUESTIONS[0], CANDIDATE_SETS[0], kb)
+    assert names == [threading.current_thread().name]
+
+
+def test_the_worker_keeps_the_callers_float_error_state(world, monkeypatch):
+    """An overflow in the subgraph GRU raises in the caller under
+    ``over="raise"``, and under ``all="ignore"`` warns nowhere."""
+    kb, _, _ = world
+
+    def overflow(model):
+        # the relation rows the subgraph GRU reads, not the decoder's <_start>
+        model.rel_emb.data[:-1] = 1e300
+        model.subgraph["wx"].data[...] = 1e300
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            model.score_pairs(QUESTIONS[0], CANDIDATE_SETS[0], kb)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.score_pairs(QUESTIONS[0], CANDIDATE_SETS[0], kb)
+
+    _on_schedule(world, monkeypatch, True, overflow)
+
+
+def test_a_raising_branch_leaves_no_node_to_land_on_the_tape_later(world, monkeypatch):
+    """The caller's branch raises while the worker's is still recording:
+    the step raises only once the worker is done, and refused questions
+    never reach the worker."""
+    kb, _, examples = world
+    model = _model(world)
+    _schedule(monkeypatch, True)
+    batch = build_training_items(model, examples, kb, Rng(2))
+    encode, done, calls = model.encode_subgraph, [], []
+
+    def slow_subgraph(rows):
+        calls.append(rows)
+        time.sleep(0.2)
+        out = encode(rows)
+        done.append(True)
+        return out
+
+    def failing_question(questions, dropout=None):
+        raise ShapeError("question branch failed")
+
+    monkeypatch.setattr(model, "encode_subgraph", slow_subgraph)
+    monkeypatch.setattr(model, "encode_question", failing_question)
+    with Tape() as tape:
+        with pytest.raises(ShapeError, match="question branch failed"):
+            model.loss(batch)
+        assert done == [True]
+        recorded = len(tape.nodes)
+        assert recorded > 0
+        with pytest.raises(ShapeError, match="empty question"):
+            model.encoder_output([[]], [np.array([0])])
+        assert len(calls) == 1
+        time.sleep(0.05)
+        assert len(tape.nodes) == recorded
