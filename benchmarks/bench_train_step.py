@@ -12,8 +12,12 @@ seeded sentence of 4-15 tokens and its gold span, ``backward`` and
 ``opt.step()``, one sentence per step as ``train_tagger`` runs them.
 
 The full step times and their median are printed, then the median of each
-part (loss + backward, Adam), with the last loss and its tape size.  Run
-from a checkout root, with BLAS on one thread as perfbench pins it:
+part (loss + backward, Adam), with the last loss and its tape size.  Each
+step drops its loss before the next, as the trainers do.  One more step,
+untimed, runs under ``tracemalloc``: its peak traced memory is what the
+step allocates on top of the model and Adam's arena (the graph, its
+gradients and the kernels' stashes).  Run from a checkout root, with BLAS on
+one thread as perfbench pins it:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_train_step.py paper 3
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_train_step.py tagger 300
@@ -24,6 +28,7 @@ from __future__ import annotations
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -73,15 +78,32 @@ def tagger_steps(reps: int):
             lambda i: ad.scale(model.log_likelihood(*pairs[i]), -1.0))
 
 
+def step(opt, loss_of, i: int) -> tuple[float, int]:
+    """The loss + backward of step ``i`` as the trainers run it: (loss, tape nodes)."""
+    with Tape() as tape:
+        loss = loss_of(i)
+        opt.zero_grad()
+        ad.backward(loss)
+        return float(loss.data), len(tape.nodes)
+
+
+def traced_peak_mb(opt, loss_of, i: int) -> float:
+    """Peak memory traced over one full step (tracemalloc slows it: untimed)."""
+    tracemalloc.start()
+    try:
+        step(opt, loss_of, i)
+        opt.step()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(mode: str, reps: int) -> None:
     opt, loss_of = tagger_steps(reps) if mode == "tagger" else predictor_steps(mode)
     times, backward_s, adam_s = [], [], []
     for i in range(reps):
         t0 = time.perf_counter()
-        with Tape() as tape:
-            loss = loss_of(i)
-            opt.zero_grad()
-            ad.backward(loss)
+        loss, nodes = step(opt, loss_of, i)
         t1 = time.perf_counter()
         opt.step()
         t2 = time.perf_counter()
@@ -94,10 +116,12 @@ def main(mode: str, reps: int) -> None:
 
     # a tagger run takes hundreds of steps: show the first and the last three
     shown = times if reps <= 10 else times[:3] + times[-3:]
-    print(f"{mode}: loss {float(loss.data):.6f}, {len(tape.nodes)} tape nodes, step ms "
+    peak = traced_peak_mb(opt, loss_of, reps - 1)
+    print(f"{mode}: loss {loss:.6f}, {nodes} tape nodes, step ms "
           + " ".join(map(ms, shown)) + ("" if reps <= 10 else f" (first and last 3 of {reps})")
           + f", median {ms(statistics.median(times))} (loss + backward "
-          f"{ms(statistics.median(backward_s))}, adam {ms(statistics.median(adam_s))})")
+          f"{ms(statistics.median(backward_s))}, adam {ms(statistics.median(adam_s))}), "
+          f"traced peak {peak:.1f} MB")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,11 @@ Ops record onto the innermost active :class:`Tape` whenever any input is
 tracked (the tapes are the process's, so an op on a worker thread records
 onto the caller's tape); with no tape active they are plain numpy
 computations, which is the inference fast path.  Gradients accumulate into
-``Tensor.grad`` on :func:`backward`.  NaN/Inf is refused in data wrapped as
-a :class:`Tensor`, in a loss by :func:`backward` and in an update by
-:meth:`ksaqa.optim.Adam.step`.
+the leaves' ``Tensor.grad`` on :func:`backward`.  Backward consumes the
+graph as it walks: each node drops its gradient, closure and parents once
+its closure has run, and the spent tape refuses a second backward.
+NaN/Inf is refused in data wrapped as a :class:`Tensor`, in a loss by
+:func:`backward` and in an update by :meth:`ksaqa.optim.Adam.step`.
 
 Every tensor is float64 but one kind of parameter: a table loaded from a
 checkpoint (:meth:`Parameter.loaded`, see :class:`ksaqa.nn.Saved`) that is
@@ -58,13 +60,14 @@ class Rng:
 class Tape:
     """Ordered record of op nodes; creation order is topological order.
 
-    :func:`backward` runs inside the ``with`` block: closing the tape
-    unlinks its nodes from it.  Two threads may record onto one tape, each
-    node after its parents.
+    :func:`backward` runs inside the ``with`` block, once: it spends the
+    tape, and closing the tape unlinks its nodes from it.  Two threads may
+    record onto one tape, each node after its parents.
     """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.spent = False
         self._lock = threading.Lock()
 
     def __enter__(self):
@@ -94,7 +97,8 @@ def _active_tape():
 class Tensor:
     """A dense float64 array, optionally tracked for differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "bwd", "op", "node_id", "tape")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "bwd", "op", "node_id", "tape",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -176,24 +180,38 @@ def _make(data, parents, bwd, op):
     return out
 
 
-def backward(loss: Tensor, where: str | None = None):
-    """Propagate d(loss)/d(node) through the tape; fills ``.grad`` fields.
+def backward(loss: Tensor, where: str | None = None) -> float:
+    """Propagate d(loss)/d(node) through the tape into the leaves' ``.grad``.
+
+    Backward consumes the graph: each node up to the loss drops its
+    gradient, closure and parents once its closure has run (or, off the
+    loss's path, when the walk passes it), so the activations and kernel
+    stashes are freed as the walk goes.  Leaves (parameters, inputs) keep
+    their gradients and every node keeps its ``data``.  The tape is then
+    spent, and a second backward on it is a ShapeError.
 
     A loss that is not finite is a NonFiniteError, its message led by
-    ``where`` (the training step) when given.
+    ``where`` (the training step) when given.  Returns the loss as a float,
+    so that a training step need not hold the loss tensor past its backward.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss.tape is None:
+    tape = loss.tape
+    if tape is None:
         raise ShapeError("backward called on an untracked tensor (no tape active?)")
+    if tape.spent:
+        raise ShapeError("backward called twice on one tape: the first consumed its graph")
     if not np.isfinite(loss.data).all():
         fault = f"loss is {float(loss.data)}"
         raise NonFiniteError(fault if where is None else f"{where}: {fault}")
+    tape.spent = True
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(loss.tape.nodes[: loss.node_id + 1]):
-        if node.grad is None or node.bwd is None:
-            continue
-        node.bwd(node.grad)
+    for node in reversed(tape.nodes[: loss.node_id + 1]):
+        if node.grad is not None:
+            node.bwd(node.grad)
+        node.grad = node.bwd = None
+        node.parents = ()
+    return float(loss.data)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,16 @@ def triple_keys(s, r, t, ne: int, nr: int):
     return (np.asarray(s, dtype=np.int64) * nr + r) * ne + t
 
 
+def distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array: the first of each run.
+
+    With ``np.sort`` before it, this is ``np.unique``, whose hash path on
+    numpy 2.4 took about 115 ms for 170k int64 keys where these two took
+    3 ms (one core of a 2-vCPU Xeon).
+    """
+    return keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+
+
 class KnowledgeBase:
     """Immutable triple store with one-hop relation, fact, and object indexes."""
 
@@ -139,9 +149,8 @@ class KnowledgeBase:
         self._nr = max(len(relations), 1)
         self._ne = max(len(entities), 1)
         self.triple_keys = triple_keys   # sorted unique int64
-        # the pair keys of sorted triple keys come sorted too: keep the first of each run
-        pairs = triple_keys // self._ne
-        self.pair_keys = pairs[np.r_[True, pairs[1:] != pairs[:-1]]] if pairs.size else pairs
+        # the pair keys of sorted triple keys come sorted too
+        self.pair_keys = distinct_sorted(triple_keys // self._ne)
 
     @property
     def entity_count(self) -> int:
@@ -271,7 +280,7 @@ def ingest_triples(source) -> KnowledgeBase:
         s_arr = np.asarray(ss, dtype=np.int64)
         r_arr = remap[np.asarray(rs, dtype=np.int64)]
         t_arr = np.asarray(ts, dtype=np.int64)
-        keys = np.unique(triple_keys(s_arr, r_arr, t_arr, ne, nr))
+        keys = distinct_sorted(np.sort(triple_keys(s_arr, r_arr, t_arr, ne, nr)))
     else:
         keys = np.empty(0, dtype=np.int64)
     return KnowledgeBase(ents.texts, relations, keys)

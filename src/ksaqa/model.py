@@ -494,19 +494,18 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
         total = 0.0
         for lo in range(0, len(items), cfg.batch_size):
             batch = [items[int(i)] for i in order[lo : lo + cfg.batch_size]]
+            opt.zero_grad()
             with Tape():
-                loss = model.loss(batch, rng)
-                opt.zero_grad()
-                ad.backward(loss, where=f"epoch {epoch + 1}, step {opt.step_count + 1}")
+                total += ad.backward(model.loss(batch, rng),
+                                     where=f"epoch {epoch + 1}, step {opt.step_count + 1}")
             opt.step()
-            total += float(loss.data)
         entry = {"epoch": epoch + 1, "train_loss": total}
         if valid_examples:
             f1 = valid_macro_f1(model, valid_examples, kb)
             entry["valid_macro_f1"] = f1
             if f1 > best_f1:
                 best_f1 = f1
-                best_state = nn.snapshot(params)
+                best_state = nn.snapshot(params, into=best_state)
         history.append(entry)
         if log:
             log(f"epoch {entry['epoch']}/{cfg.epochs} loss {total:.4f}"

@@ -161,9 +161,17 @@ def collect_params(tree) -> list[Parameter]:
     return out
 
 
-def snapshot(params) -> dict[str, np.ndarray]:
-    """Copies of the parameter values, keyed by name."""
-    return {p.name: p.data.copy() for p in params}
+def snapshot(params, into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Copies of the parameter values, keyed by name.
+
+    Given ``into``, an earlier snapshot of the same parameters, the values
+    are copied into its arrays, so that only one copy is ever alive.
+    """
+    if into is None:
+        return {p.name: p.data.copy() for p in params}
+    for p in params:
+        into[p.name][...] = p.data
+    return into
 
 
 def restore(params, state: dict[str, np.ndarray]) -> None:

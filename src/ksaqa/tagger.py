@@ -169,19 +169,18 @@ def train_tagger(train_pairs, config: TaggerConfig, vocab: Vocabulary,
         total = 0.0
         for i in order:
             tokens, tags = train_pairs[int(i)]
+            opt.zero_grad()
             with Tape():
-                loss = ad.scale(model.log_likelihood(tokens, tags), -1.0)
-                opt.zero_grad()
-                ad.backward(loss, where=f"tagger epoch {epoch + 1}, step {opt.step_count + 1}")
+                total += ad.backward(ad.scale(model.log_likelihood(tokens, tags), -1.0),
+                                     where=f"tagger epoch {epoch + 1}, step {opt.step_count + 1}")
             opt.step()
-            total += float(loss.data)
         entry = {"epoch": epoch + 1, "train_loss": total}
         if valid_pairs:
             acc = span_accuracy(model, valid_pairs)
             entry["valid_span_accuracy"] = acc
             if acc > best_acc:
                 best_acc = acc
-                best_state = nn.snapshot(params)
+                best_state = nn.snapshot(params, into=best_state)
                 stale = 0
             else:
                 stale += 1

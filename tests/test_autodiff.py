@@ -332,6 +332,40 @@ def test_a_closed_tape_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_backward_consumes_the_graph_and_keeps_the_leaves_gradients():
+    """Every node on the tape lets go of its gradient, closure and parents,
+    the one off the loss's path too; leaves keep their gradients, nodes
+    their data, and backward returns the loss."""
+    with Tape() as tape:
+        p = _p("p", [0.5, -1.0, 2.0])
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        side = tanh(p)
+        s = sigmoid(p)
+        loss = sum_all(mul(s, x))
+        want = float(loss.data)
+        assert backward(loss) == want
+        assert [node.op for node in tape.nodes] == ["tanh", "sigmoid", "mul", "sum"]
+        for node in tape.nodes:
+            assert (node.grad, node.bwd, node.parents) == (None, None, ())
+    assert float(loss.data) == want
+    np.testing.assert_array_equal(side.data, np.tanh(p.data))
+    np.testing.assert_allclose(p.grad, s.data * (1.0 - s.data) * x.data)
+    np.testing.assert_array_equal(x.grad, s.data)
+
+
+def test_a_second_backward_on_a_spent_tape_is_refused():
+    with Tape():
+        p = _p("p", [1.0, 2.0])
+        loss = sum_all(tanh(p))
+        backward(loss)
+        grad = p.grad.copy()
+        with pytest.raises(ShapeError, match="^backward called twice on one tape"):
+            backward(loss)
+        with pytest.raises(ShapeError, match="twice"):
+            backward(sum_all(p))          # a new loss recorded onto the spent tape
+    np.testing.assert_array_equal(p.grad, grad)
+
+
 def test_threads_recording_onto_one_tape_lose_no_node():
     """Eight threads record onto one tape with the GIL handed over every
     microsecond: every node keeps its own id, its place on the tape."""

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ksaqa.errors import IngestError
-from ksaqa.kb import (AliasTable, KnowledgeBase, ingest_aliases, ingest_triples,
-                      normalize_text, strip_id_prefix, tokenize, triple_keys)
+from ksaqa.kb import (AliasTable, KnowledgeBase, distinct_sorted, ingest_aliases,
+                      ingest_triples, normalize_text, strip_id_prefix, tokenize, triple_keys)
 
 from corpus_util import EPREFIX, RPREFIX, micro_world
 
@@ -43,6 +43,17 @@ def test_duplicate_lines_are_deduplicated():
     line = f"{EPREFIX}a\t{RPREFIX}r/x\t{EPREFIX}b\n"
     kb = ingest_triples([line, line, line])
     assert kb.triple_count == 1
+
+
+@pytest.mark.parametrize("n, high", [(0, 1), (1, 10), (2, 1), (50, 5), (5000, 2**40),
+                                     (5000, 300)])
+def test_sort_and_first_of_each_run_equal_np_unique(n, high):
+    keys = np.random.default_rng(n + high).integers(0, high, n, dtype=np.int64)
+    if n > 10:
+        keys = np.concatenate([keys, keys[: n // 3]])   # duplicates apart from each other
+    got, want = distinct_sorted(np.sort(keys)), np.unique(keys)
+    assert got.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
 
 
 def test_relations_are_lexicographically_ordered(micro):

@@ -8,11 +8,13 @@ batched scoring and training pass is checked against the per-subject pass
 it replaced (``per_subject_oracle``).
 """
 
+import gc
 import math
 import sys
 import threading
 import time
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -590,6 +592,60 @@ def test_gradients_flow_through_every_parameter_group(world):
     dead = [p.name for p in model.parameters()
             if p.grad is None or not np.any(p.grad)]
     assert dead == []
+
+
+def test_a_training_step_frees_its_graph_before_the_next_forward(world, monkeypatch):
+    """Step k's loss and an interior node of its graph are gone, by reference
+    counting alone, when step k+1's forward starts."""
+    kb, _, examples = world
+    backward, loss_fn = ad.backward, KsaModel.loss
+    held, alive_at_forward = [], []
+
+    def tracked_backward(loss, where=None):
+        assert loss.parents[0].tape is loss.tape      # an interior node
+        held[:] = [weakref.ref(loss), weakref.ref(loss.parents[0])]
+        return backward(loss, where)
+
+    def forward(model, batch, rng=None):
+        alive_at_forward.append([ref() is not None for ref in held])
+        return loss_fn(model, batch, rng)
+
+    monkeypatch.setattr(ad, "backward", tracked_backward)
+    monkeypatch.setattr(KsaModel, "loss", forward)
+    gc.disable()
+    try:
+        train_model(_model(world, epochs=3), examples, kb)
+    finally:
+        gc.enable()
+    assert len(alive_at_forward) > 3 and alive_at_forward[0] == []
+    assert all(alive == [False, False] for alive in alive_at_forward[1:])
+
+
+def test_the_best_state_is_one_copy_restored_from_its_epoch(world, monkeypatch):
+    """Each better validation score overwrites the one kept snapshot (never
+    two copies alive), and training ends on the best epoch's parameters."""
+    kb, _, examples = world
+    model = _model(world, epochs=4)
+    params = model.parameters()
+    snapshot, scores, at_epoch, made = nn.snapshot, iter([0.1, 0.5, 0.7, 0.3]), [], []
+
+    def f1(model, examples, kb, lam=None):
+        at_epoch.append(snapshot(params))
+        return next(scores)
+
+    def counted(params, into=None):
+        state = snapshot(params, into=into)
+        made.extend(weakref.ref(a) for a in state.values())
+        assert len({id(a) for a in (ref() for ref in made) if a is not None}) == len(params)
+        return state
+
+    monkeypatch.setattr(model_mod, "valid_macro_f1", f1)
+    monkeypatch.setattr(nn, "snapshot", counted)
+    history = train_model(model, examples, kb, valid_examples=examples)
+    assert [h["valid_macro_f1"] for h in history] == [0.1, 0.5, 0.7, 0.3]
+    for p in params:
+        np.testing.assert_array_equal(p.data, at_epoch[2][p.name])
+    assert any(not np.array_equal(p.data, at_epoch[3][p.name]) for p in params)
 
 
 # -- the two-branch schedule -------------------------------------------------------

@@ -1,9 +1,13 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from ksaqa import autodiff as ad
+from ksaqa import nn
 from ksaqa.autodiff import Parameter, Tape, backward, crf_log_likelihood, scale
 from ksaqa.dataset import ENT, build_vocabulary
 from ksaqa.errors import CheckpointError, ConfigError, NonFiniteError
@@ -301,6 +305,63 @@ def test_training_is_seed_deterministic():
     _, h1 = train_tagger(pairs, cfg, vocab)
     _, h2 = train_tagger(pairs, cfg, vocab)
     assert h1 == h2
+
+
+def test_a_training_step_frees_its_graph_before_the_next_forward(monkeypatch):
+    """Step k's loss and its CRF node are gone, by reference counting alone,
+    when step k+1's forward starts."""
+    pairs = _tagger_corpus()[:4]
+    real_backward, log_likelihood = ad.backward, TaggerModel.log_likelihood
+    held, alive_at_forward = [], []
+
+    def tracked_backward(loss, where=None):
+        assert loss.parents[0].op == "crf_ll" and loss.parents[0].tape is loss.tape
+        held[:] = [weakref.ref(loss), weakref.ref(loss.parents[0])]
+        return real_backward(loss, where)
+
+    def forward(model, tokens, tags):
+        alive_at_forward.append([ref() is not None for ref in held])
+        return log_likelihood(model, tokens, tags)
+
+    monkeypatch.setattr(ad, "backward", tracked_backward)
+    monkeypatch.setattr(TaggerModel, "log_likelihood", forward)
+    gc.disable()
+    try:
+        train_tagger(pairs, TaggerConfig(d_word=8, hidden=4, epochs=2, seed=9),
+                     build_vocabulary([t for t, _ in pairs]))
+    finally:
+        gc.enable()
+    assert len(alive_at_forward) == 8 and alive_at_forward[0] == []
+    assert all(alive == [False, False] for alive in alive_at_forward[1:])
+
+
+def test_the_best_state_is_one_copy_restored_from_its_epoch(monkeypatch):
+    """Each better validation accuracy overwrites the one kept snapshot
+    (never two copies alive), and training ends on the best epoch's
+    parameters."""
+    pairs = _tagger_corpus()[:4]
+    snapshot, scores, at_epoch, made = nn.snapshot, iter([0.1, 0.5, 0.7, 0.3]), [], []
+
+    def accuracy(model, pairs):
+        at_epoch.append(snapshot(model.parameters()))
+        return next(scores)
+
+    def counted(params, into=None):
+        state = snapshot(params, into=into)
+        made.extend(weakref.ref(a) for a in state.values())
+        assert len({id(a) for a in (ref() for ref in made) if a is not None}) == len(params)
+        return state
+
+    monkeypatch.setattr(tagger_mod, "span_accuracy", accuracy)
+    monkeypatch.setattr(nn, "snapshot", counted)
+    model, history = train_tagger(pairs, TaggerConfig(d_word=8, hidden=4, lr=0.02, epochs=4,
+                                                      seed=9),
+                                  build_vocabulary([t for t, _ in pairs]), valid_pairs=pairs)
+    assert [h["valid_span_accuracy"] for h in history] == [0.1, 0.5, 0.7, 0.3]
+    params = model.parameters()
+    for p in params:
+        np.testing.assert_array_equal(p.data, at_epoch[2][p.name])
+    assert any(not np.array_equal(p.data, at_epoch[3][p.name]) for p in params)
 
 
 # -- batched decode against one sentence at a time -------------------------------
