@@ -34,27 +34,11 @@ from .kernels import gru as gru_k
 _TAPES: list["Tape"] = []
 
 
-class Rng:
+class Rng(np.random.Generator):
     """Deterministic counter-based random stream (Philox) behind a 64-bit seed."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.gen = np.random.Generator(np.random.Philox(key=self.seed))
-
-    def uniform(self, low, high, size=None):
-        return self.gen.uniform(low, high, size)
-
-    def random(self, size=None):
-        return self.gen.random(size)
-
-    def integers(self, low, high=None, size=None):
-        return self.gen.integers(low, high, size=size)
-
-    def permutation(self, n):
-        return self.gen.permutation(n)
-
-    def choice(self, n, size, replace=False):
-        return self.gen.choice(n, size=size, replace=replace)
+        super().__init__(np.random.Philox(key=int(seed)))
 
 
 class Tape:

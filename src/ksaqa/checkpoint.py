@@ -21,7 +21,7 @@ widen.  Loading a file saved from already-float32-valued arrays reproduces
 them bit-exactly.
 
 The manifest ``<name>.ckpt.json`` holds the owner's config and a SHA-256 of
-each list (vocabulary, relations) the tensors are indexed by.
+each list (vocabulary, relations, entities) the tensors are indexed by.
 """
 
 from __future__ import annotations

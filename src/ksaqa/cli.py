@@ -20,7 +20,8 @@ Exit codes:
     4  missing input file
     5  malformed input data (bad or non-UTF-8 line, with its number; KB too large)
     6  missing pipeline artifact or its manifest (run the earlier stage first)
-    7  detection failure (no subject mention or no matching entity)
+    7  detection failure (no subject mention or no matching entity, or an
+       attention --subject that is not a candidate of the mention)
     8  corrupt or incompatible checkpoint (also a non-finite tensor), unreadable
        kb.npz (also one in an older layout), or aliases.tsv, vocab.txt or a
        *.jsonl split changed since its stage wrote it
@@ -47,7 +48,7 @@ from .model import KsaModel, ModelConfig, train_model
 from .relabel import (build_pattern_index, load_jsonl, export_jsonl,
                       relabel_dataset, ambiguity_rate, write_report)
 from .tagger import TaggerConfig, TaggerModel, predict_span, tags_for_span, train_tagger
-from .transe import EmbeddingSet, TransEConfig, export_relation_embeddings, train_transe
+from .transe import EmbeddingSet, TransEConfig, train_transe
 
 FULL_KB_COUNTS = (2_150_604, 6_701, 14_180_937)
 FULL_SPLIT_COUNTS = {"train": 75_910, "valid": 10_845, "test": 21_687}
@@ -198,7 +199,7 @@ def cmd_pretrain_transe(args, cfg: PipelineConfig) -> int:
     kb = _load_kb(work)
     tcfg = stage_config(cfg, TransEConfig)
     emb, history = train_transe(kb, tcfg, log=_log)
-    emb.save(work / "transe.ckpt")
+    emb.save(work / "transe.ckpt", kb)
     _log(f"saved transe.ckpt (dim={tcfg.dim}, final epoch loss {history[-1]:.4f})")
     return 0
 
@@ -237,13 +238,12 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     if args.no_transe_init:
         _log("relation embeddings: random init (--no-transe-init)")
     elif transe_path.exists():
-        emb = EmbeddingSet.load(_sealed(work, "transe.ckpt", "pretrain-transe"))
-        rows = export_relation_embeddings(emb, model.relations, Rng(cfg.seed + 7))
-        if rows.shape[1] != cfg.d_rel:
+        emb = EmbeddingSet.load(_sealed(work, "transe.ckpt", "pretrain-transe"), kb)
+        if emb.relation.shape[1] != cfg.d_rel:
             raise ConfigError(
-                f"transe.ckpt holds {rows.shape[1]}-dim vectors but d_rel is "
+                f"transe.ckpt holds {emb.relation.shape[1]}-dim vectors but d_rel is "
                 f"{cfg.d_rel}; set transe_dim = d_rel or pass --no-transe-init")
-        model.rel_emb.data[: len(model.relations)] = rows
+        model.rel_emb.data[: kb.relation_count] = emb.relation
         _log(f"relation embeddings: initialized from {transe_path.name}")
     else:
         _log("relation embeddings: random init (no transe.ckpt found)")
@@ -334,6 +334,9 @@ def cmd_attention(args, cfg: PipelineConfig) -> int:
         if top is None:
             raise DetectionFailureError("no scorable candidate pairs")
         subject = top[0]
+    elif subject not in candidates:
+        raise DetectionFailureError(
+            f"--subject {subject!r} is not a candidate of the alias {fq.mention_text!r}")
     amap = export_attention(model, fq.tokens, subject, kb, path=work / "attention.tsv")
     _log(f"subject: {_entity_label(aliases, subject)}")
     _log(amap.heatmap())

@@ -482,8 +482,7 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
     if not train_examples:
         raise ConfigError("model training set is empty")
     cfg = model.config
-    params = model.parameters()
-    opt = Adam(params, lr=cfg.lr)
+    opt = Adam(model.parameters(), lr=cfg.lr)
     rng = Rng(cfg.seed + 1)
     best_f1 = -1.0
     best_state = None
@@ -505,7 +504,7 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
             entry["valid_macro_f1"] = f1
             if f1 > best_f1:
                 best_f1 = f1
-                best_state = nn.snapshot(params, into=best_state)
+                best_state = opt.keep(into=best_state)
         history.append(entry)
         if log:
             log(f"epoch {entry['epoch']}/{cfg.epochs} loss {total:.4f}"
@@ -514,5 +513,5 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
                 and entry["valid_macro_f1"] >= target_f1):
             break
     if best_state is not None:
-        nn.restore(params, best_state)
+        opt.data[...] = best_state
     return history

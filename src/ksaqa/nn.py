@@ -159,30 +159,3 @@ def collect_params(tree) -> list[Parameter]:
         for item in tree:
             out.extend(collect_params(item))
     return out
-
-
-def snapshot(params, into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Copies of the parameter values, keyed by name.
-
-    Given ``into``, an earlier snapshot of the same parameters, the values
-    are copied into its arrays, so that only one copy is ever alive.
-    """
-    if into is None:
-        return {p.name: p.data.copy() for p in params}
-    for p in params:
-        into[p.name][...] = p.data
-    return into
-
-
-def restore(params, state: dict[str, np.ndarray]) -> None:
-    """Copy ``state[name]`` into each parameter; names and shapes must match exactly."""
-    names = {p.name for p in params}
-    if names != state.keys():
-        raise CheckpointError(f"snapshot: missing tensors {sorted(names - state.keys())}, "
-                              f"unexpected tensors {sorted(state.keys() - names)}")
-    for p in params:
-        if state[p.name].shape != p.data.shape:
-            raise CheckpointError(f"snapshot: {p.name} has shape {state[p.name].shape}, "
-                                  f"expected {p.data.shape}")
-    for p in params:
-        p.data[...] = state[p.name]

@@ -7,6 +7,7 @@ table of a loaded model, exactly.  Backward adds every
 gradient into the bound view in place (:meth:`Tensor.accumulate`),
 :meth:`Adam.zero_grad` zeroes the gradient buffer, and :meth:`Adam.step`
 updates the whole arena in one kernel call, then refuses it if a value is NaN or Inf.
+:meth:`Adam.keep` copies the arena, which is every trained value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ EPS = 1e-8
 
 
 class Adam:
-    """Tracks first/second moments per parameter; step() consumes .grad."""
+    """Tracks first/second moments over the arena (``m_flat``, ``v_flat``, in
+    parameter order); step() consumes .grad."""
 
     def __init__(self, params: list[Parameter], lr: float = 0.001):
         names = [p.name for p in params]
@@ -34,7 +36,7 @@ class Adam:
         self.step_count = 0
         bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         self.data, self.grad, self.m_flat, self.v_flat = (np.zeros(bounds[-1]) for _ in range(4))
-        self.views, self.grad_views, self.m, self.v = [], [], {}, {}
+        self.views, self.grad_views = [], []
         for p, lo, hi in zip(self.params, bounds, bounds[1:]):
             shape = p.data.shape
             self.data[lo:hi] = p.data.reshape(-1)
@@ -42,8 +44,15 @@ class Adam:
             p.grad = self.grad[lo:hi].reshape(shape)
             self.views.append(p.data)
             self.grad_views.append(p.grad)
-            self.m[p.name] = self.m_flat[lo:hi].reshape(shape)
-            self.v[p.name] = self.v_flat[lo:hi].reshape(shape)
+
+    def keep(self, into: np.ndarray | None = None) -> np.ndarray:
+        """A copy of every parameter value, or ``into``, an earlier copy,
+        overwritten in place, so that only one copy is ever alive.  Assigning
+        it back (``opt.data[...] = kept``) restores those values."""
+        if into is None:
+            return self.data.copy()
+        into[...] = self.data
+        return into
 
     def zero_grad(self):
         self.grad.fill(0.0)

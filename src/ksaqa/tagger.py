@@ -157,8 +157,7 @@ def train_tagger(train_pairs, config: TaggerConfig, vocab: Vocabulary,
     if not train_pairs:
         raise ConfigError("tagger training set is empty")
     model = TaggerModel(vocab, config)
-    params = model.parameters()
-    opt = Adam(params, lr=config.lr)
+    opt = Adam(model.parameters(), lr=config.lr)
     rng = Rng(config.seed + 1)
     best_acc = -1.0
     best_state = None
@@ -180,7 +179,7 @@ def train_tagger(train_pairs, config: TaggerConfig, vocab: Vocabulary,
             entry["valid_span_accuracy"] = acc
             if acc > best_acc:
                 best_acc = acc
-                best_state = nn.snapshot(params, into=best_state)
+                best_state = opt.keep(into=best_state)
                 stale = 0
             else:
                 stale += 1
@@ -191,5 +190,5 @@ def train_tagger(train_pairs, config: TaggerConfig, vocab: Vocabulary,
         if valid_pairs and stale >= config.patience:
             break
     if best_state is not None:
-        nn.restore(params, best_state)
+        opt.data[...] = best_state
     return model, history

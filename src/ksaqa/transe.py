@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Rng, init_embedding
+from .autodiff import Parameter, Rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, NonFiniteError, require_positive
 from .kb import KnowledgeBase
@@ -42,29 +42,30 @@ class TransEConfig:
 
 @dataclass
 class EmbeddingSet:
+    """The two tables of one KB, rows in its entity and relation order."""
+
     entity: np.ndarray        # [NE, dim]
     relation: np.ndarray      # [NR, dim]
-    entities: list[str]
-    relations: list[str]
     norm: str = "l2"
 
     def parameters(self) -> list[Parameter]:
         """The two tables as parameters that share their memory."""
         return [Parameter("transe.entity", self.entity), Parameter("transe.relation", self.relation)]
 
-    def save(self, path) -> None:
-        save_checkpoint(path, self.parameters(), {
-            "dim": int(self.relation.shape[1]), "norm": self.norm,
-            "entities": self.entities, "relations": self.relations})
+    def save(self, path, kb: KnowledgeBase) -> None:
+        save_checkpoint(path, self.parameters(),
+                        {"dim": int(self.relation.shape[1]), "norm": self.norm},
+                        entities=kb.entities, relations=kb.relations)
 
     @classmethod
-    def load(cls, path) -> "EmbeddingSet":
+    def load(cls, path, kb: KnowledgeBase) -> "EmbeddingSet":
+        """The tables saved for ``kb``; a checkpoint of another KB is refused."""
         def build(c, saved):
-            return cls(saved.take("transe.entity", (len(c["entities"]), c["dim"])).data,
-                       saved.take("transe.relation", (len(c["relations"]), c["dim"])).data,
-                       list(c["entities"]), list(c["relations"]), c["norm"])
+            return cls(saved.take("transe.entity", (kb.entity_count, c["dim"])).data,
+                       saved.take("transe.relation", (kb.relation_count, c["dim"])).data,
+                       c["norm"])
 
-        return load_checkpoint(path, build)
+        return load_checkpoint(path, build, entities=kb.entities, relations=kb.relations)
 
 
 def mean_tail_rank(kb: KnowledgeBase, emb: EmbeddingSet) -> float:
@@ -153,19 +154,4 @@ def train_transe(kb: KnowledgeBase, config: TransEConfig,
         history.append(total)
         if log:
             log(f"transe epoch {epoch + 1}/{config.epochs} loss {total:.4f}")
-    emb = EmbeddingSet(entity=ent, relation=rel,
-                       entities=list(kb.entities), relations=list(kb.relations),
-                       norm=config.norm)
-    return emb, history
-
-
-def export_relation_embeddings(emb: EmbeddingSet, relation_order: list[str],
-                               rng: Rng) -> np.ndarray:
-    """Rows reordered to ``relation_order``; unknown relations drawn fresh."""
-    known = {name: i for i, name in enumerate(emb.relations)}
-    d = emb.relation.shape[1]
-    out = np.empty((len(relation_order), d))
-    for row, name in enumerate(relation_order):
-        i = known.get(name)
-        out[row] = emb.relation[i] if i is not None else init_embedding(rng, d)
-    return out
+    return EmbeddingSet(entity=ent, relation=rel, norm=config.norm), history

@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 
 from ksaqa import autodiff as ad
-from ksaqa import checkpoint, nn
+from ksaqa import checkpoint
 from ksaqa.autodiff import Parameter
 from ksaqa.checkpoint import (MAGIC, load_arrays, load_checkpoint, save_arrays,
                               save_checkpoint)
 from ksaqa.dataset import build_vocabulary
 from ksaqa.errors import (BadMagicError, CheckpointError, DuplicateNameError,
                           NonFiniteError, TruncatedCheckpointError)
+from ksaqa.kb import ingest_triples
 from ksaqa.model import VARIANTS, KsaModel, ModelConfig
 from ksaqa.nn import Saved
 from ksaqa.tagger import TaggerConfig, TaggerModel
 from ksaqa.transe import EmbeddingSet
 
 from ckpt_bytes import PAGE, PAGED, payload_offset, set_value
+from corpus_util import EPREFIX, RPREFIX
 
 
 def _sample():
@@ -231,32 +233,56 @@ def test_load_keeps_only_the_touched_pages_resident(tmp_path):
 
 # -- the owners' load path against the construct-then-restore load it replaced --
 
+def restore(params, state: dict[str, np.ndarray]) -> None:
+    """Copy ``state[name]`` into each parameter; names and shapes must match exactly."""
+    names = {p.name for p in params}
+    if names != state.keys():
+        raise CheckpointError(f"restore: missing tensors {sorted(names - state.keys())}, "
+                              f"unexpected tensors {sorted(state.keys() - names)}")
+    for p in params:
+        if state[p.name].shape != p.data.shape:
+            raise CheckpointError(f"restore: {p.name} has shape {state[p.name].shape}, "
+                                  f"expected {p.data.shape}")
+    for p in params:
+        p.data[...] = state[p.name]
+
+
 def _restored(path, build):
     """The old load path, kept as the oracle: construct the owner from the
     manifest config (a fresh random draw), then copy the saved tensors over
     its parameters."""
     owner = build(json.loads(Path(f"{path}.json").read_text())["config"])
-    nn.restore(owner.parameters(), load_arrays(path))
+    restore(owner.parameters(), load_arrays(path))
     return owner
+
+
+def _kb(*relations):
+    """A KB of four entities, a to d, and one triple under each relation."""
+    return ingest_triples([f"{EPREFIX}{h}\t{RPREFIX}{r}\t{EPREFIX}{t}\n"
+                           for (h, t), r in zip(["ab", "cd"], relations)])
 
 
 VOCAB = build_vocabulary([["who", "wrote", "<e>", "?"]])
 RELATIONS = ["r/born", "r/wrote", "r/won"]
+KB = _kb("r/x", "r/y")
+# each owner as (make, save, load, build): ``build(config)`` is the old
+# constructor call for the oracle
 OWNERS = {
     **{variant: (lambda v=variant: KsaModel(VOCAB, RELATIONS, ModelConfig(
         variant=v, d_word=7, d_rel=5, d_hidden=4, attention_hidden=3, seed=2)),
+                 KsaModel.save,
                  lambda path: KsaModel.load(path, VOCAB, RELATIONS),
                  lambda c: KsaModel(VOCAB, RELATIONS, ModelConfig(**c)))
        for variant in VARIANTS},
     "tagger": (lambda: TaggerModel(VOCAB, TaggerConfig(d_word=6, hidden=4, seed=1)),
+               TaggerModel.save,
                lambda path: TaggerModel.load(path, VOCAB),
                lambda c: TaggerModel(VOCAB, TaggerConfig(**c))),
-    "transe": (lambda: EmbeddingSet(np.zeros((4, 3)), np.zeros((2, 3)), list("abcd"),
-                                    ["r/x", "r/y"], "l1"),
-               EmbeddingSet.load,
-               lambda c: EmbeddingSet(np.zeros((len(c["entities"]), c["dim"])),
-                                      np.zeros((len(c["relations"]), c["dim"])),
-                                      list(c["entities"]), list(c["relations"]), c["norm"])),
+    "transe": (lambda: EmbeddingSet(np.zeros((4, 3)), np.zeros((2, 3)), "l1"),
+               lambda emb, path: emb.save(path, KB),
+               lambda path: EmbeddingSet.load(path, KB),
+               lambda c: EmbeddingSet(np.zeros((KB.entity_count, c["dim"])),
+                                      np.zeros((KB.relation_count, c["dim"])), c["norm"])),
 }
 
 
@@ -265,12 +291,12 @@ GATHERED = {"ksa.word_emb", "ksa.rel_emb", "ksa.out.w", "tagger.word_emb"}
 
 @pytest.mark.parametrize("owner", OWNERS)
 def test_load_equals_construct_then_restore_without_a_draw(tmp_path, monkeypatch, owner):
-    make, load, build = OWNERS[owner]
+    make, save, load, build = OWNERS[owner]
     trained = make()
     rng = np.random.default_rng(5)
     for p in trained.parameters():     # off every init value, zero biases included
         p.data += rng.standard_normal(p.data.shape)
-    trained.save(tmp_path / "o.ckpt")
+    save(trained, tmp_path / "o.ckpt")
     oracle = _restored(tmp_path / "o.ckpt", build)
     for init in ("init_weight", "init_embedding"):
         monkeypatch.setattr(ad, init, lambda *a, **k: pytest.fail("load drew a random init"))
@@ -285,3 +311,31 @@ def test_load_equals_construct_then_restore_without_a_draw(tmp_path, monkeypatch
     if owner == "transe":     # the tables are the parameters' arrays
         assert loaded.entity.tobytes() == oracle.entity.tobytes()
         assert loaded.relation.tobytes() == oracle.relation.tobytes()
+
+
+OTHER_VOCAB = build_vocabulary([["who", "won", "<e>", "?"]])
+# (owner, the identity list that differs, a load of that owner's file against it)
+FOREIGN = [
+    ("KSA-BiGRU", "vocabulary", lambda path: KsaModel.load(path, OTHER_VOCAB, RELATIONS)),
+    ("KSA-BiGRU", "relations",
+     lambda path: KsaModel.load(path, VOCAB, ["r/born", "r/penned", "r/won"])),
+    ("tagger", "vocabulary", lambda path: TaggerModel.load(path, OTHER_VOCAB)),
+    ("transe", "relations", lambda path: EmbeddingSet.load(path, _kb("r/x", "r/renamed"))),
+    ("transe", "entities",
+     lambda path: EmbeddingSet.load(path, ingest_triples(
+         [f"{EPREFIX}a\t{RPREFIX}r/x\t{EPREFIX}b\n", f"{EPREFIX}c\t{RPREFIX}r/y\t{EPREFIX}e\n"]))),
+]
+
+
+@pytest.mark.parametrize("owner,key,load", FOREIGN, ids=[f"{o}-{k}" for o, k, _ in FOREIGN])
+def test_each_owner_refuses_a_manifest_recorded_for_another_identity(tmp_path, monkeypatch,
+                                                                      owner, key, load):
+    """Same shapes, other names: the manifest's hash refuses the file before
+    a payload is read."""
+    make, save, _, _ = OWNERS[owner]
+    save(make(), tmp_path / "o.ckpt")
+    monkeypatch.setattr(checkpoint, "load_arrays",
+                        lambda path: pytest.fail("read the tensors of a foreign checkpoint"))
+    with pytest.raises(CheckpointError,
+                       match=f"o.ckpt.json records no {key}_sha256, or a different {key}$"):
+        load(tmp_path / "o.ckpt")

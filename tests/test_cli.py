@@ -22,9 +22,10 @@ from ksaqa.checkpoint import MAGIC, load_arrays, save_arrays
 from ksaqa.cli import build_parser, main
 from ksaqa.config import KEYS
 from ksaqa.dataset import Vocabulary
-from ksaqa.kb import KnowledgeBase
+from ksaqa.kb import KnowledgeBase, ingest_triples
 
 from ckpt_bytes import PAGED, set_value
+from corpus_util import micro_world
 
 
 def test_pipeline_writes_every_artifact(pipeline):
@@ -353,6 +354,12 @@ def _paged_transe(tensor, index, value):
     return mutate
 
 
+def _renamed_relations_kb(work, mp):
+    """Re-ingest the micro world's KB with its people/person/* relations renamed."""
+    ingest_triples([line.replace("/people/person/", "/people/human/")
+                    for line in micro_world().triple_lines]).save(work / "kb.npz")
+
+
 def _old_kb_layout(work, mp):
     """Rewrite kb.npz with its names as fixed-width UTF-32 arrays, as older versions did."""
     kb = KnowledgeBase.load(work / "kb.npz")
@@ -392,6 +399,8 @@ FAULTS = [
      _edit_tensors("tagger.ckpt", lambda a: a.update({"tagger.emit.w": a["tagger.emit.w"].T})), 8),
     ("transe-tensor-misshaped", ["train", "--epochs", "1"],
      _edit_tensors("transe.ckpt", lambda a: a.update({"transe.entity": a["transe.entity"][:1]})), 8),
+    # a transe.ckpt pretrained on a KB that has since been re-ingested
+    ("transe-other-kb", ["train", "--epochs", "1"], _renamed_relations_kb, 8),
     # a sealed vocabulary the checkpoints were not trained on
     ("foreign-vocabulary", PREDICT, _foreign_vocabulary, 8),
     # dims whose product wraps to 0 in int64, or that no array can take around a 0
@@ -440,6 +449,12 @@ FAULTS = [
      _second_jsonl_line("train.jsonl", lambda line: line.replace('"gold": [', '"gold": [1, ')), 8),
     ("workdir-jsonl-no-mention-marker", ["stats"],
      _second_jsonl_line("train.jsonl", lambda line: line.replace("<e>", "it")), 8),
+    # a --subject that is not a candidate of the question's mention
+    ("attention-subject-unknown",
+     ["attention", "--question", "what did john smith write", "--subject", "nosuchentity"],
+     _keep, 7),
+    ("attention-subject-not-a-candidate",
+     ["attention", "--question", "what did john smith write", "--subject", "03"], _keep, 7),
     # a mention no entity is known by ends before the predictor is read
     ("unknown-mention-model-unread", PREDICT + ["--mention", "born"],
      _write("model.ckpt", "not a checkpoint"), 7),
@@ -517,6 +532,12 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
                         "workdir-jsonl-gold-not-a-pair", "workdir-jsonl-no-mention-marker")},
         **{name: "{work}/vocab.txt changed since relabel wrote it; rerun relabel"
            for name in ("vocab-empty", "vocab-cut-off", "vocab-edited")},
+        "transe-other-kb":
+            "{work}/transe.ckpt.json records no relations_sha256, or a different relations",
+        "attention-subject-unknown":
+            "--subject 'nosuchentity' is not a candidate of the alias 'john smith'",
+        "attention-subject-not-a-candidate":
+            "--subject '03' is not a candidate of the alias 'john smith'",
         "foreign-vocabulary":
             "{work}/tagger.ckpt.json records no vocabulary_sha256, or a different vocabulary",
         "unknown-mention-model-unread": "no entity is known under the alias 'born'"}
@@ -546,6 +567,17 @@ def test_fault_exits_with_one_line(pipeline, tmp_path, capsys, monkeypatch, name
         assert SAYS[name].format(work=broken) in err, err
     # a refused or failed run leaves every workdir file as it was, and no temp file
     assert _files(broken) == before
+
+
+def test_a_transe_ckpt_of_another_kb_is_not_read_under_no_transe_init(pipeline, tmp_path,
+                                                                      capsys):
+    cfg, _, work = pipeline
+    broken = tmp_path / "work"
+    shutil.copytree(work, broken)
+    _renamed_relations_kb(broken, None)
+    assert main(["train", "--config", str(cfg), "--workdir", str(broken), "--epochs", "1",
+                 "--no-transe-init"]) == 0
+    assert "random init (--no-transe-init)" in capsys.readouterr().out
 
 
 def test_training_stages_do_not_read_aliases(pipeline, tmp_path, capsys):

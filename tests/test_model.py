@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from ksaqa import autodiff as ad
-from ksaqa import nn
 import ksaqa.model as model_mod
 from ksaqa.autodiff import Rng, Tape
 from ksaqa.dataset import build_vocabulary
@@ -29,6 +28,7 @@ from ksaqa.errors import CheckpointError, ConfigError, ShapeError
 from ksaqa.evaluation import export_attention
 from ksaqa.model import (KsaModel, ModelConfig, VARIANTS, build_training_items,
                          train_model, valid_macro_f1)
+from ksaqa.optim import Adam
 
 import per_subject_oracle as oracle
 
@@ -499,19 +499,6 @@ def test_checkpoint_rejects_foreign_vocabulary(world, tmp_path):
         KsaModel.load(path, vocab, kb.relations[:-1])
 
 
-def test_load_state_validates_names_and_shapes(world):
-    model = _model(world)
-    state = nn.snapshot(model.parameters())
-    missing = dict(state)
-    missing.pop("ksa.out.w")
-    with pytest.raises(CheckpointError, match="missing"):
-        nn.restore(model.parameters(), missing)
-    bad = dict(state)
-    bad["ksa.out.w"] = np.zeros((1, 1))
-    with pytest.raises(CheckpointError, match="ksa.out.w"):
-        nn.restore(model.parameters(), bad)
-
-
 # -- training -------------------------------------------------------------------
 
 
@@ -551,8 +538,8 @@ def test_training_is_deterministic_per_seed(world):
     h1 = train_model(m1, examples, kb, valid_examples=examples)
     h2 = train_model(m2, examples, kb, valid_examples=examples)
     assert h1 == h2
-    for name, arr in nn.snapshot(m1.parameters()).items():
-        np.testing.assert_array_equal(arr, nn.snapshot(m2.parameters())[name])
+    for p, q in zip(m1.parameters(), m2.parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
 
 
 def test_training_loss_decreases_on_the_micro_world(world):
@@ -622,30 +609,30 @@ def test_a_training_step_frees_its_graph_before_the_next_forward(world, monkeypa
 
 
 def test_the_best_state_is_one_copy_restored_from_its_epoch(world, monkeypatch):
-    """Each better validation score overwrites the one kept snapshot (never
-    two copies alive), and training ends on the best epoch's parameters."""
+    """Each better validation score overwrites the one kept copy of Adam's
+    arena (never two alive), and training ends on the best epoch's values."""
     kb, _, examples = world
     model = _model(world, epochs=4)
-    params = model.parameters()
-    snapshot, scores, at_epoch, made = nn.snapshot, iter([0.1, 0.5, 0.7, 0.3]), [], []
+    keep, scores, at_epoch, kept = Adam.keep, iter([0.1, 0.5, 0.7, 0.3]), [], []
 
     def f1(model, examples, kb, lam=None):
-        at_epoch.append(snapshot(params))
+        at_epoch.append(np.concatenate([p.data.ravel() for p in model.parameters()]))
         return next(scores)
 
-    def counted(params, into=None):
-        state = snapshot(params, into=into)
-        made.extend(weakref.ref(a) for a in state.values())
-        assert len({id(a) for a in (ref() for ref in made) if a is not None}) == len(params)
-        return state
+    def counted(opt, into=None):
+        copy = keep(opt, into=into)
+        kept.append(weakref.ref(copy))
+        assert len({id(a) for a in (ref() for ref in kept) if a is not None}) == 1
+        return copy
 
     monkeypatch.setattr(model_mod, "valid_macro_f1", f1)
-    monkeypatch.setattr(nn, "snapshot", counted)
+    monkeypatch.setattr(Adam, "keep", counted)
     history = train_model(model, examples, kb, valid_examples=examples)
     assert [h["valid_macro_f1"] for h in history] == [0.1, 0.5, 0.7, 0.3]
-    for p in params:
-        np.testing.assert_array_equal(p.data, at_epoch[2][p.name])
-    assert any(not np.array_equal(p.data, at_epoch[3][p.name]) for p in params)
+    assert len(kept) == 3
+    final = np.concatenate([p.data.ravel() for p in model.parameters()])
+    np.testing.assert_array_equal(final, at_epoch[2])
+    assert not np.array_equal(final, at_epoch[3])
 
 
 # -- the two-branch schedule -------------------------------------------------------
@@ -727,7 +714,7 @@ def test_threaded_training_reruns_to_the_same_parameters(world, monkeypatch):
 
     def train(model):
         history = train_model(model, examples, kb, valid_examples=examples)
-        return history, nn.snapshot(model.parameters())
+        return history, {p.name: p.data.copy() for p in model.parameters()}
 
     (h1, p1), (h2, p2), (h_inline, p_inline) = (
         _on_schedule(world, monkeypatch, on, train) for on in (True, True, False))

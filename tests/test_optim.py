@@ -9,7 +9,6 @@ import pytest
 
 import ksaqa.model as model_mod
 import ksaqa.tagger as tagger_mod
-from ksaqa import nn
 from ksaqa.autodiff import Parameter, Rng, Tape, backward, scale
 from ksaqa.dataset import build_vocabulary
 from ksaqa.errors import NonFiniteError
@@ -26,8 +25,8 @@ def _assert_same_state(opt, ref):
     for p, q in zip(opt.params, ref.params):
         assert p.name == q.name
         assert np.array_equal(p.data, q.data), p.name
-        assert np.array_equal(opt.m[p.name], ref.m[q.name]), p.name
-        assert np.array_equal(opt.v[p.name], ref.v[q.name]), p.name
+    for flat, moments in ((opt.m_flat, ref.m), (opt.v_flat, ref.v)):
+        assert np.array_equal(flat, np.concatenate([moments[q.name].ravel() for q in ref.params]))
 
 
 def _trained_with(monkeypatch, module, adam_cls, train):
@@ -153,19 +152,24 @@ def test_an_update_that_leaves_a_parameter_not_finite_is_refused(grad, lr, bad_s
         opt.step()
 
 
-def test_snapshot_and_restore_round_trip_the_arena_views():
+def test_keep_and_restore_round_trip_the_arena():
+    """A kept copy is the arena; assigning it back restores every parameter
+    through its bound view, and keeping into it again reuses its memory."""
     rng = np.random.default_rng(1)
     params = [Parameter("a", rng.standard_normal((2, 3))), Parameter("b", rng.standard_normal(4))]
     opt = Adam(params, lr=0.1)
-    state = nn.snapshot(params)
+    before = [p.data.copy() for p in params]
+    kept = opt.keep()
+    assert not np.shares_memory(kept, opt.data)
     for p in params:
         p.accumulate(np.ones_like(p.data))
     opt.step()
-    assert all(not np.array_equal(p.data, state[p.name]) for p in params)
-    nn.restore(params, state)
-    for p, view in zip(params, opt.views):
-        assert p.data is view and np.array_equal(p.data, state[p.name])
-    assert np.array_equal(opt.data, np.concatenate([state[p.name].ravel() for p in params]))
+    assert all(not np.array_equal(p.data, b) for p, b in zip(params, before))
+    opt.data[...] = kept
+    for p, view, b in zip(params, opt.views, before):
+        assert p.data is view and np.array_equal(p.data, b)
+    params[1].data[0] = 7.0
+    assert opt.keep(into=kept) is kept and np.array_equal(kept, opt.data)
 
 
 def test_a_rebound_parameter_is_refused():

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from ksaqa import autodiff as ad
-from ksaqa import nn
 from ksaqa.autodiff import Parameter, Tape, backward, crf_log_likelihood, scale
 from ksaqa.dataset import ENT, build_vocabulary
 from ksaqa.errors import CheckpointError, ConfigError, NonFiniteError
 from ksaqa.kernels import crf
+from ksaqa.optim import Adam
 
 import crf_oracle
 import ksaqa.tagger as tagger_mod
@@ -336,32 +336,31 @@ def test_a_training_step_frees_its_graph_before_the_next_forward(monkeypatch):
 
 
 def test_the_best_state_is_one_copy_restored_from_its_epoch(monkeypatch):
-    """Each better validation accuracy overwrites the one kept snapshot
-    (never two copies alive), and training ends on the best epoch's
-    parameters."""
+    """Each better validation accuracy overwrites the one kept copy of Adam's
+    arena (never two alive), and training ends on the best epoch's values."""
     pairs = _tagger_corpus()[:4]
-    snapshot, scores, at_epoch, made = nn.snapshot, iter([0.1, 0.5, 0.7, 0.3]), [], []
+    keep, scores, at_epoch, kept = Adam.keep, iter([0.1, 0.5, 0.7, 0.3]), [], []
 
     def accuracy(model, pairs):
-        at_epoch.append(snapshot(model.parameters()))
+        at_epoch.append(np.concatenate([p.data.ravel() for p in model.parameters()]))
         return next(scores)
 
-    def counted(params, into=None):
-        state = snapshot(params, into=into)
-        made.extend(weakref.ref(a) for a in state.values())
-        assert len({id(a) for a in (ref() for ref in made) if a is not None}) == len(params)
-        return state
+    def counted(opt, into=None):
+        copy = keep(opt, into=into)
+        kept.append(weakref.ref(copy))
+        assert len({id(a) for a in (ref() for ref in kept) if a is not None}) == 1
+        return copy
 
     monkeypatch.setattr(tagger_mod, "span_accuracy", accuracy)
-    monkeypatch.setattr(nn, "snapshot", counted)
+    monkeypatch.setattr(Adam, "keep", counted)
     model, history = train_tagger(pairs, TaggerConfig(d_word=8, hidden=4, lr=0.02, epochs=4,
                                                       seed=9),
                                   build_vocabulary([t for t, _ in pairs]), valid_pairs=pairs)
     assert [h["valid_span_accuracy"] for h in history] == [0.1, 0.5, 0.7, 0.3]
-    params = model.parameters()
-    for p in params:
-        np.testing.assert_array_equal(p.data, at_epoch[2][p.name])
-    assert any(not np.array_equal(p.data, at_epoch[3][p.name]) for p in params)
+    assert len(kept) == 3
+    final = np.concatenate([p.data.ravel() for p in model.parameters()])
+    np.testing.assert_array_equal(final, at_epoch[2])
+    assert not np.array_equal(final, at_epoch[3])
 
 
 # -- batched decode against one sentence at a time -------------------------------

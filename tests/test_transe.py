@@ -4,9 +4,7 @@ import pytest
 from ksaqa.errors import ConfigError, NonFiniteError
 from ksaqa.kb import ingest_triples
 from ksaqa.kernels import transe_ops
-from ksaqa.autodiff import Rng
-from ksaqa.transe import (EmbeddingSet, TransEConfig, export_relation_embeddings,
-                          mean_tail_rank, train_transe)
+from ksaqa.transe import EmbeddingSet, TransEConfig, mean_tail_rank, train_transe
 
 from corpus_util import EPREFIX, RPREFIX, chain_kb
 from transe_oracle import triple_score
@@ -23,8 +21,7 @@ def test_config_validation():
 
 def test_triple_score_oracle():
     emb = EmbeddingSet(entity=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                       relation=np.array([[-1.0, 1.0]]),
-                       entities=["a", "b"], relations=["r"], norm="l2")
+                       relation=np.array([[-1.0, 1.0]]), norm="l2")
     # e_a + r - e_b = (1,0) + (-1,1) - (0,1) = (0,0)
     assert triple_score(0, 0, 1, emb) == pytest.approx(0.0)
     # e_b + r - e_a = (0,1) + (-1,1) - (1,0) = (-2,2)
@@ -109,23 +106,12 @@ def test_embedding_save_load_round_trip(tmp_path):
     kb = chain_kb()
     cfg = TransEConfig(dim=6, epochs=2, batch_size=4, seed=0)
     emb, _ = train_transe(kb, cfg)
-    emb.save(tmp_path / "transe.ckpt")
-    back = EmbeddingSet.load(tmp_path / "transe.ckpt")
-    assert back.entities == emb.entities
-    assert back.relations == emb.relations
+    emb.save(tmp_path / "transe.ckpt", kb)
+    back = EmbeddingSet.load(tmp_path / "transe.ckpt", kb)
     assert back.norm == emb.norm
     assert np.allclose(back.entity, emb.entity, atol=1e-7)
     assert back.entity.shape == emb.entity.shape
-
-
-def test_export_relation_embeddings_alignment():
-    emb = EmbeddingSet(entity=np.eye(2), relation=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                       entities=["a", "b"], relations=["r/one", "r/two"], norm="l2")
-    rows = export_relation_embeddings(emb, ["r/two", "r/unknown", "r/one"], Rng(0))
-    assert np.array_equal(rows[0], [3.0, 4.0])
-    assert np.array_equal(rows[2], [1.0, 2.0])
-    assert np.abs(rows[1]).max() <= 0.08  # unknown -> fresh small init
-    assert rows.shape == (3, 2)
+    assert back.relation.shape == emb.relation.shape == (kb.relation_count, 6)
 
 
 def test_train_rejects_empty_kb():
