@@ -11,9 +11,12 @@ end-to-end metric that ``BENCHMARK.json`` declares, one line gives:
 * in how many of the seed-paired runs the change reads better, out of all
   pairs, ties counting for neither;
 * "unresolved" where the parent's IQR / median exceeds the metric's bound,
-  so that its runs spread too widely to tell a change from noise.
+  so that its runs spread too widely to tell a change from noise;
+* "worse", last, where the change's median is worse than the parent's by
+  more than the metric's bound (a share of the parent's median).
 
-``BENCHMARK.json`` is only read.  Run from anywhere:
+The script exits 1 if any line reads "worse", else 0.  ``BENCHMARK.json``
+is only read.  Run from anywhere:
 
     python3 benchmarks/bench_summary.py BENCH_18.json
 """
@@ -37,6 +40,7 @@ def fmt(value: float) -> str:
 
 
 def summarise(rows: list[dict], contract: dict) -> list[str]:
+    """One line per workload and end-to-end metric, as the module says."""
     lines = []
     present = {r["workload"] for r in rows}
     for workload in (w["name"] for w in contract["workloads"] if w["name"] in present):
@@ -52,12 +56,14 @@ def summarise(rows: list[dict], contract: dict) -> list[str]:
             wins = sum(sign * runs["change", s][name] < sign * runs["parent", s][name]
                        for s in seeds)
             spread = (q3 - q1) / p_med
+            worse = sign * (c_med - p_med) > bound * p_med
             lines.append(
                 f"{workload:14s} {name:12s} {fmt(p_med)} -> {fmt(c_med)} {metric['unit']}"
                 f"  ratio {c_med / p_med:.3f}  parent IQR {fmt(q3 - q1)}"
                 f" ({spread:.3f} of median, bound {bound})"
                 f"  {better} in {wins} of {len(seeds)} pairs"
-                + ("  unresolved" if spread > bound else ""))
+                + ("  unresolved" if spread > bound else "")
+                + ("  worse" if worse else ""))
     return lines
 
 
@@ -67,8 +73,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     rows = [json.loads(line) for line in Path(args.runs).read_text().splitlines() if line.strip()]
     contract = json.loads(CONTRACT.read_text())
-    print("\n".join(summarise(rows, contract)))
-    return 0
+    lines = summarise(rows, contract)
+    print("\n".join(lines))
+    return 1 if any(line.endswith("  worse") for line in lines) else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation on a tape.
 
-Ops record onto the innermost active :class:`Tape` whenever any input is
-tracked (the tapes are the process's, so an op on a worker thread records
-onto the caller's tape); with no tape active they are plain numpy
-computations, which is the inference fast path.  Gradients accumulate into
+Ops record onto the innermost :class:`Tape` open in their own thread (or
+context) whenever any input is tracked; with no tape open they are plain
+numpy computations, which is the inference fast path.  A tape has one
+writer: a thread starts with no tape, so another thread's ops never record
+onto this one's (see :func:`recording`).  Gradients accumulate into
 the leaves' ``Tensor.grad`` on :func:`backward`.  Backward consumes the
 graph as it walks: each node drops its gradient, closure and parents once
 its closure has run, and the spent tape refuses a second backward.
@@ -23,7 +24,7 @@ finite-difference suite like every other primitive.
 
 from __future__ import annotations
 
-import threading
+import contextvars
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .errors import NonFiniteError, ShapeError
 from .kernels import crf as crf_k
 from .kernels import gru as gru_k
 
-_TAPES: list["Tape"] = []
+# the innermost tape open in this context; a new thread starts with none
+_TAPE: contextvars.ContextVar = contextvars.ContextVar("ksaqa_tape", default=None)
 
 
 class Rng(np.random.Generator):
@@ -45,21 +47,22 @@ class Tape:
     """Ordered record of op nodes; creation order is topological order.
 
     :func:`backward` runs inside the ``with`` block, once: it spends the
-    tape, and closing the tape unlinks its nodes from it.  Two threads may
-    record onto one tape, each node after its parents.
+    tape, and closing the tape unlinks its nodes from it.  Only the thread
+    that opened the tape records onto it; a tape opened inside another
+    restores the outer one when it closes.
     """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
         self.spent = False
-        self._lock = threading.Lock()
+        self._token = None
 
     def __enter__(self):
-        _TAPES.append(self)
+        self._token = _TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        _TAPES.pop()
+        _TAPE.reset(self._token)
         # each node points back at its tape; unlinking them breaks that
         # cycle, so the graph is freed as soon as the caller drops it rather
         # than at some later full collection by the cycle collector
@@ -69,13 +72,13 @@ class Tape:
 
     def record(self, t: "Tensor"):
         t.tape = self
-        with self._lock:
-            t.node_id = len(self.nodes)
-            self.nodes.append(t)
+        t.node_id = len(self.nodes)
+        self.nodes.append(t)
 
 
-def _active_tape():
-    return _TAPES[-1] if _TAPES else None
+def recording() -> bool:
+    """Whether a tape is open in this thread (context): ops on tracked inputs record."""
+    return _TAPE.get() is not None
 
 
 class Tensor:
@@ -152,7 +155,7 @@ class Parameter(Tensor):
 
 def _make(data, parents, bwd, op):
     """Wrap an op result; record on the tape when tracking applies."""
-    tape = _active_tape()
+    tape = _TAPE.get()
     tracked = tape is not None and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out._bind(np.asarray(data, dtype=np.float64), tracked)
@@ -361,16 +364,6 @@ def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
     return _make(a.data * mask, (a,), bwd, "dropout")
 
 
-def tile_rows(a: Tensor, m: int) -> Tensor:
-    """Repeat a 1-D tensor as m identical rows."""
-    data = np.broadcast_to(a.data, (m,) + a.data.shape).copy()
-
-    def bwd(g):
-        a.accumulate(g.sum(axis=0))
-
-    return _make(data, (a,), bwd, "tile_rows")
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     """The same values viewed under another shape of equal size."""
     try:
@@ -394,14 +387,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(a.data.transpose(axes), (a,), bwd, "transpose")
 
 
-def flip0(a: Tensor) -> Tensor:
-    """Reverse along axis 0 (used for the backward GRU direction)."""
-    def bwd(g):
-        a.accumulate(g[::-1])
-
-    return _make(a.data[::-1].copy(), (a,), bwd, "flip0")
-
-
 def bce_with_logits_sum(logits: Tensor, labels) -> Tensor:
     """Summed binary cross entropy straight from logits (log-space, stable)."""
     y = np.asarray(labels, dtype=np.float64)
@@ -415,14 +400,15 @@ def bce_with_logits_sum(logits: Tensor, labels) -> Tensor:
 
 
 def gru_sequence(x: Tensor, h0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
-                 active=None) -> Tensor:
+                 active=None, reverse=False) -> Tensor:
     """All hidden states of a GRU run over ``x`` (fused).
 
     From one state ``h0`` [H], ``x`` is [m, d_in] and the result [m, H].  From
     a batch of states [n, H] the result is [m, n, H]; ``x`` is [m, d_in], read
     by every state, or [m, n, d_in], a row per state.  ``active`` (bool
     [m, n], batch only) masks the steps each row runs: see
-    :mod:`ksaqa.kernels.gru`.
+    :mod:`ksaqa.kernels.gru`.  ``reverse`` runs the cell from the last step
+    to the first, and state t of the result is the one after reading step t.
     """
     xd, hd = x.data, h0.data
     if (xd.ndim not in (2, 3) or xd.shape[-1] != wx.data.shape[0]
@@ -434,19 +420,25 @@ def gru_sequence(x: Tensor, h0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
                          f"state {hd.shape}")
     if active is not None and active.all():
         active = None   # no padded step: the unmasked kernels give the same numbers
-    hs, zs, rs, ns, hwn = gru_k.gru_forward(xd, hd, wx.data, wh.data, b.data, active)
+    if reverse:
+        xd = xd[::-1]
+        active = None if active is None else active[::-1]
+    # x @ Wx stays on BLAS (same bits) for a contiguous x; backward reads the view
+    hs, zs, rs, ns, hwn = gru_k.gru_forward(np.ascontiguousarray(xd), hd, wx.data, wh.data,
+                                            b.data, active)
 
     def bwd(g):
         dx, dh0, dwx, dwh, db = gru_k.gru_backward(
-            np.ascontiguousarray(g), xd, wx.data, wh.data, hs, zs, rs, ns, hwn, active
+            np.ascontiguousarray(g[::-1] if reverse else g), xd, wx.data, wh.data,
+            hs, zs, rs, ns, hwn, active
         )
-        x.accumulate(dx)
+        x.accumulate(dx[::-1] if reverse else dx)
         h0.accumulate(dh0)
         wx.accumulate(dwx)
         wh.accumulate(dwh)
         b.accumulate(db)
 
-    return _make(hs[1:], (x, h0, wx, wh, b), bwd, "gru_sequence")
+    return _make(hs[:0:-1] if reverse else hs[1:], (x, h0, wx, wh, b), bwd, "gru_sequence")
 
 
 def crf_log_likelihood(emissions: Tensor, transitions: Tensor, start: Tensor,

@@ -16,8 +16,9 @@ artifacts' manifest holds their SHA-256, checked on every read.
 Exit codes:
     0  success
     2  usage error (bad flags or unknown subcommand)
-    3  configuration error (unreadable config, unknown key, bad value, divergence)
-    4  missing input file
+    3  configuration error (unreadable config, unknown key, bad value, a workdir
+       that is not a directory, divergence, model dims numpy cannot allocate)
+    4  missing input file, or an input path that is not a regular file
     5  malformed input data (bad or non-UTF-8 line, with its number; KB too large)
     6  missing pipeline artifact or its manifest (run the earlier stage first)
     7  detection failure (no subject mention or no matching entity, or an
@@ -68,7 +69,10 @@ def _log(msg: str) -> None:
 
 def _work(cfg: PipelineConfig) -> Path:
     path = Path(cfg.workdir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"workdir is not a directory: {path}") from None
     return path
 
 
@@ -91,6 +95,8 @@ def _open_input(path_str: str, what: str) -> Path:
     path = Path(path_str)
     if not path.exists():
         raise FileNotFoundError(f"{what} file not found: {path}")
+    if not path.is_file():
+        raise FileNotFoundError(f"{what} path is not a regular file: {path}")
     return path
 
 
@@ -465,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 # (error class, exit code, stderr prefix), as in the module docstring
 _EXITS = [(ConfigError, 3, "config error"),
           (NonFiniteError, 3, "training diverged; lower the learning rate"),
+          (MemoryError, 3, "cannot allocate; lower the model dims"),
           (FileNotFoundError, 4, "missing input"), (IngestError, 5, "malformed input"),
           (MissingArtifactError, 6, "missing artifact"),
           (DetectionFailureError, 7, "detection failure"), (CheckpointError, 8, "checkpoint error")]

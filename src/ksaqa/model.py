@@ -10,8 +10,9 @@ one sigmoid score per relation.  One batched encoder serves scoring (one
 question, its candidate subjects) and training (B questions, one subject
 each): the questions and the subjects' relation lists each run as one
 length-masked, padded batch, and only the logits of the relation rows that
-are read are computed.  From ``PARALLEL_WIDTH`` on, the subgraph GRU runs on
-a worker thread beside the question BiGRU.
+are read are computed.  From ``PARALLEL_WIDTH`` on, an inference pass (no
+tape open) runs the subgraph GRU on a worker thread beside the question
+BiGRU; a training pass records on one thread, the caller's.
 
 Loss: summed binary cross entropy over plausible positives and, per
 positive, a fresh sample of negatives drawn from the subject's non-plausible
@@ -45,13 +46,13 @@ VARIANTS = ("BiGRU", "KS-BiGRU", "KSA-BiGRU")
 # questions, 2786 pairs, peak RSS +13 MB at 4096 and +4.5 MB at 1024)
 PAIR_BUDGET = 1024
 
-# d_hidden from which encoder_output runs the subgraph GRU on _BRANCH, beside
-# the question BiGRU on the caller's thread, when the process may run on two
-# or more CPUs.  Both branches are BLAS calls that release the GIL, but on
-# narrow arrays the threads mostly trade the GIL (median encoder_output time,
-# offloaded / inline, benchmarks/bench_branches.py on a 2-vCPU host: 1.21x at
-# 32, 1.08x at 128, 1.00x at 160, 0.92x at 192, 0.86x at 256, 0.80x at 300;
-# an earlier run put the break-even at 192, so the offload starts above it)
+# d_hidden from which encoder_output runs the subgraph GRU on _BRANCH, beside the
+# question BiGRU on the caller's thread, when the process may run on two or more
+# CPUs and no tape is open.  Both branches are BLAS calls that release the GIL,
+# but on narrow arrays the threads mostly trade the GIL (median encoder_output
+# time, offloaded / inline, benchmarks/bench_branches.py on a 2-vCPU host: 1.21x
+# at 32, 1.08x at 128, 1.00x at 160, 0.92x at 192, 0.86x at 256, 0.80x at 300; an
+# earlier run put the break-even at 192, so the offload starts above it)
 PARALLEL_WIDTH = 256
 
 # the one worker thread of every model; it starts on the first offload
@@ -228,9 +229,9 @@ class KsaModel:
         subject's ``shuffle_augment`` permutation, the order in which one
         pass per subject would draw them.  Without one the pass is inference.
 
-        From ``PARALLEL_WIDTH`` on, the subgraph GRU runs on the worker
-        thread while the question BiGRU runs on this one (see
-        :meth:`_branches`); the outputs and the gradients are the same bits.
+        From ``PARALLEL_WIDTH`` on, with no tape open, the subgraph GRU runs
+        on the worker thread while the question BiGRU runs on this one (see
+        :meth:`_branches`); the outputs are the same bits.
         """
         _require_questions(questions)
         dropout, subject_rows = self._training_draws(questions, subject_rows, question_of, rng)
@@ -250,13 +251,13 @@ class KsaModel:
     def _branches(self, questions, dropout, subject_rows):
         """(:meth:`encode_question`, :meth:`encode_subgraph`) of one pass.
 
-        A wide enough model with a second CPU runs the subgraph GRU on
-        ``_BRANCH`` in a copy of this thread's context, so that its numpy
-        error state holds there too; it records onto this thread's tape, and
-        is waited for before this returns or raises, so no node lands on the
-        tape later.  Each branch keeps one BLAS thread per call.
+        Under a tape both run on this thread, so a tape has one writer.
+        Otherwise a wide enough model with a second CPU runs the subgraph GRU
+        on ``_BRANCH`` in a copy of this thread's context, so that its numpy
+        error state holds there too, and waits for it before this returns or
+        raises.  Each branch keeps one BLAS thread per call.
         """
-        if self.config.d_hidden < PARALLEL_WIDTH or _cpus() < 2:
+        if self.config.d_hidden < PARALLEL_WIDTH or _cpus() < 2 or ad.recording():
             return self.encode_question(questions, dropout), self.encode_subgraph(subject_rows)
         branch = _BRANCH.submit(contextvars.copy_context().run, self.encode_subgraph,
                                 subject_rows)
@@ -300,8 +301,8 @@ class KsaModel:
         gathered from its own state, and they come back concatenated in that
         order.
         """
-        start = self.rel_emb[len(self.relations)]
-        states = ad.gru_sequence(ad.tile_rows(start, 1), encoder_out, self.decoder["wx"],
+        n = len(self.relations)
+        states = ad.gru_sequence(self.rel_emb[n:n + 1], encoder_out, self.decoder["wx"],
                                  self.decoder["wh"], self.decoder["b"])[0]
         cols = np.concatenate(rows).astype(np.int64)
         owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])

@@ -102,11 +102,12 @@ def gru_params(name: str, d_in: int, hidden: int, params) -> dict[str, Parameter
     }
 
 
-def run_gru(params: dict, x: Tensor, active=None) -> Tensor:
+def run_gru(params: dict, x: Tensor, active=None, reverse=False) -> Tensor:
     """All hidden states from a zero initial state, [m, H] for x [m, d] and
-    [m, n, H] for x [m, n, d].  ``active`` [m, n] masks padded steps."""
+    [m, n, H] for x [m, n, d].  ``active`` [m, n] masks padded steps;
+    ``reverse`` runs from the last step (see :func:`ksaqa.autodiff.gru_sequence`)."""
     h0 = Tensor(np.zeros(x.data.shape[1:-1] + (params["wh"].data.shape[0],)))
-    return ad.gru_sequence(x, h0, params["wx"], params["wh"], params["b"], active)
+    return ad.gru_sequence(x, h0, params["wx"], params["wh"], params["b"], active, reverse)
 
 
 def steps(lengths) -> np.ndarray:
@@ -128,12 +129,11 @@ def padded(seqs) -> tuple[np.ndarray, np.ndarray]:
 def bigru(fwd: dict, bwd: dict, x: Tensor, active=None) -> Tensor:
     """Bidirectional pass: the per-token states hs, [m, 2H] for x [m, d] and
     [m, n, 2H] for a batch x [m, n, d] right-padded as ``active`` [m, n] marks.
-    The backward direction runs the flipped input under the flipped (left-padded)
-    mask, so both directions end in the last step: ``hs[-1, ..., :H]`` and
+    The backward direction runs in reverse, under the mask flipped in time (left
+    padding), so both directions end in their last step: ``hs[-1, ..., :H]`` and
     ``hs[0, ..., H:]`` are the final states."""
     f = run_gru(fwd, x, active=active)
-    b = ad.flip0(run_gru(bwd, ad.flip0(x), active=None if active is None else active[::-1]))
-    return ad.concat([f, b], axis=-1)
+    return ad.concat([f, run_gru(bwd, x, active=active, reverse=True)], axis=-1)
 
 
 def linear_params(name: str, d_in: int, d_out: int, params) -> dict[str, Parameter]:

@@ -1,6 +1,8 @@
 """Autodiff ops that only the tests use: an elementwise product, dropout
-drawing its own mask, and a full sum.  They record on the tape through
-``autodiff._make`` exactly as the library's ops do."""
+drawing its own mask, a full sum, a flip in time and a row repeat.  They
+record on the tape through ``autodiff._make`` exactly as the library's ops
+do.  ``flip0`` is the oracle of ``gru_sequence(..., reverse=True)``, and
+``tile_rows`` builds the per-subject pass's attention and decoder inputs."""
 
 from __future__ import annotations
 
@@ -35,3 +37,21 @@ def sum_all(a: Tensor) -> Tensor:
         a.accumulate(np.full_like(a.data, float(g)))
 
     return _make(a.data.sum(), (a,), bwd, "sum")
+
+
+def flip0(a: Tensor) -> Tensor:
+    """Reverse along axis 0."""
+    def bwd(g):
+        a.accumulate(g[::-1])
+
+    return _make(a.data[::-1].copy(), (a,), bwd, "flip0")
+
+
+def tile_rows(a: Tensor, m: int) -> Tensor:
+    """Repeat a 1-D tensor as m identical rows."""
+    data = np.broadcast_to(a.data, (m,) + a.data.shape).copy()
+
+    def bwd(g):
+        a.accumulate(g.sum(axis=0))
+
+    return _make(data, (a,), bwd, "tile_rows")

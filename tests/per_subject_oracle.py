@@ -18,7 +18,7 @@ from ksaqa import autodiff as ad
 from ksaqa import nn
 from ksaqa.model import InterpretationScore
 
-from extra_ops import dropout
+from extra_ops import dropout, tile_rows
 
 
 def encode_question(model, tokens, rng=None):
@@ -46,7 +46,7 @@ def encode_subgraph(model, rel_rows, rng=None):
 def attend(model, hs, u_ks):
     """(p [2H], alpha [m]) for one subject state u_ks [H]."""
     m = hs.data.shape[0]
-    hu = ad.concat([hs, ad.tile_rows(u_ks, m)], axis=1)
+    hu = ad.concat([hs, tile_rows(u_ks, m)], axis=1)
     scores = ad.matmul(ad.tanh(ad.add(ad.matmul(hu, model.attention["w"]),
                                       model.attention["b"])),
                        model.attention["v"])
@@ -70,7 +70,7 @@ def encoder_output(model, tokens, rel_rows, rng=None):
 def decode_logits(model, enc):
     """All |relations| logits from one encoder state [H]."""
     start = model.rel_emb[len(model.relations)]
-    states = ad.gru_sequence(ad.tile_rows(start, 1), enc, model.decoder["wx"],
+    states = ad.gru_sequence(tile_rows(start, 1), enc, model.decoder["wx"],
                              model.decoder["wh"], model.decoder["b"])
     return nn.linear(model.out, states[0])
 

@@ -103,8 +103,6 @@ def _primitive_checks():
     chk(lambda t: sum_all(ad.tanh(ad.add(ad.reshape(t[0], (3, 1, 4)), t[1]))),
         [a, p("hw", 2, 4)])                                                # [3, 2, 4]
     chk(lambda t: sum_all(ad.embedding_lookup(t[0], idx)), [a])
-    chk(lambda t: sum_all(ad.tile_rows(t[0], 4)), [vec])
-    chk(lambda t: sum_all(ad.flip0(t[0])), [a])
     labels = np.array([1.0, 0.0, 1.0])
     chk(lambda t: ad.bce_with_logits_sum(t[0], labels), [vec])
     chk(lambda t: sum_all(dropout(t[0], 0.5, Rng(5))), [a])
@@ -121,6 +119,10 @@ def _primitive_checks():
     for active in (steps, steps[::-1]):
         chk(lambda t: sum_all(ad.tanh(ad.gru_sequence(t[0], t[1], t[2], t[3], t[4],
                                                          active))),
+            [xn, hn, wx, wh, bg], h=1e-4)
+    for active in (None, steps):                                    # reverse, as bigru's
+        chk(lambda t: sum_all(ad.tanh(ad.gru_sequence(t[0], t[1], t[2], t[3], t[4],
+                                                         active, reverse=True))),
             [xn, hn, wx, wh, bg], h=1e-4)
     em, tr = p("em", 4, 2), p("tr", 2, 2)
     st, en = p("st", 2), p("en", 2)

@@ -1,6 +1,5 @@
 import gc
 import math
-import sys
 import threading
 import weakref
 
@@ -11,13 +10,13 @@ import ksaqa.autodiff as ad
 from ksaqa.autodiff import (Parameter, Rng, Tape, Tensor, backward,
                             bce_with_logits_sum, concat,
                             crf_log_likelihood, embedding_lookup,
-                            flip0, grad_check, gru_sequence, init_embedding,
+                            grad_check, gru_sequence, init_embedding,
                             init_weight, matmul, reshape, scale, sigmoid,
-                            softmax, tanh, tile_rows)
+                            softmax, tanh)
 from ksaqa.errors import NonFiniteError, ShapeError
 from ksaqa.optim import Adam
 
-from extra_ops import dropout, mul, sum_all
+from extra_ops import dropout, flip0, mul, sum_all
 
 TOL = 1e-4  # pinned finite-difference tolerance
 
@@ -101,19 +100,13 @@ def test_fd_reshape_and_broadcast_add():
         reshape(u, (5, 2))
 
 
-def test_fd_embedding_tile_flip():
+def test_fd_embedding_lookup():
     rng = np.random.default_rng(5)
     table = _p("emb", _rand(rng, 6, 3))
     idx = np.array([1, 4, 1])
     weights = Tensor(_rand(rng, 3, 3))
     assert grad_check(
         lambda t: sum_all(mul(embedding_lookup(t[0], idx), weights)), [table]) < TOL
-    a = _p("a", _rand(rng, 3))
-    wt = Tensor(_rand(rng, 4, 3))
-    assert grad_check(lambda t: sum_all(mul(tile_rows(t[0], 4), wt)), [a]) < TOL
-    b = _p("b", _rand(rng, 4, 2))
-    wf = Tensor(_rand(rng, 4, 2))
-    assert grad_check(lambda t: sum_all(mul(flip0(t[0]), wf)), [b]) < TOL
 
 
 def test_fd_bce_paths():
@@ -175,6 +168,51 @@ def test_fd_masked_gru_sequence_with_a_row_of_input_per_state(left):
         return sum_all(mul(gru_sequence(t[0], t[1], t[2], t[3], t[4], active), wread))
 
     assert grad_check(f, [x, h0, wx, wh, b], h=1e-4) < TOL
+
+
+def _reverse_case(masked):
+    """x [4, 3, 3] from 3 states, right-padded to lengths 1, 4 and 2 when
+    ``masked``, as ``nn.bigru`` hands its backward direction."""
+    rng = np.random.default_rng(14)
+    h, n = 4, 3
+    active = np.arange(4)[:, None] < np.array([1, 4, 2])[None, :] if masked else None
+    params = [_p("x", _rand(rng, 4, n, 3)), _p("h0", _rand(rng, n, h) * 0.5),
+              _p("wx", _rand(rng, 3, 3 * h) * 0.4), _p("wh", _rand(rng, h, 3 * h) * 0.4),
+              _p("b", _rand(rng, 3 * h) * 0.1)]
+    return params, active, Tensor(_rand(rng, 4, n, h))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_fd_reverse_gru_sequence(masked):
+    params, active, wread = _reverse_case(masked)
+
+    def f(t):
+        return sum_all(mul(gru_sequence(*t, active, reverse=True), wread))
+
+    assert grad_check(f, params, h=1e-4) < TOL
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_reverse_gru_sequence_equals_the_flip_composition(masked):
+    """reverse=True gives the bits of flipping x, running under the flipped
+    mask and flipping the states back: the outputs and every gradient."""
+    params, active, wread = _reverse_case(masked)
+    x, rest = params[0], params[1:]
+    flipped = None if active is None else active[::-1]
+    runs = {
+        "reverse": lambda: gru_sequence(x, *rest, active, reverse=True),
+        "flip": lambda: flip0(gru_sequence(flip0(x), *rest, flipped)),
+    }
+    got = {}
+    for name, run in runs.items():
+        for p in params:
+            p.zero_grad()
+        with Tape():
+            out = run()
+            backward(sum_all(mul(out, wread)))
+        got[name] = [out.data] + [p.grad for p in params]
+    for want, have in zip(got["flip"], got["reverse"]):
+        assert np.array_equal(want, have)
 
 
 def test_gru_sequence_refuses_mismatched_masks_and_inputs():
@@ -366,30 +404,42 @@ def test_a_second_backward_on_a_spent_tape_is_refused():
     np.testing.assert_array_equal(p.grad, grad)
 
 
-def test_threads_recording_onto_one_tape_lose_no_node():
-    """Eight threads record onto one tape with the GIL handed over every
-    microsecond: every node keeps its own id, its place on the tape."""
-    per_thread, threads = 2000, 8
+def test_a_tape_records_only_its_own_threads_ops():
+    """A thread starts with no tape: its ops on parameters stay off the tape
+    open here, and a tape it opens itself holds only its own nodes."""
     p = Parameter("p", np.ones(2))
+    seen = {}
 
-    def record():
-        for _ in range(per_thread):
+    def other():
+        seen["recording"] = ad.recording()
+        tanh(p)
+        with Tape() as own:
             tanh(p)
+            sigmoid(p)
+        seen["own"] = [node.op for node in own.nodes]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with Tape() as tape:
-            workers = [threading.Thread(target=record) for _ in range(threads)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-            assert not any(w.is_alive() for w in workers)
-            assert len(tape.nodes) == threads * per_thread
-            assert [node.node_id for node in tape.nodes] == list(range(len(tape.nodes)))
-    finally:
-        sys.setswitchinterval(interval)
+    with Tape() as tape:
+        sigmoid(p)
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert ad.recording()
+        assert [node.op for node in tape.nodes] == ["sigmoid"]
+    assert seen == {"recording": False, "own": ["tanh", "sigmoid"]}
+    assert not ad.recording()
+
+
+def test_a_nested_tape_restores_the_outer_one():
+    p = Parameter("p", np.ones(2))
+    with Tape() as outer:
+        tanh(p)
+        with Tape() as inner:
+            sigmoid(p)
+        tanh(p)
+    assert [n.op for n in outer.nodes] == ["tanh", "tanh"]
+    assert [n.op for n in inner.nodes] == ["sigmoid"]
+    assert not ad.recording()
 
 
 def test_nonfinite_data_rejected():

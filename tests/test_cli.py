@@ -502,6 +502,18 @@ FAULTS = [
     ("questions-empty", ["relabel", "--train", "{work}/bad.txt"],
      _write("bad.txt", "m/01\tr\tm/02\twho\nm/01\tr\tm/02\t  \n"), 5),
     ("kb-key-overflow", ["ingest-kb"], _key_limit(8), 5),
+    # an input path that is not a regular file, a workdir that is not a directory
+    ("triples-a-directory", ["ingest-kb", "--triples", "{work}"], _keep, 4),
+    ("questions-a-directory", ["relabel", "--train", "{work}"], _keep, 4),
+    ("workdir-a-regular-file", ["stats", "--workdir", "{work}/afile"], _write("afile", "x"), 3),
+    # dims whose arrays numpy refuses to allocate before it touches any memory
+    # (hundreds of TiB); never a size the machine could try to fill
+    ("transe-dim-unallocatable", ["pretrain-transe", "--transe-dim", "1000000000000"],
+     _keep, 3),
+    ("d-word-unallocatable", ["train", "--epochs", "1", "--d-word", "1000000000000"],
+     _keep, 3),
+    ("tagger-hidden-unallocatable", ["train-tagger", "--tagger-hidden", "1000000000000"],
+     _keep, 3),
     # training divergence
     ("transe-diverges", ["pretrain-transe", "--transe-lr", "1e300"], _keep, 3),
     ("tagger-diverges", ["train-tagger", "--tagger-lr", "1e30"], _keep, 3),
@@ -540,7 +552,12 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
             "--subject '03' is not a candidate of the alias 'john smith'",
         "foreign-vocabulary":
             "{work}/tagger.ckpt.json records no vocabulary_sha256, or a different vocabulary",
-        "unknown-mention-model-unread": "no entity is known under the alias 'born'"}
+        "unknown-mention-model-unread": "no entity is known under the alias 'born'",
+        "triples-a-directory": "missing input: triples path is not a regular file: {work}",
+        "questions-a-directory": "missing input: train path is not a regular file: {work}",
+        "workdir-a-regular-file": "config error: workdir is not a directory: {work}/afile",
+        **{name: "cannot allocate; lower the model dims: Unable to allocate " for name in (
+            "transe-dim-unallocatable", "d-word-unallocatable", "tagger-hidden-unallocatable")}}
 
 
 def _files(work):
@@ -706,3 +723,33 @@ def test_backend_flag_is_gone(capsys, sub):
         main([sub, "--backend", "numpy"] + REQUIRED.get(sub, []))
     assert exc.value.code == 2
     assert "--backend" in capsys.readouterr().err
+
+
+# -- paths of the wrong kind ----------------------------------------------------
+
+# the flags of the input paths each stage reads
+PATH_FLAGS = {"ingest-kb": {"--triples": "triples", "--aliases": "aliases"},
+              "relabel": {"--train": "train", "--valid": "valid", "--test": "test"}}
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_a_path_of_the_wrong_kind_ends_in_one_line(pipeline, tmp_path, capsys, sub):
+    """Each input path a stage reads, given a directory, exits 4; a workdir
+    that is a regular file exits 3, at every stage."""
+    cfg, _, work = pipeline
+    broken = tmp_path / "work"
+    shutil.copytree(work, broken)
+    before = _files(broken)
+    common = [sub, "--config", str(cfg), "--workdir", str(broken)] + REQUIRED.get(sub, [])
+    for flag, what in PATH_FLAGS.get(sub, {}).items():
+        assert main(common + [flag, str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"missing input: {what} path is not a regular file: {tmp_path}\n", err
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    assert main(common + ["--workdir", str(afile)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: workdir is not a directory: {afile}\n", err
+    assert main(common + ["--workdir", str(afile / "sub")]) == 3
+    assert capsys.readouterr().err == f"config error: workdir is not a directory: {afile}/sub\n"
+    assert _files(broken) == before and afile.read_text() == "x"

@@ -650,30 +650,34 @@ def _schedule(monkeypatch, threaded):
 
 
 def _subgraph_threads(model, monkeypatch):
-    """The name of the thread of each encode_subgraph call made from now on."""
-    names = []
+    """(thread name, whether the caller has a tape open) of each
+    encode_subgraph call made from now on; the worker runs in a copy of the
+    caller's context, so it sees the caller's tape."""
+    calls = []
     encode = model.encode_subgraph
 
     def traced(rows):
-        names.append(threading.current_thread().name)
+        calls.append((threading.current_thread().name, ad.recording()))
         return encode(rows)
 
     monkeypatch.setattr(model, "encode_subgraph", traced)
-    return names
+    return calls
 
 
 def _on_schedule(world, monkeypatch, threaded, run, **over):
     """``run(model)`` on a fresh model, on the schedule asked for, checking
-    that the subgraph GRU ran where that schedule puts it."""
+    that the subgraph GRU ran where that schedule puts it: on the worker only
+    when threaded and no tape is open, else on the caller's thread."""
     model = _model(world, **over)
     with monkeypatch.context() as patch:
         _schedule(patch, threaded)
-        names = _subgraph_threads(model, patch)
+        calls = _subgraph_threads(model, patch)
         result = run(model)
+    here = threading.current_thread().name
     if model.subgraph is not None:
-        assert names and all((name != threading.current_thread().name) == threaded
-                             for name in names), names
-    return result
+        assert calls and all((name != here) == (threaded and not taped)
+                             for name, taped in calls), calls
+    return result, calls
 
 
 @pytest.mark.parametrize("variant", ["KS-BiGRU", "KSA-BiGRU"])
@@ -685,8 +689,8 @@ def test_threaded_scores_are_bit_equal_to_inline(world, monkeypatch, variant):
         got = model.score_questions([t for t, _ in cases], [c for _, c in cases], kb)
         return [[(s.pair, s.probability) for s in q] for q in got]
 
-    inline, threaded = (_on_schedule(world, monkeypatch, on, scores, variant=variant)
-                        for on in (False, True))
+    (inline, _), (threaded, _) = (_on_schedule(world, monkeypatch, on, scores,
+                                               variant=variant) for on in (False, True))
     assert any(inline) and threaded == inline
 
 
@@ -694,15 +698,18 @@ def test_threaded_scores_are_bit_equal_to_inline(world, monkeypatch, variant):
 @pytest.mark.parametrize("seed", [None, 9])
 def test_threaded_loss_and_gradients_are_bit_equal_to_inline(world, monkeypatch, variant,
                                                              seed):
+    """Under a tape the threaded schedule keeps both branches on the caller's
+    thread (``_on_schedule`` checks it), with the inline run's bits."""
     kb, _, examples = world
 
     def step(model):
         batch = build_training_items(model, examples, kb, Rng(2))
         return _loss_and_grads(KsaModel.loss, model, batch, None if seed is None else Rng(seed))
 
-    (loss, grads), (want_loss, want_grads) = (
+    ((loss, grads), calls), ((want_loss, want_grads), _) = (
         _on_schedule(world, monkeypatch, on, step, variant=variant, dropout=0.3,
                      shuffle_augment=True) for on in (True, False))
+    assert all(taped for _, taped in calls)
     assert loss == want_loss
     assert grads.keys() == want_grads.keys()
     for name, g in grads.items():
@@ -710,14 +717,17 @@ def test_threaded_loss_and_gradients_are_bit_equal_to_inline(world, monkeypatch,
 
 
 def test_threaded_training_reruns_to_the_same_parameters(world, monkeypatch):
+    """The training steps run inline on either schedule, and the per-epoch
+    validation (no tape) still runs the subgraph GRU on the worker."""
     kb, _, examples = world
 
     def train(model):
         history = train_model(model, examples, kb, valid_examples=examples)
         return history, {p.name: p.data.copy() for p in model.parameters()}
 
-    (h1, p1), (h2, p2), (h_inline, p_inline) = (
+    ((h1, p1), calls), ((h2, p2), _), ((h_inline, p_inline), _) = (
         _on_schedule(world, monkeypatch, on, train) for on in (True, True, False))
+    assert {taped for _, taped in calls} == {True, False}
     assert h1 == h2 == h_inline
     for name, arr in p1.items():
         assert np.array_equal(arr, p2[name]) and np.array_equal(arr, p_inline[name]), name
@@ -745,9 +755,59 @@ def test_one_cpu_runs_both_branches_on_the_callers_thread(world, monkeypatch):
     kb, _, _ = world
     model = _model(world, **PAPER)
     monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
-    names = _subgraph_threads(model, monkeypatch)
+    calls = _subgraph_threads(model, monkeypatch)
     assert model.score_pairs(QUESTIONS[0], CANDIDATE_SETS[0], kb)
-    assert names == [threading.current_thread().name]
+    assert calls == [(threading.current_thread().name, False)]
+
+
+@pytest.mark.parametrize("dims", [DESK, PAPER], ids=["desk", "paper"])
+def test_under_a_tape_no_op_leaves_the_callers_thread(world, monkeypatch, dims):
+    """With the offload forced at any width and a second CPU, a pass under a
+    tape runs the subgraph GRU here, and every node on the tape is recorded
+    by this thread; the same pass without a tape offloads."""
+    kb, _, examples = world
+    model = _model(world, **dims)
+    _schedule(monkeypatch, True)
+    calls = _subgraph_threads(model, monkeypatch)
+    here = threading.current_thread().name
+    make, recorders = ad._make, set()
+
+    def traced_make(data, parents, bwd, op):
+        recorders.add(threading.current_thread().name)
+        return make(data, parents, bwd, op)
+
+    monkeypatch.setattr(ad, "_make", traced_make)
+    batch = build_training_items(model, examples, kb, Rng(2))
+    with Tape() as tape:
+        ad.backward(model.loss(batch, Rng(3)))
+        assert model.score_pairs(QUESTIONS[0], CANDIDATE_SETS[0], kb)
+    assert tape.nodes and recorders == {here}
+    assert calls == [(here, True), (here, True)]
+    assert model.score_pairs(QUESTIONS[0], CANDIDATE_SETS[0], kb)
+    assert calls[-1][0] != here and not calls[-1][1]
+
+
+def test_ops_on_another_thread_never_record_onto_this_threads_tape(world):
+    """A second thread's scores leave no node on the tape open here, and a
+    tape it opens holds only its own nodes."""
+    kb, _, examples = world
+    model = _model(world)
+    got = {}
+
+    def other():
+        got["scores"] = model.score_pairs(QUESTIONS[0], CANDIDATE_SETS[0], kb)
+        with Tape() as own:
+            model.loss(build_training_items(model, examples, kb, Rng(2)))
+        got["own"] = len(own.nodes)
+
+    with Tape() as tape:
+        for _ in range(10):
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        assert len(tape.nodes) == 0
+    assert got["scores"] and got["own"] > 0
 
 
 def test_the_worker_keeps_the_callers_float_error_state(world, monkeypatch):
@@ -768,14 +828,13 @@ def test_the_worker_keeps_the_callers_float_error_state(world, monkeypatch):
     _on_schedule(world, monkeypatch, True, overflow)
 
 
-def test_a_raising_branch_leaves_no_node_to_land_on_the_tape_later(world, monkeypatch):
-    """The caller's branch raises while the worker's is still recording:
-    the step raises only once the worker is done, and refused questions
-    never reach the worker."""
-    kb, _, examples = world
+def test_a_raising_branch_waits_for_the_worker(world, monkeypatch):
+    """The caller's branch raises while the worker's is still running: the
+    score raises only once the worker is done, and refused questions never
+    reach the worker."""
+    kb, _, _ = world
     model = _model(world)
     _schedule(monkeypatch, True)
-    batch = build_training_items(model, examples, kb, Rng(2))
     encode, done, calls = model.encode_subgraph, [], []
 
     def slow_subgraph(rows):
@@ -790,14 +849,9 @@ def test_a_raising_branch_leaves_no_node_to_land_on_the_tape_later(world, monkey
 
     monkeypatch.setattr(model, "encode_subgraph", slow_subgraph)
     monkeypatch.setattr(model, "encode_question", failing_question)
-    with Tape() as tape:
-        with pytest.raises(ShapeError, match="question branch failed"):
-            model.loss(batch)
-        assert done == [True]
-        recorded = len(tape.nodes)
-        assert recorded > 0
-        with pytest.raises(ShapeError, match="empty question"):
-            model.encoder_output([[]], [np.array([0])])
-        assert len(calls) == 1
-        time.sleep(0.05)
-        assert len(tape.nodes) == recorded
+    with pytest.raises(ShapeError, match="question branch failed"):
+        model.score_pairs(QUESTIONS[0], CANDIDATE_SETS[0], kb)
+    assert done == [True]
+    with pytest.raises(ShapeError, match="empty question"):
+        model.encoder_output([[]], [np.array([0])])
+    assert len(calls) == 1

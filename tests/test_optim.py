@@ -79,7 +79,7 @@ def test_train_tagger_arena_equals_per_tensor_adam(monkeypatch):
 
 # tape nodes recorded by one training step: a node the loss does not read costs
 # a record and a backward call at every step
-STEP_NODES = {"BiGRU": 27, "KS-BiGRU": 31, "KSA-BiGRU": 49, "tagger": 11}
+STEP_NODES = {"BiGRU": 22, "KS-BiGRU": 26, "KSA-BiGRU": 44, "tagger": 9}
 
 
 @pytest.mark.parametrize("variant", model_mod.VARIANTS)
