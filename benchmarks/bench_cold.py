@@ -26,6 +26,24 @@ on the same host.  Run with BLAS on one thread, as perfbench pins it:
     OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench_cold.py 1
     OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench_cold.py 1 --src ../parent/src
 
+With ``--entities N`` it builds no model and times only the kb and aliases
+stages, at a scale no perfbench world reaches.  A forked child writes a
+synthetic ``kb.npz`` and ``aliases.tsv`` in the sources' own layout, through
+``KnowledgeBase.save`` and ``AliasTable.save``, so the child's peak stays out
+of this process's ``ru_maxrss``:
+
+* N entities named ``0`` plus six hex digits, and 6,701 relations;
+* N * 14,180,937 / 2,150,604 triples (FB2M's ratio, about 6.6 per entity)
+  drawn uniformly from SEED, duplicates dropped;
+* one alias row per entity and a second for every third (4/3 rows per
+  entity), each alias two words of a 30,000-word vocabulary.
+
+Each stage is timed REPEATS times, dropping the last load before the next,
+and the medians are printed with the process's VmRSS before the loads and
+its ``ru_maxrss`` after them:
+
+    OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench_cold.py 1 --entities 2150604
+
 This is a diagnostic, not the benchmark: ask-paper's ``cold_ms`` in
 ``perfbench/`` times whole cold ``predict`` calls.
 """
@@ -34,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import multiprocessing
 import resource
 import statistics
 import sys
@@ -47,6 +66,7 @@ HERE = Path(__file__).resolve().parent
 STAGES = ("parser", "kb", "aliases", "vocab", "model", "score")
 PAPER_DIMS = dict(d_word=500, d_rel=300, d_hidden=300, attention_hidden=650)
 REPEATS = 15
+FB2M_ENTITIES, FB2M_RELATIONS, FB2M_TRIPLES = 2_150_604, 6_701, 14_180_937
 
 
 def resident_mb() -> dict[str, float]:
@@ -58,12 +78,71 @@ def resident_mb() -> dict[str, float]:
     return {key: int(fields[key].split()[0]) / 1024 for key in ("VmRSS", "RssAnon", "RssFile")}
 
 
+def write_synthetic(work: Path, seed: int, n: int) -> None:
+    """Save the synthetic ``kb.npz`` and ``aliases.tsv`` of the module docstring."""
+    from ksaqa.kb import AliasTable, KnowledgeBase
+
+    rng = np.random.default_rng(seed)
+    entities = [f"0{i:06x}" for i in range(n)]
+    relations = sorted(f"domain{k % 97}/type{k % 701}/relation{k}" for k in range(FB2M_RELATIONS))
+    size = round(n * FB2M_TRIPLES / FB2M_ENTITIES)
+    keys = np.sort((rng.integers(0, n, size) * FB2M_RELATIONS
+                    + rng.integers(0, FB2M_RELATIONS, size)) * n + rng.integers(0, n, size))
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    KnowledgeBase(entities, relations, keys).save(work / "kb.npz")
+    letters = rng.integers(ord("a"), ord("z") + 1, (30_000, 8)).astype(np.uint8)
+    words = [row.tobytes().decode()[: 3 + i % 6] for i, row in enumerate(letters)]
+    rows = [i for i in range(n) for _ in range(1 + (i % 3 == 0))]
+    pick = rng.integers(0, len(words), (len(rows), 2))
+    AliasTable([entities[i] for i in rows],
+               [f"{words[a]} {words[b]}" for a, b in pick.tolist()]).save(work / "aliases.tsv")
+
+
+def time_synthetic(seed: int, n: int) -> None:
+    """Time the kb and aliases stages on the synthetic world of ``n`` entities."""
+    from ksaqa.kb import AliasTable, KnowledgeBase
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        child = multiprocessing.get_context("fork").Process(
+            target=write_synthetic, args=(work, seed, n))
+        child.start()
+        child.join()
+        if child.exitcode != 0:
+            sys.exit(f"bench_cold: writing the synthetic world exited {child.exitcode}")
+        stages = {"kb": lambda: KnowledgeBase.load(work / "kb.npz"),
+                  "aliases": lambda: AliasTable.load(work / "aliases.tsv")}
+        gc.collect()
+        before = resident_mb()["VmRSS"]
+        times = {name: [] for name in stages}
+        for _ in range(REPEATS):
+            for name, load in stages.items():
+                t0 = time.perf_counter()
+                loaded = load()
+                times[name].append(time.perf_counter() - t0)
+                del loaded
+        print(f"# kb and aliases stages, {n} entities, seed {seed}, "
+              f"median of {REPEATS} (ms)")
+        for name in stages:
+            print(f"{name:8s} {statistics.median(times[name]) * 1e3:10.2f}")
+        print(f"# VmRSS before the loads {before:.1f} MB; ru_maxrss "
+              f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
+        for path in sorted(work.iterdir()):
+            print(f"# {path.name} {path.stat().st_size} bytes")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("seed", type=int)
     parser.add_argument("--src", type=Path, default=HERE.parent / "src")
+    parser.add_argument("--entities", type=int, default=None,
+                        help="time only the kb and aliases stages on a synthetic KB "
+                             "of this many entities")
     args = parser.parse_args()
     sys.path[:0] = [str(args.src.resolve()), str(HERE.parent / "perfbench")]
+    if args.entities is not None:
+        time_synthetic(args.seed, args.entities)
+        return
 
     import world as W
     from ksaqa import cli

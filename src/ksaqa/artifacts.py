@@ -3,10 +3,10 @@
 Each write goes to a temp file beside its target, renamed over the target
 once complete, so a failed or killed write leaves the old file as it was.
 
-The text artifacts that later stages read back (``aliases.tsv``,
+The artifacts that later stages read back (``kb.npz``, ``aliases.tsv``,
 ``vocab.txt`` and the ``*.jsonl`` splits) are sealed: :func:`seal` writes a
 sibling manifest ``<name>.json`` holding the SHA-256 of the file's bytes,
-and :func:`read_sealed` returns the text only while the digest matches, so
+and :func:`read_sealed` returns the bytes only while the digest matches, so
 a reader parses what its stage wrote without re-validating it.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -43,21 +44,22 @@ def save_text(path, text: str) -> None:
 
 
 def save_npz(path, **arrays) -> None:
-    """An uncompressed ``.npz`` archive of the named arrays."""
-    with replacing(path) as fh:
-        np.savez(fh, **arrays)
+    """Seal an uncompressed ``.npz`` archive of the named arrays."""
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    seal(path, buf.getvalue())
 
 
-def seal(path, text: str) -> None:
-    """Write ``text`` to ``path``, then its manifest ``<path>.json``."""
-    blob = text.encode("utf-8")
+def seal(path, data: bytes | str) -> None:
+    """Write ``data`` (text as UTF-8) to ``path``, then its manifest ``<path>.json``."""
+    blob = data.encode("utf-8") if isinstance(data, str) else data
     with replacing(path) as fh:
         fh.write(blob)
     save_text(f"{path}.json", json.dumps({"sha256": hashlib.sha256(blob).hexdigest()}) + "\n")
 
 
-def read_sealed(path, stage: str) -> str:
-    """The text of a file :func:`seal` wrote for ``stage``.
+def read_sealed(path, stage: str) -> bytes:
+    """The bytes of a file :func:`seal` wrote for ``stage``.
 
     A file whose bytes no longer match its manifest, or whose manifest is
     unreadable, is a CheckpointError naming the file and ``stage``.
@@ -69,4 +71,4 @@ def read_sealed(path, stage: str) -> str:
         digest = None
     if digest != hashlib.sha256(blob).hexdigest():
         raise CheckpointError(f"{path} changed since {stage} wrote it; rerun {stage}")
-    return blob.decode("utf-8")
+    return blob

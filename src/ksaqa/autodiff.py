@@ -25,6 +25,7 @@ finite-difference suite like every other primitive.
 from __future__ import annotations
 
 import contextvars
+import math
 
 import numpy as np
 
@@ -475,6 +476,13 @@ def crf_log_likelihood(emissions: Tensor, transitions: Tensor, start: Tensor,
 # ---------------------------------------------------------------------------
 # initialization and gradient checking
 # ---------------------------------------------------------------------------
+
+
+def check_size(name: str, shape) -> None:
+    """MemoryError for a float64 array ``name`` whose bytes pass numpy's size
+    limit, which numpy refuses with a ValueError before it allocates."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"{name} of shape {shape} passes numpy's array size limit")
 
 
 def init_embedding(rng: Rng, shape) -> np.ndarray:

@@ -9,23 +9,23 @@ Artifacts live in the work directory: kb.npz, aliases.tsv, vocab.txt,
 alias_report.tsv, pattern_report.tsv, transe.ckpt, tagger.ckpt, model.ckpt,
 tagger_history.json, history.json, report.{txt,json}, diff.jsonl,
 attention.tsv.  Each is written whole or not at all (see
-:mod:`ksaqa.artifacts`).  aliases.tsv, vocab.txt, the *.jsonl splits and
-the checkpoints each carry a sibling <name>.json manifest; the text
-artifacts' manifest holds their SHA-256, checked on every read.
+:mod:`ksaqa.artifacts`).  kb.npz, aliases.tsv, vocab.txt, the *.jsonl
+splits and the checkpoints each carry a sibling <name>.json manifest; the
+first four's manifest holds their SHA-256, checked on every read.
 
 Exit codes:
     0  success
     2  usage error (bad flags or unknown subcommand)
     3  configuration error (unreadable config, unknown key, bad value, a workdir
-       that is not a directory, divergence, model dims numpy cannot allocate)
+       that is not a directory, divergence, dims numpy cannot allocate), I/O error
     4  missing input file, or an input path that is not a regular file
     5  malformed input data (bad or non-UTF-8 line, with its number; KB too large)
     6  missing pipeline artifact or its manifest (run the earlier stage first)
     7  detection failure (no subject mention or no matching entity, or an
        attention --subject that is not a candidate of the mention)
-    8  corrupt or incompatible checkpoint (also a non-finite tensor), unreadable
-       kb.npz (also one in an older layout), or aliases.tsv, vocab.txt or a
-       *.jsonl split changed since its stage wrote it
+    8  corrupt or incompatible checkpoint (also a non-finite tensor), or
+       kb.npz, aliases.tsv, vocab.txt or a *.jsonl split changed since its
+       stage wrote it
 """
 
 from __future__ import annotations
@@ -76,17 +76,12 @@ def _work(cfg: PipelineConfig) -> Path:
     return path
 
 
-def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(f"{path} not found; run `ksaqa {hint}` first")
-    return path
-
-
 def _sealed(work: Path, name: str, hint: str) -> Path:
     """Path of artifact ``name`` once both it and its manifest exist."""
-    path = _require(work / name, hint)
-    _require(work / f"{name}.json", hint)
-    return path
+    for path in (work / name, work / f"{name}.json"):
+        if not path.exists():
+            raise MissingArtifactError(f"{path} not found; run `ksaqa {hint}` first")
+    return work / name
 
 
 def _open_input(path_str: str, what: str) -> Path:
@@ -101,7 +96,7 @@ def _open_input(path_str: str, what: str) -> Path:
 
 
 def _load_kb(work: Path) -> KnowledgeBase:
-    return KnowledgeBase.load(_require(work / "kb.npz", "ingest-kb"))
+    return KnowledgeBase.load(_sealed(work, "kb.npz", "ingest-kb"))
 
 
 def _load_aliases(work: Path) -> AliasTable:
@@ -472,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 _EXITS = [(ConfigError, 3, "config error"),
           (NonFiniteError, 3, "training diverged; lower the learning rate"),
           (MemoryError, 3, "cannot allocate; lower the model dims"),
-          (FileNotFoundError, 4, "missing input"), (IngestError, 5, "malformed input"),
-          (MissingArtifactError, 6, "missing artifact"),
+          (FileNotFoundError, 4, "missing input"), (OSError, 3, "I/O error"),
+          (IngestError, 5, "malformed input"), (MissingArtifactError, 6, "missing artifact"),
           (DetectionFailureError, 7, "detection failure"), (CheckpointError, 8, "checkpoint error")]
 
 

@@ -137,7 +137,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """Read back the file :meth:`save` wrote; no token holds a line break."""
-        return cls(read_sealed(path, "relabel").split("\n")[:-1])
+        return cls(read_sealed(path, "relabel").decode("utf-8").split("\n")[:-1])
 
 
 def build_vocabulary(token_streams, min_count: int = 1) -> Vocabulary:

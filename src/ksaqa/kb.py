@@ -16,15 +16,14 @@ canonical order for free.
 from __future__ import annotations
 
 import bisect
+import io
 import re
-import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import read_sealed, save_npz, seal
-from .errors import CheckpointError, IngestError
+from .errors import IngestError
 
 _PUNCT_RE = re.compile(r"([^\w\s])")
 
@@ -218,20 +217,11 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
-        try:
-            with open(path, "rb") as fh, np.load(fh) as z:
-                if "entities" in z.files:
-                    raise CheckpointError(f"{path}: names in the fixed-width layout of "
-                                          f"an older version; rerun ingest-kb")
-                names = z["names"].tobytes().decode("utf-8").split("\n")
-                ne = int(z["entity_count"])
-                keys = z["triple_keys"].astype(np.int64, copy=False)
-        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError,
-                ValueError) as exc:
-            raise CheckpointError(f"{path}: unreadable KB archive ({exc})") from None
-        if names.pop() or not 0 <= ne <= len(names):
-            raise CheckpointError(f"{path}: unreadable KB archive (bad names blob)")
-        return cls(entities=names[:ne], relations=names[ne:], triple_keys=keys)
+        """Read back the archive :meth:`save` wrote; its seal stands for the checks."""
+        with np.load(io.BytesIO(read_sealed(path, "ingest-kb"))) as z:
+            names = z["names"].tobytes().decode("utf-8").split("\n")[:-1]
+            ne = int(z["entity_count"])
+            return cls(entities=names[:ne], relations=names[ne:], triple_keys=z["triple_keys"])
 
 
 def ingest_triples(source) -> KnowledgeBase:
@@ -321,7 +311,7 @@ class AliasTable:
     @classmethod
     def load(cls, path) -> "AliasTable":
         """Read back the file :meth:`save` wrote; its seal stands for the checks."""
-        cells = read_sealed(path, "ingest-kb").replace("\t", "\n").split("\n")
+        cells = read_sealed(path, "ingest-kb").decode("utf-8").replace("\t", "\n").split("\n")
         return cls(cells[0:-1:2], cells[1::2])
 
 

@@ -24,12 +24,15 @@ class Fresh:
         self.rng = rng
 
     def weight(self, name: str, fan_in: int, fan_out: int, shape, gathered=False) -> Parameter:
+        ad.check_size(name, shape)
         return Parameter(name, ad.init_weight(self.rng, fan_in, fan_out, shape))
 
     def embedding(self, name: str, shape) -> Parameter:
+        ad.check_size(name, shape)
         return Parameter(name, ad.init_embedding(self.rng, shape))
 
     def zeros(self, name: str, shape) -> Parameter:
+        ad.check_size(name, shape)
         return Parameter(name, np.zeros(shape))
 
 

@@ -193,7 +193,7 @@ def load_jsonl(path, split: str = "train") -> list[LabeledExample]:
     The export's seal stands for the shape of every line.
     """
     examples = []
-    for line in read_sealed(path, "relabel").split("\n")[:-1]:
+    for line in read_sealed(path, "relabel").decode("utf-8").split("\n")[:-1]:
         obj = json.loads(line)
         gold_s, gold_r = obj["gold"]
         q_tokens = obj["question"].split()

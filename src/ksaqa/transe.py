@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Rng
+from .autodiff import Parameter, Rng, check_size
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, NonFiniteError, require_positive
 from .kb import KnowledgeBase
@@ -126,6 +126,8 @@ def train_transe(kb: KnowledgeBase, config: TransEConfig,
     rng = Rng(config.seed)
     ne, nr, d = kb.entity_count, kb.relation_count, config.dim
     bound = 6.0 / np.sqrt(d)
+    check_size("transe.entity", (ne, d))
+    check_size("transe.relation", (nr, d))
     ent = rng.uniform(-bound, bound, (ne, d))
     rel = rng.uniform(-bound, bound, (nr, d))
     rel /= np.maximum(np.linalg.norm(rel, axis=1, keepdims=True), 1e-12)

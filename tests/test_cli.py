@@ -7,8 +7,10 @@ documented exit codes against it.
 """
 
 import argparse
+import errno
 import io
 import json
+import os
 import shutil
 import struct
 import warnings
@@ -16,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ksaqa import cli
+from ksaqa import artifacts, cli
 from ksaqa import kb as kb_module
 from ksaqa.checkpoint import MAGIC, load_arrays, save_arrays
 from ksaqa.cli import build_parser, main
@@ -375,6 +377,13 @@ def _bare_array_kb(work, mp):
         np.save(fh, np.arange(3))
 
 
+def _disk_full(work, mp):
+    """Fail every move of a written file into place, as a full disk would."""
+    def replace(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+    mp.setattr(artifacts.os, "replace", replace)
+
+
 NOT_UTF8 = b"caf\xe9\tbar\n"
 
 
@@ -420,7 +429,7 @@ FAULTS = [
      _paged_transe("wide", 0, float("inf")), 8),
     ("transe-subpage-nonfinite", ["train", "--epochs", "1"],
      _paged_transe("tail", 1, float("-inf")), 8),
-    # other corrupt artifacts
+    # a kb.npz that `ingest-kb` did not write, refused by its seal
     ("kb-truncated", ["stats"], _truncate("kb.npz"), 8),
     ("kb-old-layout", ["stats"], _old_kb_layout, 8),
     ("kb-a-bare-array", ["stats"], _bare_array_kb, 8),
@@ -462,6 +471,8 @@ FAULTS = [
     ("model-manifest-absent", PREDICT, _delete("model.ckpt.json"), 6),
     ("tagger-manifest-absent", PREDICT, _delete("tagger.ckpt.json"), 6),
     ("transe-manifest-absent", ["train", "--epochs", "1"], _delete("transe.ckpt.json"), 6),
+    # a kb.npz without its manifest, as every kb.npz written before it was sealed
+    ("kb-manifest-absent", ["stats"], _delete("kb.npz.json"), 6),
     # lambda outside (0, 1), by flag or by config file
     ("predict-lambda", PREDICT + ["--lambda", "1.5"], _keep, 3),
     ("eval-lambda", ["eval", "--gold-spans", "--lambda", "1.5"], _keep, 3),
@@ -514,6 +525,16 @@ FAULTS = [
      _keep, 3),
     ("tagger-hidden-unallocatable", ["train-tagger", "--tagger-hidden", "1000000000000"],
      _keep, 3),
+    # dims whose arrays pass numpy's size limit (2**63 bytes), which numpy refuses
+    # with a ValueError before it allocates
+    ("transe-dim-past-size-limit", ["pretrain-transe", "--transe-dim", "1000000000000000000"],
+     _keep, 3),
+    ("d-word-past-size-limit", ["train", "--epochs", "1", "--d-word", "1000000000000000000"],
+     _keep, 3),
+    ("tagger-d-word-past-size-limit",
+     ["train-tagger", "--tagger-d-word", "1000000000000000000"], _keep, 3),
+    # a workdir write that fails, as on a full disk
+    ("ingest-disk-full", ["ingest-kb"], _disk_full, 3),
     # training divergence
     ("transe-diverges", ["pretrain-transe", "--transe-lr", "1e300"], _keep, 3),
     ("tagger-diverges", ["train-tagger", "--tagger-lr", "1e30"], _keep, 3),
@@ -531,8 +552,10 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
         "transe-multipage-last-nonfinite": "{work}/transe.ckpt: tensor wide is not finite",
         "transe-midpage-start-nonfinite": "{work}/transe.ckpt: tensor wide is not finite",
         "transe-subpage-nonfinite": "{work}/transe.ckpt: tensor tail is not finite",
-        "kb-old-layout": "{work}/kb.npz: names in the fixed-width layout of an older version; "
-                         "rerun ingest-kb",
+        **{name: "checkpoint error: {work}/kb.npz changed since ingest-kb wrote it; "
+                 "rerun ingest-kb" for name in ("kb-truncated", "kb-old-layout", "kb-a-bare-array")},
+        "kb-manifest-absent":
+            "missing artifact: {work}/kb.npz.json not found; run `ksaqa ingest-kb` first",
         "model-diverges": "training diverged; lower the learning rate: epoch 1, step 2: loss is nan",
         **{name: "{work}/aliases.tsv changed since ingest-kb wrote it; rerun ingest-kb"
            for name in ("workdir-aliases-not-utf8", "workdir-aliases-one-field",
@@ -557,7 +580,13 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
         "questions-a-directory": "missing input: train path is not a regular file: {work}",
         "workdir-a-regular-file": "config error: workdir is not a directory: {work}/afile",
         **{name: "cannot allocate; lower the model dims: Unable to allocate " for name in (
-            "transe-dim-unallocatable", "d-word-unallocatable", "tagger-hidden-unallocatable")}}
+            "transe-dim-unallocatable", "d-word-unallocatable", "tagger-hidden-unallocatable")},
+        "transe-dim-past-size-limit": "cannot allocate; lower the model dims: transe.entity of "
+                                      "shape (13, 1000000000000000000) passes numpy's array size",
+        "d-word-past-size-limit": "cannot allocate; lower the model dims: ksa.word_emb of shape (",
+        "tagger-d-word-past-size-limit":
+            "cannot allocate; lower the model dims: tagger.word_emb of shape (",
+        "ingest-disk-full": "I/O error: [Errno 28] No space left on device: '{work}/kb.npz'"}
 
 
 def _files(work):

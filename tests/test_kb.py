@@ -112,6 +112,7 @@ def test_triple_keys_refuse_an_int64_overflow():
 def test_kb_save_load_round_trip(tmp_path, micro):
     kb, _, _ = micro
     kb.save(tmp_path / "kb.npz")
+    assert (tmp_path / "kb.npz.json").exists()      # its seal
     kb2 = KnowledgeBase.load(tmp_path / "kb.npz")
     assert kb2.entities == kb.entities
     assert kb2.relations == kb.relations

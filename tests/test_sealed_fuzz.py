@@ -1,5 +1,5 @@
 """Property test of the sealed artifacts: a byte flipped, cut or appended in
-aliases.tsv, vocab.txt, a *.jsonl split or their manifests refuses every
+kb.npz, aliases.tsv, vocab.txt, a *.jsonl split or their manifests refuses every
 command that reads it with one stderr line, and a deleted manifest is a
 missing artifact."""
 
@@ -20,6 +20,10 @@ QUESTION = ["--question", "where was john smith born"]
 TRAIN_TAGGER = ["train-tagger", "--tagger-epochs", "1"]
 TRAIN = ["train", "--epochs", "1"]
 READERS = {
+    "kb.npz": ("ingest-kb", [["relabel"], ["stats"], ["pretrain-transe"], TRAIN,
+                             ["eval", "--gold-spans"], ["predict"] + QUESTION,
+                             ["attention"] + QUESTION,
+                             ["answer", "--non-interactive", QUESTION[1]]]),
     "aliases.tsv": ("ingest-kb", [["relabel"], ["stats"], ["eval", "--gold-spans"],
                                   ["predict"] + QUESTION, ["attention"] + QUESTION,
                                   ["answer", "--non-interactive", QUESTION[1]]]),
