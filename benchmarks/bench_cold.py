@@ -40,7 +40,12 @@ of this process's ``ru_maxrss``:
 
 Each stage is timed REPEATS times, dropping the last load before the next,
 and the medians are printed with the process's VmRSS before the loads and
-its ``ru_maxrss`` after them:
+its ``ru_maxrss`` after them.  Then, on the loaded tables, the medians of
+REPEATS lookups of one question's worth, in µs: ``entity_id`` plus
+``subgraph_relations`` of the middle entity, ``entities_for_alias`` of its
+first alias, and ``aliases_of`` of it.  Last comes the floor under each
+stage: the median ms to read and SHA-256 each sealed file (one with a
+``<name>.json`` manifest) beside its size:
 
     OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench_cold.py 1 --entities 2150604
 
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import multiprocessing
 import resource
 import statistics
@@ -127,8 +133,33 @@ def time_synthetic(seed: int, n: int) -> None:
             print(f"{name:8s} {statistics.median(times[name]) * 1e3:10.2f}")
         print(f"# VmRSS before the loads {before:.1f} MB; ru_maxrss "
               f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
+        kb, aliases = (load() for load in stages.values())
+        entity = f"0{n // 2:06x}"
+        alias = aliases.aliases_of(entity)[0]
+        lookups = {"entity_id + subgraph_relations":
+                   lambda: kb.subgraph_relations(kb.entity_id(entity)),
+                   "entities_for_alias": lambda: aliases.entities_for_alias(alias),
+                   "aliases_of": lambda: aliases.aliases_of(entity)}
+        print(f"# one lookup on the loaded tables, median of {REPEATS} (us)")
+        for name, lookup in lookups.items():
+            print(f"{name:32s} {median_s(lookup) * 1e6:10.1f}")
+        print(f"# read + SHA-256 of each sealed file, median of {REPEATS} (ms)")
         for path in sorted(work.iterdir()):
-            print(f"# {path.name} {path.stat().st_size} bytes")
+            floor = ""
+            if path.with_name(path.name + ".json").exists():
+                ms = median_s(lambda: hashlib.sha256(path.read_bytes()).hexdigest()) * 1e3
+                floor = f", read + SHA-256 {ms:.2f} ms"
+            print(f"# {path.name} {path.stat().st_size} bytes{floor}")
+
+
+def median_s(call) -> float:
+    """The median seconds of REPEATS calls."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def main() -> None:

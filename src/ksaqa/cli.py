@@ -4,14 +4,14 @@ Subcommands: ingest-kb, relabel, stats, pretrain-transe, train-tagger,
 train, eval, predict, attention, answer.  Configuration comes from a flat
 key=value file (--config) with per-flag overrides; later sources win.
 
-Artifacts live in the work directory: kb.npz, aliases.tsv, vocab.txt,
-{train,valid,test}.jsonl, {train,valid,test}_formatted.tsv,
+Artifacts live in the work directory: kb.npz, aliases.tsv, aliases.idx.npz,
+vocab.txt, {train,valid,test}.jsonl, {train,valid,test}_formatted.tsv,
 alias_report.tsv, pattern_report.tsv, transe.ckpt, tagger.ckpt, model.ckpt,
 tagger_history.json, history.json, report.{txt,json}, diff.jsonl,
 attention.tsv.  Each is written whole or not at all (see
-:mod:`ksaqa.artifacts`).  kb.npz, aliases.tsv, vocab.txt, the *.jsonl
-splits and the checkpoints each carry a sibling <name>.json manifest; the
-first four's manifest holds their SHA-256, checked on every read.
+:mod:`ksaqa.artifacts`).  kb.npz, aliases.tsv, aliases.idx.npz, vocab.txt,
+the *.jsonl splits and the checkpoints each carry a sibling <name>.json
+manifest; all but the checkpoints' hold their SHA-256, checked on every read.
 
 Exit codes:
     0  success
@@ -24,8 +24,9 @@ Exit codes:
     7  detection failure (no subject mention or no matching entity, or an
        attention --subject that is not a candidate of the mention)
     8  corrupt or incompatible checkpoint (also a non-finite tensor), or
-       kb.npz, aliases.tsv, vocab.txt or a *.jsonl split changed since its
-       stage wrote it
+       kb.npz, aliases.tsv, aliases.idx.npz, vocab.txt or a *.jsonl split
+       changed since its stage wrote it, an aliases.idx.npz of other rows, or
+       a kb.npz sealed before it held entity_order
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ def _load_kb(work: Path) -> KnowledgeBase:
 
 
 def _load_aliases(work: Path) -> AliasTable:
-    return AliasTable.load(_sealed(work, "aliases.tsv", "ingest-kb"))
+    path = _sealed(work, "aliases.tsv", "ingest-kb")
+    _sealed(work, "aliases.idx.npz", "ingest-kb")
+    return AliasTable.load(path)
 
 
 def _load_vocab(work: Path) -> Vocabulary:
@@ -361,7 +364,7 @@ def cmd_answer(args, cfg: PipelineConfig) -> int:
         if objs.size == 0:
             _log("no objects recorded for this pair")
         for t in objs:
-            _log(f"  {_entity_label(aliases, kb.entities[t])}")
+            _log(f"  {_entity_label(aliases, kb.entity_name(t))}")
 
     asking = len(chosen) > 1 and not args.non_interactive
     if asking:

@@ -44,6 +44,17 @@ def require_positive(config, *names: str) -> None:
             raise ConfigError(f"{config.key_prefix}{name} must be positive, got {value}")
 
 
+def require_rate(config) -> None:
+    """ConfigError for a learning rate ``lr`` outside (0, 1].
+
+    The range refuses a bad input, not a divergence: Adam moves each weight
+    by about ``lr`` a step, so a rate of 1 is already far past any that
+    trains, and a legal rate can still grow huge finite weights.
+    """
+    if not 0 < config.lr <= 1:
+        raise ConfigError(f"{config.key_prefix}lr must lie in (0, 1], got {config.lr}")
+
+
 class CheckpointError(KsaqaError):
     """Base class for checkpoint I/O failures."""
 

@@ -7,23 +7,28 @@ searchsorted scans.  Key layouts (NE entities, NR relations interned):
     triple key  (s * NR + r) * NE + t
 
 which fits int64 while NE**2 * NR <= 2**63 (Freebase-2M: ~3.1e16); ingest
-refuses a larger KB.
+refuses a larger KB.  A subject's triples, and a pair's, are one run of
+keys: R(s) is the distinct pair keys (triple key // NE) of s's run.
 Relation indices are remapped after ingest so index order equals ascending
 lexicographic order of the relation text; subgraph lists are then sorted in
 canonical order for free.
+
+Names and aliases are looked up by bisection over sorted data that ingest
+writes once (``entity_order``, the alias index), never through a dict, so a
+load builds nothing per entity or per alias row.
 """
 
 from __future__ import annotations
 
 import bisect
-import io
+import functools
 import re
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_sealed, save_npz, seal
-from .errors import IngestError
+from .artifacts import npz_views, read_sealed, save_npz, seal, sealed_digest
+from .errors import CheckpointError, IngestError
 
 _PUNCT_RE = re.compile(r"([^\w\s])")
 
@@ -133,65 +138,114 @@ def distinct_sorted(keys: np.ndarray) -> np.ndarray:
     numpy 2.4 took about 115 ms for 170k int64 keys where these two took
     3 ms (one core of a 2-vCPU Xeon).
     """
-    return keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+    if not keys.size:
+        return keys
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 class KnowledgeBase:
-    """Immutable triple store with one-hop relation, fact, and object indexes."""
+    """Immutable triple store with one-hop relation, fact and object lookups.
+
+    The names are one UTF-8 blob, the entity then the relation names, each
+    ended by "\n" (no id field holds one).  ``entity_order`` lists the entity
+    ids in name order, so :meth:`entity_id` bisects it, and :meth:`relation_id`
+    bisects the relations, which ingest sorted.  No Python object per name
+    is made until :attr:`entities` or :attr:`relations` is read.
+    """
 
     def __init__(self, entities: list[str], relations: list[str],
                  triple_keys: np.ndarray):
-        self.entities = entities
-        self.relations = relations
-        self.entity_index = {t: i for i, t in enumerate(entities)}
-        self.relation_index = {t: i for i, t in enumerate(relations)}
-        self._nr = max(len(relations), 1)
-        self._ne = max(len(entities), 1)
-        self.triple_keys = triple_keys   # sorted unique int64
-        # the pair keys of sorted triple keys come sorted too
-        self.pair_keys = distinct_sorted(triple_keys // self._ne)
+        """The KB of these names, its relations in ascending order, and its
+        sorted unique triple keys."""
+        names = "".join(f"{name}\n" for name in (*entities, *relations)).encode("utf-8")
+        order = sorted(range(len(entities)), key=entities.__getitem__)
+        self._adopt(np.frombuffer(names, dtype=np.uint8), len(entities),
+                    np.array(order, dtype=np.int64), triple_keys)
 
-    @property
-    def entity_count(self) -> int:
-        return len(self.entities)
+    def _adopt(self, names: np.ndarray, entity_count: int, entity_order: np.ndarray,
+               triple_keys: np.ndarray) -> None:
+        self.names = names
+        self.entity_count = entity_count
+        self.entity_order = entity_order
+        self.triple_keys = triple_keys   # sorted unique int64
+        # name i is the bytes between the "\n" at _ends[i] and the one at _ends[i + 1]
+        self._ends = memoryview(np.concatenate(([-1], np.flatnonzero(names == 10))))
+        self._blob = memoryview(names)
+        self._order = memoryview(entity_order)
+        self._ne = max(entity_count, 1)
+        self._nr = max(self.relation_count, 1)
 
     @property
     def relation_count(self) -> int:
-        return len(self.relations)
+        return len(self._ends) - 1 - self.entity_count
 
     @property
     def triple_count(self) -> int:
         return int(self.triple_keys.size)
 
+    def _name(self, i: int) -> bytes:
+        return self._blob[self._ends[i] + 1:self._ends[i + 1]].tobytes()
+
+    def _names(self, lo: int, hi: int) -> list[str]:
+        if lo == hi:
+            return []
+        return self._blob[self._ends[lo] + 1:self._ends[hi]].tobytes().decode("utf-8").split("\n")
+
+    @functools.cached_property
+    def entities(self) -> list[str]:
+        """Every entity name in id order, built on first use."""
+        return self._names(0, self.entity_count)
+
+    @functools.cached_property
+    def relations(self) -> list[str]:
+        """Every relation name in id (ascending) order, built on first use."""
+        return self._names(self.entity_count, len(self._ends) - 1)
+
+    def entity_name(self, e: int) -> str:
+        return self._name(e).decode("utf-8")
+
+    def _find(self, ids, text: str) -> int:
+        """The one of ``ids`` (a sequence in name order) named ``text``, or -1."""
+        key = text.encode("utf-8", "surrogatepass")
+        pos = bisect.bisect_left(ids, key, key=self._name)
+        return ids[pos] if pos < len(ids) and self._name(ids[pos]) == key else -1
+
     def entity_id(self, text: str) -> int:
-        return self.entity_index.get(text, -1)
+        return self._find(self._order, text)
 
     def relation_id(self, text: str) -> int:
-        return self.relation_index.get(text, -1)
+        r = self._find(range(self.entity_count, len(self._ends) - 1), text)
+        return r - self.entity_count if r >= 0 else -1
+
+    def _span(self, first: int, width: int) -> np.ndarray:
+        """The triple keys in [first, first + width); at the key limit that
+        end passes int64, and the span runs to the end of the array."""
+        lo = np.searchsorted(self.triple_keys, first)
+        end = first + width
+        hi = self.triple_keys.size if end >= _KEY_LIMIT else np.searchsorted(self.triple_keys, end)
+        return self.triple_keys[lo:hi]
 
     def subgraph_relations(self, e: int) -> np.ndarray:
         """R(e): unique relations leaving e, ascending (canonical order)."""
         if not 0 <= e < self._ne:
             return np.empty(0, dtype=np.int64)
-        lo = np.searchsorted(self.pair_keys, e * self._nr, side="left")
-        hi = np.searchsorted(self.pair_keys, (e + 1) * self._nr, side="left")
-        return (self.pair_keys[lo:hi] - e * self._nr).astype(np.int64)
+        pair = int(e) * self._nr
+        return distinct_sorted(self._span(pair * self._ne, self._nr * self._ne) // self._ne) - pair
 
     def has_fact(self, e: int, r: int) -> bool:
         if not (0 <= e < self._ne and 0 <= r < self._nr):
             return False
-        key = np.int64(e) * self._nr + r
-        pos = np.searchsorted(self.pair_keys, key, side="left")
-        return bool(pos < self.pair_keys.size and self.pair_keys[pos] == key)
+        return self._span((int(e) * self._nr + int(r)) * self._ne, self._ne).size > 0
 
     def objects(self, e: int, r: int) -> np.ndarray:
         """All t with (e, r, t) in the KB, ascending by entity index."""
         if not (0 <= e < self._ne and 0 <= r < self._nr):
             return np.empty(0, dtype=np.int64)
-        base = triple_keys(e, r, 0, self._ne, self._nr)
-        lo = np.searchsorted(self.triple_keys, base, side="left")
-        hi = np.searchsorted(self.triple_keys, base + self._ne, side="left")
-        return (self.triple_keys[lo:hi] - base).astype(np.int64)
+        base = (int(e) * self._nr + int(r)) * self._ne
+        return self._span(base, self._ne) - base
 
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(h, r, t) index arrays of every triple, in key order."""
@@ -208,20 +262,22 @@ class KnowledgeBase:
         return self.triple_keys[pos] == key
 
     def save(self, path) -> None:
-        """Write ``kb.npz``: the entity then the relation names as one UTF-8
-        blob, each name ended by "\n" (no id field holds one), the entity
-        count and the triple keys, uncompressed."""
-        names = "".join(f"{name}\n" for name in (*self.entities, *self.relations))
-        save_npz(path, names=np.frombuffer(names.encode("utf-8"), dtype=np.uint8),
-                  entity_count=np.int64(len(self.entities)), triple_keys=self.triple_keys)
+        """Write ``kb.npz``: the names blob, the entity count, ``entity_order``
+        and the triple keys, uncompressed."""
+        save_npz(path, names=self.names, entity_count=np.int64(self.entity_count),
+                 entity_order=self.entity_order, triple_keys=self.triple_keys)
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
-        """Read back the archive :meth:`save` wrote; its seal stands for the checks."""
-        with np.load(io.BytesIO(read_sealed(path, "ingest-kb"))) as z:
-            names = z["names"].tobytes().decode("utf-8").split("\n")[:-1]
-            ne = int(z["entity_count"])
-            return cls(entities=names[:ne], relations=names[ne:], triple_keys=z["triple_keys"])
+        """The KB :meth:`save` wrote, its arrays read in place; its seal
+        stands for the checks."""
+        arrays = npz_views(read_sealed(path, "ingest-kb"))
+        if "entity_order" not in arrays:     # sealed by an ingest-kb before it wrote one
+            raise CheckpointError(f"{path} holds no entity_order; rerun ingest-kb")
+        kb = cls.__new__(cls)
+        kb._adopt(arrays["names"], int(arrays["entity_count"]), arrays["entity_order"],
+                  arrays["triple_keys"])
+        return kb
 
 
 def ingest_triples(source) -> KnowledgeBase:
@@ -279,40 +335,79 @@ def ingest_triples(source) -> KnowledgeBase:
 class AliasTable:
     """Normalized alias text -> entity ids, plus the reverse listing.
 
-    The rows are two columns in save order: ``entities`` sorted (a stable
-    sort, so each entity's aliases keep their first-seen order) and
-    ``aliases`` beside it.  ``map`` takes each alias to the entities it
-    names, in entity order.
+    ``rows`` are the bytes of ``aliases.tsv``, one "entity\talias\n" row
+    each (neither field holds a tab), sorted by entity with a stable sort,
+    so each entity's aliases keep their first-seen order.  ``by_alias``
+    lists the row numbers in alias order.  Both lookups bisect the rows.
     """
 
     def __init__(self, entities: list[str], aliases: list[str]):
-        self.entities = entities
-        self.aliases = aliases
-        self.map: dict[str, list[str]] = {}
-        for entity, alias in zip(entities, aliases):
-            self.map.setdefault(alias, []).append(entity)
+        """The table of these rows, ``entities`` ascending."""
+        rows = "".join(f"{entity}\t{alias}\n" for entity, alias in zip(entities, aliases))
+        by_alias = sorted(range(len(aliases)), key=aliases.__getitem__)
+        self._adopt(rows.encode("utf-8"), np.array(by_alias, dtype=np.int64), len(set(aliases)))
+
+    def _adopt(self, rows: bytes, by_alias: np.ndarray, alias_count: int) -> None:
+        self.rows = rows
+        self.by_alias = by_alias
+        self._alias_count = alias_count
+        # row k's entity lies between _cuts[2k] and its tab at _cuts[2k + 1],
+        # its alias between that tab and the "\n" at _cuts[2k + 2]
+        blob = np.frombuffer(rows, dtype=np.uint8)
+        self._cuts = memoryview(np.concatenate(([-1], np.flatnonzero((blob == 9) | (blob == 10)))))
+        self._by = memoryview(by_alias)
+
+    def _entity(self, k: int) -> bytes:
+        return self.rows[self._cuts[2 * k] + 1:self._cuts[2 * k + 1]]
+
+    def _alias(self, k: int) -> bytes:
+        return self.rows[self._cuts[2 * k + 1] + 1:self._cuts[2 * k + 2]]
 
     def entities_for_alias(self, text) -> set[str]:
         """Exact lookup; ``text`` may be a string or a token sequence."""
         key = normalize_text(text) if isinstance(text, str) else " ".join(text)
-        return set(self.map.get(key, ()))
+        key = key.encode("utf-8", "surrogatepass")
+        by = self._by
+        i = bisect.bisect_left(by, key, key=self._alias)
+        found = set()
+        while i < len(by) and self._alias(by[i]) == key:
+            found.add(self._entity(by[i]).decode("utf-8"))
+            i += 1
+        return found
 
     def aliases_of(self, entity: str) -> list[str]:
-        lo = bisect.bisect_left(self.entities, entity)
-        return self.aliases[lo:bisect.bisect_right(self.entities, entity, lo)]
+        key = entity.encode("utf-8", "surrogatepass")
+        rows = range(len(self._by))
+        k = bisect.bisect_left(rows, key, key=self._entity)
+        found = []
+        while k < len(rows) and self._entity(k) == key:
+            found.append(self._alias(k).decode("utf-8"))
+            k += 1
+        return found
 
     def __len__(self):
-        return len(self.map)
+        """The number of distinct aliases."""
+        return self._alias_count
 
     def save(self, path) -> None:
-        seal(path, "".join(f"{entity}\t{alias}\n"
-                           for entity, alias in zip(self.entities, self.aliases)))
+        """Seal the rows at ``path`` and, beside it, the index ``<stem>.idx.npz``:
+        ``by_alias``, the distinct alias count and the rows' SHA-256."""
+        digest = seal(path, self.rows)
+        save_npz(Path(path).with_suffix(".idx.npz"), by_alias=self.by_alias,
+                 alias_count=np.int64(self._alias_count), tsv_sha256=np.array(digest))
 
     @classmethod
     def load(cls, path) -> "AliasTable":
-        """Read back the file :meth:`save` wrote; its seal stands for the checks."""
-        cells = read_sealed(path, "ingest-kb").decode("utf-8").replace("\t", "\n").split("\n")
-        return cls(cells[0:-1:2], cells[1::2])
+        """The table :meth:`save` wrote; the two seals stand for the checks,
+        and an index of other rows is a CheckpointError."""
+        rows = read_sealed(path, "ingest-kb")
+        index = Path(path).with_suffix(".idx.npz")
+        arrays = npz_views(read_sealed(index, "ingest-kb"))
+        if str(arrays["tsv_sha256"]) != sealed_digest(path):
+            raise CheckpointError(f"{index} does not index {path}; rerun ingest-kb")
+        table = cls.__new__(cls)
+        table._adopt(rows, arrays["by_alias"], int(arrays["alias_count"]))
+        return table
 
 
 def ingest_aliases(source) -> AliasTable:

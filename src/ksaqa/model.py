@@ -33,7 +33,7 @@ from . import nn
 from .autodiff import Parameter, Rng, Tape, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import Vocabulary
-from .errors import ConfigError, ShapeError, require_positive
+from .errors import ConfigError, ShapeError, require_positive, require_rate
 from .evaluation import evaluate
 from .kb import KnowledgeBase
 from .optim import Adam
@@ -81,7 +81,8 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         require_positive(self, "d_word", "d_rel", "d_hidden", "attention_hidden",
-                         "negatives_per_positive", "lr", "epochs", "batch_size")
+                         "negatives_per_positive", "epochs", "batch_size")
+        require_rate(self)
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0.0 < self.lam < 1.0:

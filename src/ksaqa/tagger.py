@@ -17,7 +17,7 @@ from . import nn
 from .autodiff import Parameter, Rng, Tape, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import FormattedQuestion, Vocabulary, span_to_formatted
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, require_positive, require_rate
 from .kernels import crf as crf_k
 from .optim import Adam
 
@@ -38,7 +38,8 @@ class TaggerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_positive(self, "d_word", "hidden", "lr", "epochs")
+        require_positive(self, "d_word", "hidden", "epochs")
+        require_rate(self)
 
 
 class TaggerModel:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Parameter, Rng, check_size
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, NonFiniteError, require_positive
+from .errors import ConfigError, NonFiniteError, require_positive, require_rate
 from .kb import KnowledgeBase
 from .kernels import transe_ops
 
@@ -35,7 +35,8 @@ class TransEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_positive(self, "dim", "margin", "lr", "epochs", "batch_size")
+        require_positive(self, "dim", "margin", "epochs", "batch_size")
+        require_rate(self)
         if self.norm not in ("l1", "l2"):
             raise ConfigError(f"transe_norm must be l1 or l2, got {self.norm!r}")
 

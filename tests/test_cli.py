@@ -10,6 +10,7 @@ import argparse
 import errno
 import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -19,12 +20,16 @@ import numpy as np
 import pytest
 
 from ksaqa import artifacts, cli
+from ksaqa import autodiff as ad
 from ksaqa import kb as kb_module
 from ksaqa.checkpoint import MAGIC, load_arrays, save_arrays
 from ksaqa.cli import build_parser, main
 from ksaqa.config import KEYS
 from ksaqa.dataset import Vocabulary
-from ksaqa.kb import KnowledgeBase, ingest_triples
+from ksaqa.kb import AliasTable, KnowledgeBase, ingest_triples
+from ksaqa.kernels import transe_ops
+from ksaqa.model import KsaModel
+from ksaqa.tagger import TaggerModel
 
 from ckpt_bytes import PAGED, set_value
 from corpus_util import micro_world
@@ -32,7 +37,8 @@ from corpus_util import micro_world
 
 def test_pipeline_writes_every_artifact(pipeline):
     _, _, work = pipeline
-    for name in ("kb.npz", "aliases.tsv", "aliases.tsv.json", "vocab.txt", "vocab.txt.json",
+    for name in ("kb.npz", "aliases.tsv", "aliases.tsv.json", "aliases.idx.npz",
+                 "aliases.idx.npz.json", "vocab.txt", "vocab.txt.json",
                  "train.jsonl", "valid.jsonl", "test.jsonl",
                  "train.jsonl.json", "valid.jsonl.json", "test.jsonl.json",
                  "train_formatted.tsv", "alias_report.tsv", "pattern_report.tsv",
@@ -371,10 +377,42 @@ def _old_kb_layout(work, mp):
                             triple_keys=kb.triple_keys)
 
 
+def _kb_without_entity_order(work, mp):
+    """Reseal kb.npz with the three members it held before entity_order."""
+    kb = KnowledgeBase.load(work / "kb.npz")
+    artifacts.save_npz(work / "kb.npz", names=kb.names, entity_count=np.int64(kb.entity_count),
+                       triple_keys=kb.triple_keys)
+
+
 def _bare_array_kb(work, mp):
     """Overwrite kb.npz with one array in the .npy format, not an archive."""
     with open(work / "kb.npz", "wb") as fh:
         np.save(fh, np.arange(3))
+
+
+def _other_alias_index(work, mp):
+    """Put the index of other alias rows, sealed, beside aliases.tsv."""
+    AliasTable(["01"], ["someone else"]).save(work / "other.tsv")
+    for suffix in ("", ".json"):
+        os.replace(work / f"other.idx.npz{suffix}", work / f"aliases.idx.npz{suffix}")
+    for name in ("other.tsv", "other.tsv.json"):
+        (work / name).unlink()
+
+
+def _nan_loss(owner, method, call):
+    """Make call number ``call`` of ``owner.method`` return a NaN loss, as a
+    run that diverges at a legal learning rate would."""
+    def mutate(work, mp):
+        real, calls = getattr(owner, method), []
+
+        def spoiled(*args):
+            calls.append(None)
+            loss = real(*args)
+            if len(calls) != call:
+                return loss
+            return ad.scale(loss, math.nan) if isinstance(loss, ad.Tensor) else math.nan
+        mp.setattr(owner, method, spoiled)
+    return mutate
 
 
 def _disk_full(work, mp):
@@ -433,6 +471,8 @@ FAULTS = [
     ("kb-truncated", ["stats"], _truncate("kb.npz"), 8),
     ("kb-old-layout", ["stats"], _old_kb_layout, 8),
     ("kb-a-bare-array", ["stats"], _bare_array_kb, 8),
+    # a kb.npz sealed by an ingest-kb that wrote no entity_order
+    ("kb-without-entity-order", PREDICT, _kb_without_entity_order, 8),
     # a vocabulary that `relabel` cannot have written: empty, cut off, CRLF endings
     ("vocab-empty", PREDICT, _write("vocab.txt", ""), 8),
     ("vocab-cut-off", PREDICT, _edit_bytes("vocab.txt", lambda blob: blob[:-2]), 8),
@@ -473,6 +513,10 @@ FAULTS = [
     ("transe-manifest-absent", ["train", "--epochs", "1"], _delete("transe.ckpt.json"), 6),
     # a kb.npz without its manifest, as every kb.npz written before it was sealed
     ("kb-manifest-absent", ["stats"], _delete("kb.npz.json"), 6),
+    # no alias index, as in every workdir ingested before there was one, or the
+    # index of other rows
+    ("aliases-index-absent", PREDICT, _delete("aliases.idx.npz"), 6),
+    ("aliases-index-of-other-rows", PREDICT, _other_alias_index, 8),
     # lambda outside (0, 1), by flag or by config file
     ("predict-lambda", PREDICT + ["--lambda", "1.5"], _keep, 3),
     ("eval-lambda", ["eval", "--gold-spans", "--lambda", "1.5"], _keep, 3),
@@ -489,6 +533,10 @@ FAULTS = [
     ("min-count-zero", ["relabel", "--min-count", "0"], _keep, 3),
     ("lr-negative", ["train", "--lr", "-1"], _keep, 3),
     ("transe-lr-negative", ["pretrain-transe", "--transe-lr", "-1"], _keep, 3),
+    # a learning rate past 1, which used to train weights near 1e30 and exit 0
+    ("lr-too-large", ["train", "--lr", "1e30"], _keep, 3),
+    ("transe-lr-too-large", ["pretrain-transe", "--transe-lr", "1e30"], _keep, 3),
+    ("tagger-lr-too-large", ["train-tagger", "--tagger-lr", "1e30"], _keep, 3),
     # there is one kernel lane: `backend` is an unknown key
     ("config-backend", ["stats", "--config", "{work}/backend.cfg"],
      _write("backend.cfg", "backend = bogus\n"), 3),
@@ -535,10 +583,10 @@ FAULTS = [
      ["train-tagger", "--tagger-d-word", "1000000000000000000"], _keep, 3),
     # a workdir write that fails, as on a full disk
     ("ingest-disk-full", ["ingest-kb"], _disk_full, 3),
-    # training divergence
-    ("transe-diverges", ["pretrain-transe", "--transe-lr", "1e300"], _keep, 3),
-    ("tagger-diverges", ["train-tagger", "--tagger-lr", "1e30"], _keep, 3),
-    ("model-diverges", ["train", "--lr", "1e300"], _keep, 3),
+    # training divergence at the default learning rates: a loss turns NaN
+    ("transe-diverges", ["pretrain-transe"], _nan_loss(transe_ops, "transe_batch", 1), 3),
+    ("tagger-diverges", ["train-tagger"], _nan_loss(TaggerModel, "log_likelihood", 2), 3),
+    ("model-diverges", ["train"], _nan_loss(KsaModel, "loss", 2), 3),
 ]
 
 
@@ -554,8 +602,21 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
         "transe-subpage-nonfinite": "{work}/transe.ckpt: tensor tail is not finite",
         **{name: "checkpoint error: {work}/kb.npz changed since ingest-kb wrote it; "
                  "rerun ingest-kb" for name in ("kb-truncated", "kb-old-layout", "kb-a-bare-array")},
+        "kb-without-entity-order":
+            "checkpoint error: {work}/kb.npz holds no entity_order; rerun ingest-kb",
         "kb-manifest-absent":
             "missing artifact: {work}/kb.npz.json not found; run `ksaqa ingest-kb` first",
+        "aliases-index-absent":
+            "missing artifact: {work}/aliases.idx.npz not found; run `ksaqa ingest-kb` first",
+        "aliases-index-of-other-rows": "checkpoint error: {work}/aliases.idx.npz does not "
+                                       "index {work}/aliases.tsv; rerun ingest-kb",
+        **{name: f"config error: {key}lr must lie in (0, 1], got 1e+30" for name, key in (
+            ("lr-too-large", ""), ("transe-lr-too-large", "transe_"),
+            ("tagger-lr-too-large", "tagger_"))},
+        "transe-diverges": "training diverged; lower the learning rate: "
+                           "transe epoch 1: batch loss is nan",
+        "tagger-diverges": "training diverged; lower the learning rate: "
+                           "tagger epoch 1, step 2: loss is nan",
         "model-diverges": "training diverged; lower the learning rate: epoch 1, step 2: loss is nan",
         **{name: "{work}/aliases.tsv changed since ingest-kb wrote it; rerun ingest-kb"
            for name in ("workdir-aliases-not-utf8", "workdir-aliases-one-field",

@@ -118,6 +118,7 @@ def test_value_may_contain_equals_sign(tmp_path):
     ("tagger_d_word", 0), ("tagger_hidden", 0), ("tagger_epochs", 0), ("tagger_lr", -1.0),
     ("transe_dim", 0), ("transe_epochs", 0), ("transe_batch_size", 0),
     ("transe_lr", -1.0), ("transe_margin", 0.0), ("transe_norm", "l3"),
+    ("lr", 1.5), ("tagger_lr", 1e30), ("transe_lr", float("inf")),
     ("min_count", 0), ("seed", -1), ("seed", 2 ** 64), ("pattern_splits", "test"),
 ])
 def test_out_of_range_values_are_refused_by_key(key, bad):

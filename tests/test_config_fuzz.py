@@ -59,6 +59,7 @@ def test_any_overrides_load_or_raise_config_error(overrides):
 # the valid range of every key (the oracle the config classes must agree with)
 SIZE = st.integers(1, 10 ** 6)
 POSITIVE = st.floats(0, 1e6, exclude_min=True)
+RATE = st.floats(0, 1, exclude_min=True)
 TEXT = st.text("abcxyz019_./-", max_size=12)
 IN_RANGE = {
     "kb_triples": TEXT, "kb_aliases": TEXT, "train_file": TEXT, "valid_file": TEXT,
@@ -70,12 +71,12 @@ IN_RANGE = {
     "d_word": SIZE, "d_rel": SIZE, "d_hidden": SIZE, "attention_hidden": SIZE,
     "dropout": st.floats(0, 1, exclude_max=True), "lam": st.floats(0, 1, exclude_min=True,
                                                                     exclude_max=True),
-    "negatives_per_positive": SIZE, "lr": POSITIVE, "epochs": SIZE, "batch_size": SIZE,
+    "negatives_per_positive": SIZE, "lr": RATE, "epochs": SIZE, "batch_size": SIZE,
     "shuffle_augment": st.booleans(),
-    "tagger_d_word": SIZE, "tagger_hidden": SIZE, "tagger_lr": POSITIVE,
+    "tagger_d_word": SIZE, "tagger_hidden": SIZE, "tagger_lr": RATE,
     "tagger_epochs": SIZE, "tagger_patience": st.integers(-10, 10 ** 6),
     "transe_dim": SIZE, "transe_margin": POSITIVE, "transe_norm": st.sampled_from(["l1", "l2"]),
-    "transe_lr": POSITIVE, "transe_epochs": SIZE, "transe_batch_size": SIZE,
+    "transe_lr": RATE, "transe_epochs": SIZE, "transe_batch_size": SIZE,
 }
 
 

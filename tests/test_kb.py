@@ -6,6 +6,7 @@ from ksaqa.kb import (AliasTable, KnowledgeBase, distinct_sorted, ingest_aliases
                       ingest_triples, normalize_text, strip_id_prefix, tokenize, triple_keys)
 
 from corpus_util import EPREFIX, RPREFIX, micro_world
+from kb_oracle import KbOracle, alias_rows
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -59,7 +60,9 @@ def test_sort_and_first_of_each_run_equal_np_unique(n, high):
 def test_relations_are_lexicographically_ordered(micro):
     kb, _, _ = micro
     assert kb.relations == sorted(kb.relations)
-    assert kb.pair_keys.tolist() == sorted(kb.pair_keys.tolist())
+    want = KbOracle(kb.entities, kb.relations, kb.triple_keys)
+    assert [kb.subgraph_relations(e).tolist() for e in range(kb.entity_count)] == \
+        [want.subgraph_relations(e) for e in range(kb.entity_count)]
 
 
 def test_subgraph_relations_canonical_order(micro):
@@ -109,6 +112,47 @@ def test_triple_keys_refuse_an_int64_overflow():
     assert triple_keys(2 ** 31 - 1, 1, 2 ** 31 - 1, 2 ** 31, 2) == 2 ** 63 - 1
 
 
+def test_lookups_of_the_last_entity_at_the_key_limit():
+    """NE**2 * NR = 2**63, the most ingest takes: the last entity's key range
+    ends at 2**63, past int64.  No KB of 2**31 names fits in memory, so the
+    store is given only the counts and keys its triple lookups read."""
+    ne, nr = 2 ** 31, 2
+    kb = KnowledgeBase.__new__(KnowledgeBase)
+    kb._ne, kb._nr = ne, nr
+    kb.triple_keys = triple_keys(np.array([0, ne - 1, ne - 1]), np.array([1, 0, 1]),
+                                 np.array([ne - 1, 5, ne - 1]), ne, nr)
+    assert kb.triple_keys[-1] == 2 ** 63 - 1
+    assert kb.subgraph_relations(ne - 1).tolist() == [0, 1]
+    assert kb.subgraph_relations(0).tolist() == [1]
+    assert kb.has_fact(ne - 1, 1) and kb.has_fact(ne - 1, 0) and not kb.has_fact(0, 0)
+    assert kb.objects(ne - 1, 1).tolist() == [ne - 1]
+    assert kb.objects(ne - 1, 0).tolist() == [5]
+
+
+def _owner(a):
+    """The object at the end of an array's chain of bases."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_a_loaded_kb_and_alias_index_view_the_sealed_bytes(tmp_path, micro):
+    kb, aliases, _ = micro
+    kb.save(tmp_path / "kb.npz")
+    aliases.save(tmp_path / "aliases.tsv")
+    loaded = KnowledgeBase.load(tmp_path / "kb.npz")
+    table = AliasTable.load(tmp_path / "aliases.tsv")
+    for arrays, name in (((loaded.names, loaded.entity_order, loaded.triple_keys), "kb.npz"),
+                         ((table.by_alias,), "aliases.idx.npz")):
+        blob = _owner(arrays[0])
+        assert isinstance(blob, bytes) and blob == (tmp_path / name).read_bytes()
+        whole = np.frombuffer(blob, dtype=np.uint8)
+        for a in arrays:
+            assert _owner(a) is blob and np.shares_memory(a, whole)
+            assert a.flags.aligned and not a.flags.writeable
+    assert table.rows == (tmp_path / "aliases.tsv").read_bytes()
+
+
 def test_kb_save_load_round_trip(tmp_path, micro):
     kb, _, _ = micro
     kb.save(tmp_path / "kb.npz")
@@ -117,6 +161,8 @@ def test_kb_save_load_round_trip(tmp_path, micro):
     assert kb2.entities == kb.entities
     assert kb2.relations == kb.relations
     assert np.array_equal(kb2.triple_keys, kb.triple_keys)
+    assert np.array_equal(kb2.entity_order, kb.entity_order)
+    assert [kb.entities[i] for i in kb.entity_order] == sorted(kb.entities)
 
 
 def test_ingest_rejects_wrong_field_count():
@@ -155,9 +201,11 @@ def test_alias_of_preserves_first_seen_order(micro):
 def test_alias_save_load_round_trip(tmp_path, micro):
     _, aliases, _ = micro
     aliases.save(tmp_path / "aliases.tsv")
+    assert (tmp_path / "aliases.idx.npz.json").exists()      # the index is sealed too
     back = AliasTable.load(tmp_path / "aliases.tsv")
     assert back.entities_for_alias("mary jones") == {"03", "04"}
     assert len(back) == len(aliases)
+    assert back.rows == aliases.rows and np.array_equal(back.by_alias, aliases.by_alias)
 
 
 def test_alias_ingest_rejects_bad_line():
@@ -166,7 +214,7 @@ def test_alias_ingest_rejects_bad_line():
 
 
 def _alias_rows(table):
-    return {e: table.aliases_of(e) for e in table.entities}
+    return {e: table.aliases_of(e) for e, _ in alias_rows(table)}
 
 
 def test_lone_carriage_return_is_field_text_in_files_and_strings(tmp_path):

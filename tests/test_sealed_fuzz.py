@@ -1,7 +1,7 @@
 """Property test of the sealed artifacts: a byte flipped, cut or appended in
-kb.npz, aliases.tsv, vocab.txt, a *.jsonl split or their manifests refuses every
-command that reads it with one stderr line, and a deleted manifest is a
-missing artifact."""
+kb.npz, aliases.tsv, aliases.idx.npz, vocab.txt, a *.jsonl split or their
+manifests refuses every command that reads it with one stderr line, and a
+deleted manifest is a missing artifact."""
 
 import contextlib
 import io
@@ -27,6 +27,9 @@ READERS = {
     "aliases.tsv": ("ingest-kb", [["relabel"], ["stats"], ["eval", "--gold-spans"],
                                   ["predict"] + QUESTION, ["attention"] + QUESTION,
                                   ["answer", "--non-interactive", QUESTION[1]]]),
+    "aliases.idx.npz": ("ingest-kb", [["relabel"], ["stats"], ["eval", "--gold-spans"],
+                                      ["predict"] + QUESTION, ["attention"] + QUESTION,
+                                      ["answer", "--non-interactive", QUESTION[1]]]),
     "vocab.txt": ("relabel", [TRAIN_TAGGER, TRAIN, ["eval", "--gold-spans"],
                               ["predict"] + QUESTION, ["attention"] + QUESTION,
                               ["answer", "--non-interactive", QUESTION[1]]]),

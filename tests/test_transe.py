@@ -17,6 +17,9 @@ def test_config_validation():
         TransEConfig(norm="l3")
     with pytest.raises(ConfigError):
         TransEConfig(margin=-1.0)
+    with pytest.raises(ConfigError, match=r"transe_lr must lie in \(0, 1\], got 2.0"):
+        TransEConfig(lr=2.0)
+    assert TransEConfig(lr=1.0).lr == 1.0
 
 
 def test_triple_score_oracle():
@@ -64,7 +67,8 @@ def test_training_stops_at_the_first_batch_whose_loss_is_not_finite(monkeypatch)
     batch = transe_ops.transe_batch
     monkeypatch.setattr(transe_ops, "transe_batch",
                         lambda *a: losses.append(batch(*a)) or losses[-1])
-    cfg = TransEConfig(dim=8, epochs=5, batch_size=4, lr=1e300, seed=0)
+    cfg = TransEConfig(dim=8, epochs=5, batch_size=4, seed=0)
+    cfg.lr = 1e300          # past the config's range: the trainer's own check is pinned here
     with pytest.raises(NonFiniteError, match="transe epoch 1: batch loss is"), \
             np.errstate(all="ignore"):
         train_transe(chain_kb(), cfg)
@@ -78,7 +82,8 @@ def test_an_epoch_whose_last_update_leaves_a_table_not_finite_is_refused(monkeyp
     batch = transe_ops.transe_batch
     monkeypatch.setattr(transe_ops, "transe_batch",
                         lambda *a: losses.append(batch(*a)) or losses[-1])
-    cfg = TransEConfig(dim=8, epochs=1, batch_size=100, lr=1e308, seed=0)
+    cfg = TransEConfig(dim=8, epochs=1, batch_size=100, seed=0)
+    cfg.lr = 1e308          # past the config's range, as above
     with pytest.raises(NonFiniteError, match="transe epoch 1: relation table is not finite"), \
             np.errstate(all="ignore"):
         train_transe(chain_kb(), cfg)
