@@ -26,7 +26,7 @@ Exit codes:
     8  corrupt or incompatible checkpoint (also a non-finite tensor), or
        kb.npz, aliases.tsv, aliases.idx.npz, vocab.txt or a *.jsonl split
        changed since its stage wrote it, an aliases.idx.npz of other rows, or
-       a kb.npz sealed before it held entity_order
+       a kb.npz written by an older ingest-kb (names not in rank order)
 """
 
 from __future__ import annotations

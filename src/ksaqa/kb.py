@@ -9,13 +9,13 @@ searchsorted scans.  Key layouts (NE entities, NR relations interned):
 which fits int64 while NE**2 * NR <= 2**63 (Freebase-2M: ~3.1e16); ingest
 refuses a larger KB.  A subject's triples, and a pair's, are one run of
 keys: R(s) is the distinct pair keys (triple key // NE) of s's run.
-Relation indices are remapped after ingest so index order equals ascending
-lexicographic order of the relation text; subgraph lists are then sorted in
-canonical order for free.
+An entity or relation id is its name's rank: ingest sorts both name lists,
+so subgraph lists come out in canonical (name) order, and so do a pair's
+objects.
 
 Names and aliases are looked up by bisection over sorted data that ingest
-writes once (``entity_order``, the alias index), never through a dict, so a
-load builds nothing per entity or per alias row.
+writes once (the names, the alias index), never through a dict, so a load
+builds nothing per entity or per alias row.
 """
 
 from __future__ import annotations
@@ -54,28 +54,6 @@ def strip_id_prefix(raw: str) -> str:
     while s.startswith(_ID_PREFIXES):
         s = s.removeprefix("/").removeprefix("www.freebase.com/").removeprefix("m/").strip()
     return s
-
-
-class Interner:
-    """Injective text <-> contiguous index map, insertion ordered."""
-
-    def __init__(self):
-        self.texts: list[str] = []
-        self.index: dict[str, int] = {}
-
-    def intern(self, text: str) -> int:
-        idx = self.index.get(text)
-        if idx is None:
-            idx = len(self.texts)
-            self.index[text] = idx
-            self.texts.append(text)
-        return idx
-
-    def get(self, text: str) -> int:
-        return self.index.get(text, -1)
-
-    def __len__(self):
-        return len(self.texts)
 
 
 def read_tsv(source, fields: int, check):
@@ -150,31 +128,26 @@ class KnowledgeBase:
     """Immutable triple store with one-hop relation, fact and object lookups.
 
     The names are one UTF-8 blob, the entity then the relation names, each
-    ended by "\n" (no id field holds one).  ``entity_order`` lists the entity
-    ids in name order, so :meth:`entity_id` bisects it, and :meth:`relation_id`
-    bisects the relations, which ingest sorted.  No Python object per name
-    is made until :attr:`entities` or :attr:`relations` is read.
+    list ascending and each name ended by "\n" (no id field holds one).  An
+    id is the name's rank in its list, so :meth:`entity_id` and
+    :meth:`relation_id` bisect the blob.  No Python object per name is made
+    until :attr:`entities` or :attr:`relations` is read.
     """
 
     def __init__(self, entities: list[str], relations: list[str],
                  triple_keys: np.ndarray):
-        """The KB of these names, its relations in ascending order, and its
-        sorted unique triple keys."""
+        """The KB of these names, each list in ascending order (an id is the
+        name's rank), and its sorted unique triple keys."""
         names = "".join(f"{name}\n" for name in (*entities, *relations)).encode("utf-8")
-        order = sorted(range(len(entities)), key=entities.__getitem__)
-        self._adopt(np.frombuffer(names, dtype=np.uint8), len(entities),
-                    np.array(order, dtype=np.int64), triple_keys)
+        self._adopt(np.frombuffer(names, dtype=np.uint8), len(entities), triple_keys)
 
-    def _adopt(self, names: np.ndarray, entity_count: int, entity_order: np.ndarray,
-               triple_keys: np.ndarray) -> None:
+    def _adopt(self, names: np.ndarray, entity_count: int, triple_keys: np.ndarray) -> None:
         self.names = names
         self.entity_count = entity_count
-        self.entity_order = entity_order
         self.triple_keys = triple_keys   # sorted unique int64
         # name i is the bytes between the "\n" at _ends[i] and the one at _ends[i + 1]
         self._ends = memoryview(np.concatenate(([-1], np.flatnonzero(names == 10))))
         self._blob = memoryview(names)
-        self._order = memoryview(entity_order)
         self._ne = max(entity_count, 1)
         self._nr = max(self.relation_count, 1)
 
@@ -207,18 +180,18 @@ class KnowledgeBase:
     def entity_name(self, e: int) -> str:
         return self._name(e).decode("utf-8")
 
-    def _find(self, ids, text: str) -> int:
-        """The one of ``ids`` (a sequence in name order) named ``text``, or -1."""
+    def _find(self, names: range, text: str) -> int:
+        """The rank of ``text`` among the names at ``names``, a range of
+        ascending names, or -1."""
         key = text.encode("utf-8", "surrogatepass")
-        pos = bisect.bisect_left(ids, key, key=self._name)
-        return ids[pos] if pos < len(ids) and self._name(ids[pos]) == key else -1
+        pos = bisect.bisect_left(names, key, key=self._name)
+        return pos if pos < len(names) and self._name(names[pos]) == key else -1
 
     def entity_id(self, text: str) -> int:
-        return self._find(self._order, text)
+        return self._find(range(self.entity_count), text)
 
     def relation_id(self, text: str) -> int:
-        r = self._find(range(self.entity_count, len(self._ends) - 1), text)
-        return r - self.entity_count if r >= 0 else -1
+        return self._find(range(self.entity_count, len(self._ends) - 1), text)
 
     def _span(self, first: int, width: int) -> np.ndarray:
         """The triple keys in [first, first + width); at the key limit that
@@ -241,7 +214,7 @@ class KnowledgeBase:
         return self._span((int(e) * self._nr + int(r)) * self._ne, self._ne).size > 0
 
     def objects(self, e: int, r: int) -> np.ndarray:
-        """All t with (e, r, t) in the KB, ascending by entity index."""
+        """All t with (e, r, t) in the KB, ascending (in name order)."""
         if not (0 <= e < self._ne and 0 <= r < self._nr):
             return np.empty(0, dtype=np.int64)
         base = (int(e) * self._nr + int(r)) * self._ne
@@ -262,21 +235,20 @@ class KnowledgeBase:
         return self.triple_keys[pos] == key
 
     def save(self, path) -> None:
-        """Write ``kb.npz``: the names blob, the entity count, ``entity_order``
-        and the triple keys, uncompressed."""
-        save_npz(path, names=self.names, entity_count=np.int64(self.entity_count),
-                 entity_order=self.entity_order, triple_keys=self.triple_keys)
+        """Write ``kb.npz``: the names blob (``sorted_names``), the entity
+        count and the triple keys, uncompressed."""
+        save_npz(path, sorted_names=self.names, entity_count=np.int64(self.entity_count),
+                 triple_keys=self.triple_keys)
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
         """The KB :meth:`save` wrote, its arrays read in place; its seal
         stands for the checks."""
         arrays = npz_views(read_sealed(path, "ingest-kb"))
-        if "entity_order" not in arrays:     # sealed by an ingest-kb before it wrote one
-            raise CheckpointError(f"{path} holds no entity_order; rerun ingest-kb")
+        if "sorted_names" not in arrays:     # written while entity ids were first-seen
+            raise CheckpointError(f"{path} was written by an older ingest-kb; rerun ingest-kb")
         kb = cls.__new__(cls)
-        kb._adopt(arrays["names"], int(arrays["entity_count"]), arrays["entity_order"],
-                  arrays["triple_keys"])
+        kb._adopt(arrays["sorted_names"], int(arrays["entity_count"]), arrays["triple_keys"])
         return kb
 
 
@@ -284,52 +256,47 @@ def ingest_triples(source) -> KnowledgeBase:
     """Build a KnowledgeBase from subject<TAB>relation<TAB>objects lines.
 
     The object field may hold several space-separated ids, one triple each.
-    Duplicate triples collapse.  Raises IngestError with the line number on a
-    malformed line.
+    Duplicate triples collapse.  Ids are the names' ranks.  Raises
+    IngestError with the line number on a malformed line.
     """
-    ents = Interner()
-    rels = Interner()
-    # raw id field -> interned index: each distinct raw text is stripped once
+    ents: dict[str, int] = {}    # stripped name -> first-seen number
+    rels: dict[str, int] = {}
+    # raw id field -> first-seen number: each distinct raw text is stripped once
     ent_of: dict[str, int] = {}
     rel_of: dict[str, int] = {}
 
-    def ent(raw: str) -> int:
-        idx = ent_of.get(raw)
-        if idx is None:
-            idx = ent_of[raw] = ents.intern(strip_id_prefix(raw))
-        return idx
+    def intern(raw: str, of: dict[str, int], numbers: dict[str, int]) -> int:
+        n = of.get(raw)
+        if n is None:
+            n = of[raw] = numbers.setdefault(strip_id_prefix(raw), len(numbers))
+        return n
 
     ss: list[int] = []
     rs: list[int] = []
     ts: list[int] = []
     for subj, rel, objs in read_tsv(source, 3, lambda f: None if (
             f[0].strip() and f[1].strip() and f[2].strip()) else "empty field"):
-        s = ent(subj)
-        r = rel_of.get(rel)
-        if r is None:
-            r = rel_of[rel] = rels.intern(strip_id_prefix(rel))
+        s = intern(subj, ent_of, ents)
+        r = intern(rel, rel_of, rels)
         for obj in objs.split():
             ss.append(s)
             rs.append(r)
-            ts.append(ent(obj))
+            ts.append(intern(obj, ent_of, ents))
 
-    # remap relation indices to lexicographic text order (canonical order)
-    order = sorted(range(len(rels)), key=lambda i: rels.texts[i])
-    remap = np.empty(max(len(rels), 1), dtype=np.int64)
-    for new, old in enumerate(order):
-        remap[old] = new
-    relations = [rels.texts[i] for i in order]
+    entities, ent_rank = _ranked(ents)
+    relations, rel_rank = _ranked(rels)
+    keys = triple_keys(ent_rank[ss], rel_rank[rs], ent_rank[ts],
+                       max(len(entities), 1), max(len(relations), 1))
+    return KnowledgeBase(entities, relations, distinct_sorted(np.sort(keys)))
 
-    ne = max(len(ents), 1)
-    nr = max(len(relations), 1)
-    if ss:
-        s_arr = np.asarray(ss, dtype=np.int64)
-        r_arr = remap[np.asarray(rs, dtype=np.int64)]
-        t_arr = np.asarray(ts, dtype=np.int64)
-        keys = distinct_sorted(np.sort(triple_keys(s_arr, r_arr, t_arr, ne, nr)))
-    else:
-        keys = np.empty(0, dtype=np.int64)
-    return KnowledgeBase(ents.texts, relations, keys)
+
+def _ranked(numbers: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The names of ``numbers`` (name -> first-seen number) ascending, and
+    the rank of each first-seen number's name."""
+    names = sorted(numbers)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[np.array([numbers[name] for name in names], dtype=np.int64)] = np.arange(len(names))
+    return names, rank
 
 
 class AliasTable:

@@ -22,6 +22,7 @@ relations.
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -100,12 +101,12 @@ class KsaModel:
 
     def __init__(self, vocab: Vocabulary, relations: list[str], config: ModelConfig,
                  params=None):
-        """``params`` is where the parameters come from: an :class:`nn.Saved`
-        checkpoint, or by default an :class:`nn.Fresh` draw seeded by
-        ``config.seed``."""
+        """``relations`` is the KB's relation list, so a KB relation id is
+        the model's row for it.  ``params`` is where the parameters come
+        from: an :class:`nn.Saved` checkpoint, or by default an
+        :class:`nn.Fresh` draw seeded by ``config.seed``."""
         self.vocab = vocab
         self.relations = list(relations)
-        self.rel_index = {r: i for i, r in enumerate(self.relations)}
         self.config = config
         if params is None:
             params = nn.Fresh(Rng(config.seed))
@@ -310,12 +311,16 @@ class KsaModel:
         logits = ad.matmul(states, self.out["w"][:, cols])[owner, np.arange(cols.size)]
         return ad.add(logits, self.out["b"][cols])
 
+    @functools.cached_property
+    def rel_index(self) -> dict[str, int]:
+        """Relation name -> row, built on first use."""
+        return {r: i for i, r in enumerate(self.relations)}
+
     # -- inference ----------------------------------------------------------
 
     def subject_rows(self, kb: KnowledgeBase, s: str) -> np.ndarray:
         """Relation-table rows of R(s) in canonical order; empty for an unknown s."""
-        return np.array([self.rel_index[kb.relations[ri]]
-                         for ri in kb.subgraph_relations(kb.entity_id(s))], dtype=np.int64)
+        return kb.subgraph_relations(kb.entity_id(s))
 
     def score_pairs(self, fq_tokens: list[str], candidates, kb: KnowledgeBase
                     ) -> list[InterpretationScore]:
@@ -435,11 +440,14 @@ def _chunks(sizes):
 
 
 def build_training_items(model: KsaModel, examples: list[LabeledExample],
-                         kb: KnowledgeBase, rng: Rng) -> list[tuple]:
+                         kb: KnowledgeBase, rng: Rng, unknown: list[str] | None = None
+                         ) -> list[tuple]:
     """Positive/negative scored rows per (question, subject), fresh negatives.
 
     Every plausible (s, r+) contributes a positive label, and draws
     ``negatives_per_positive`` relations from R(s) minus the plausible set.
+    A positive whose relation ``kb`` does not hold scores nothing; its
+    relation is appended to ``unknown`` when that is given.
     """
     k = model.config.negatives_per_positive
     items = []
@@ -453,13 +461,16 @@ def build_training_items(model: KsaModel, examples: list[LabeledExample],
             scored: list[int] = []
             labels: list[float] = []
             for r in pos_rels:
-                if r not in model.rel_index:
+                row = kb.relation_id(r)
+                if row < 0:
+                    if unknown is not None:
+                        unknown.append(r)
                     continue
-                scored.append(model.rel_index[r])
+                scored.append(row)
                 labels.append(1.0)
-                for neg in sample_negatives(pool, k, rng):
-                    scored.append(model.rel_index[neg])
-                    labels.append(0.0)
+                negatives = sample_negatives(pool, k, rng)
+                scored.extend(negatives)
+                labels.extend([0.0] * len(negatives))
             if scored:
                 items.append((ex.formatted.tokens, rel_rows,
                               np.array(scored, dtype=np.int64),
@@ -490,7 +501,11 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
     best_state = None
     history = []
     for epoch in range(cfg.epochs):
-        items = build_training_items(model, train_examples, kb, rng)
+        unknown: list[str] = []
+        items = build_training_items(model, train_examples, kb, rng, unknown)
+        if unknown and epoch == 0 and log:
+            log(f"{len(unknown)} training positives name a relation kb.npz does not hold "
+                f"(first: {unknown[0]}); rerun relabel if kb.npz changed")
         order = rng.permutation(len(items))
         total = 0.0
         for lo in range(0, len(items), cfg.batch_size):

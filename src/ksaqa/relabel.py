@@ -158,14 +158,13 @@ def write_report(examples, alias_path, pattern_path) -> None:
         f"{pat}\t{rel}\t{n}\n" for pat, rel, n in pattern_fanout_rows(examples)))
 
 
-def negative_pool(example: LabeledExample, s: str, kb: KnowledgeBase) -> list[str]:
-    """R(s) minus every relation plausible for s, canonical order."""
-    plausible = {r for (e, r) in example.positives if e == s}
-    return [kb.relations[ri] for ri in kb.subgraph_relations(kb.entity_id(s))
-            if kb.relations[ri] not in plausible]
+def negative_pool(example: LabeledExample, s: str, kb: KnowledgeBase) -> list[int]:
+    """The relation ids of R(s) minus every relation plausible for s, canonical order."""
+    plausible = {kb.relation_id(r) for (e, r) in example.positives if e == s}
+    return [ri for ri in kb.subgraph_relations(kb.entity_id(s)).tolist() if ri not in plausible]
 
 
-def sample_negatives(pool: list[str], k: int, rng: Rng) -> list[str]:
+def sample_negatives(pool: list, k: int, rng: Rng) -> list:
     """min(k, |pool|) distinct draws without replacement, seed-deterministic."""
     if k <= 0 or not pool:
         return []

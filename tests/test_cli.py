@@ -384,6 +384,13 @@ def _kb_without_entity_order(work, mp):
                        triple_keys=kb.triple_keys)
 
 
+def _kb_with_entity_order(work, mp):
+    """Reseal kb.npz with the four members it held while entity ids were first-seen."""
+    kb = KnowledgeBase.load(work / "kb.npz")
+    artifacts.save_npz(work / "kb.npz", names=kb.names, entity_count=np.int64(kb.entity_count),
+                       entity_order=np.arange(kb.entity_count), triple_keys=kb.triple_keys)
+
+
 def _bare_array_kb(work, mp):
     """Overwrite kb.npz with one array in the .npy format, not an archive."""
     with open(work / "kb.npz", "wb") as fh:
@@ -471,8 +478,10 @@ FAULTS = [
     ("kb-truncated", ["stats"], _truncate("kb.npz"), 8),
     ("kb-old-layout", ["stats"], _old_kb_layout, 8),
     ("kb-a-bare-array", ["stats"], _bare_array_kb, 8),
-    # a kb.npz sealed by an ingest-kb that wrote no entity_order
+    # a kb.npz sealed by an ingest-kb that gave entities first-seen ids, before
+    # and after it wrote entity_order
     ("kb-without-entity-order", PREDICT, _kb_without_entity_order, 8),
+    ("kb-with-entity-order", PREDICT, _kb_with_entity_order, 8),
     # a vocabulary that `relabel` cannot have written: empty, cut off, CRLF endings
     ("vocab-empty", PREDICT, _write("vocab.txt", ""), 8),
     ("vocab-cut-off", PREDICT, _edit_bytes("vocab.txt", lambda blob: blob[:-2]), 8),
@@ -602,8 +611,8 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
         "transe-subpage-nonfinite": "{work}/transe.ckpt: tensor tail is not finite",
         **{name: "checkpoint error: {work}/kb.npz changed since ingest-kb wrote it; "
                  "rerun ingest-kb" for name in ("kb-truncated", "kb-old-layout", "kb-a-bare-array")},
-        "kb-without-entity-order":
-            "checkpoint error: {work}/kb.npz holds no entity_order; rerun ingest-kb",
+        **{name: "checkpoint error: {work}/kb.npz was written by an older ingest-kb; "
+                 "rerun ingest-kb" for name in ("kb-without-entity-order", "kb-with-entity-order")},
         "kb-manifest-absent":
             "missing artifact: {work}/kb.npz.json not found; run `ksaqa ingest-kb` first",
         "aliases-index-absent":
@@ -685,6 +694,26 @@ def test_a_transe_ckpt_of_another_kb_is_not_read_under_no_transe_init(pipeline, 
     assert main(["train", "--config", str(cfg), "--workdir", str(broken), "--epochs", "1",
                  "--no-transe-init"]) == 0
     assert "random init (--no-transe-init)" in capsys.readouterr().out
+
+
+def test_train_names_the_positives_a_re_ingested_kb_does_not_hold(pipeline, tmp_path, capsys):
+    """ingest-kb rerun on the triples with people/person/* renamed, then
+    pretrain-transe and train: the split relabeled against the old KB keeps
+    positives that kb.npz no longer holds, and train says so in one line."""
+    cfg, data, work = pipeline
+    broken = tmp_path / "work"
+    shutil.copytree(work, broken)
+    renamed = tmp_path / "triples.txt"
+    renamed.write_text((data / "triples.txt").read_text().replace("/people/person/",
+                                                                  "/people/human/"))
+    common = ["--config", str(cfg), "--workdir", str(broken)]
+    assert main(["ingest-kb", *common, "--triples", str(renamed)]) == 0
+    assert main(["pretrain-transe", *common]) == 0
+    capsys.readouterr()
+    assert main(["train", *common, "--epochs", "1"]) == 0
+    said = [line for line in capsys.readouterr().out.splitlines() if "kb.npz" in line]
+    assert said == ["4 training positives name a relation kb.npz does not hold "
+                    "(first: people/person/place_of_birth); rerun relabel if kb.npz changed"]
 
 
 def test_training_stages_do_not_read_aliases(pipeline, tmp_path, capsys):

@@ -142,7 +142,7 @@ def test_a_loaded_kb_and_alias_index_view_the_sealed_bytes(tmp_path, micro):
     aliases.save(tmp_path / "aliases.tsv")
     loaded = KnowledgeBase.load(tmp_path / "kb.npz")
     table = AliasTable.load(tmp_path / "aliases.tsv")
-    for arrays, name in (((loaded.names, loaded.entity_order, loaded.triple_keys), "kb.npz"),
+    for arrays, name in (((loaded.names, loaded.triple_keys), "kb.npz"),
                          ((table.by_alias,), "aliases.idx.npz")):
         blob = _owner(arrays[0])
         assert isinstance(blob, bytes) and blob == (tmp_path / name).read_bytes()
@@ -161,8 +161,9 @@ def test_kb_save_load_round_trip(tmp_path, micro):
     assert kb2.entities == kb.entities
     assert kb2.relations == kb.relations
     assert np.array_equal(kb2.triple_keys, kb.triple_keys)
-    assert np.array_equal(kb2.entity_order, kb.entity_order)
-    assert [kb.entities[i] for i in kb.entity_order] == sorted(kb.entities)
+    assert kb2.entities == sorted(kb.entities)
+    assert sorted(np.load(tmp_path / "kb.npz").files) == \
+        ["entity_count", "sorted_names", "triple_keys"]
 
 
 def test_ingest_rejects_wrong_field_count():

@@ -2,7 +2,10 @@
 they replaced: every bisection lookup against the dicts and pair keys of
 ``kb_oracle``, on built and on loaded tables, ``AliasTable.load`` against
 the table ``ingest_aliases`` built and saved, and ``ingest_triples`` against
-stripping every id field as it is read."""
+stripping every id field as it is read and against the first-seen ingest it
+replaced."""
+
+import types
 
 import numpy as np
 import pytest
@@ -11,10 +14,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from ksaqa.errors import CheckpointError, IngestError  # noqa: E402
-from ksaqa.kb import (AliasTable, Interner, KnowledgeBase, ingest_aliases,  # noqa: E402
+from ksaqa.kb import (AliasTable, KnowledgeBase, ingest_aliases,  # noqa: E402
                       ingest_triples, read_tsv, strip_id_prefix, triple_keys)
+from ksaqa.relabel import negative_pool  # noqa: E402
 
-from kb_oracle import AliasOracle, KbOracle, alias_rows  # noqa: E402
+from kb_oracle import AliasOracle, Interner, KbOracle, alias_rows, ingest_first_seen  # noqa: E402
 
 
 @st.composite
@@ -36,7 +40,7 @@ def test_pair_keys_equal_unique_of_the_triple_keys(kb_keys):
     oracle's distinct pair keys give, for every entity and relation and
     for ids out of range."""
     ne, nr, keys = kb_keys
-    kb = KnowledgeBase([f"e{i}" for i in range(ne)], [f"r{i}" for i in range(nr)], keys)
+    kb = KnowledgeBase([f"e{i:02d}" for i in range(ne)], [f"r{i:02d}" for i in range(nr)], keys)
     want = KbOracle(kb.entities, kb.relations, keys)
     for e in range(-1, ne + 1):
         got = kb.subgraph_relations(e)
@@ -58,8 +62,8 @@ def _near(texts):
 
 @st.composite
 def worlds(draw):
-    """(entity names, sorted relation names, sorted unique triple keys)."""
-    entities = draw(st.lists(names, unique=True, max_size=12))
+    """(sorted entity names, sorted relation names, sorted unique triple keys)."""
+    entities = sorted(draw(st.lists(names, unique=True, max_size=12)))
     relations = sorted(draw(st.lists(names, unique=True, max_size=5)))
     ne, nr = max(len(entities), 1), max(len(relations), 1)
     triples = draw(st.lists(st.tuples(st.integers(0, ne - 1), st.integers(0, nr - 1),
@@ -77,7 +81,7 @@ def kb_path(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(worlds(), st.lists(names, max_size=4))
-@example((["ab", "abc", "a", ""], ["r", "r.", "é"], np.array([1, 40], dtype=np.int64)), ["\ud800"])
+@example((["", "a", "ab", "abc"], ["r", "r.", "é"], np.array([1, 40], dtype=np.int64)), ["\ud800"])
 def test_name_lookups_equal_the_dict_oracle(kb_path, world, extra):
     entities, relations, keys = world
     built = KnowledgeBase(entities, relations, keys)
@@ -206,9 +210,50 @@ def test_ingest_strips_each_raw_id_once_as_a_strip_per_field_would(rows):
             ingest_triples(rows)
         return
     kb = ingest_triples(rows)
-    assert kb.entities == want_ents
+    assert kb.entities == sorted(want_ents)
     assert kb.relations == want_rels
     s, r, t = kb.triples()
     assert {(kb.entities[a], kb.relations[b], kb.entities[c])
             for a, b, c in zip(s, r, t)} == want_triples
     assert kb.triple_count == len(want_triples)
+
+
+# ids whose first-seen order often differs from their name order: digits ("10" < "9"),
+# non-ASCII letters, and prefixes to strip
+ranked_ids = st.lists(st.sampled_from(["m/", " ", "a", "b", "10", "9", "é", "中"]),
+                      min_size=1, max_size=4).map("".join)
+ranked_rows = st.lists(st.tuples(ranked_ids, ranked_ids,
+                                 st.lists(ranked_ids, min_size=1, max_size=3).map(" ".join))
+                       .map("\t".join), max_size=15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_rows)
+@example(["m/9\tr/b\tm/10 m/a\n", "m/a\tr/a\tm/9\n", "m/中\tr/b\tm/é\n"])
+def test_ingest_by_name_rank_equals_the_first_seen_ingest_by_name(rows):
+    """Ids are name ranks; every fact, R(s), a pair's objects and the
+    negative pool name what the first-seen ingest named."""
+    try:
+        want = ingest_first_seen(rows)
+    except IngestError:
+        with pytest.raises(IngestError):
+            ingest_triples(rows)
+        return
+    kb = ingest_triples(rows)
+    assert kb.entities == sorted(want.entities) and kb.relations == want.relations
+    assert KbOracle(kb.entities, kb.relations, kb.triple_keys).name_triples() == \
+        want.name_triples()
+    assert [kb.entity_id(name) for name in kb.entities] == list(range(kb.entity_count))
+    assert [kb.relation_id(name) for name in kb.relations] == list(range(kb.relation_count))
+    for s in want.entities:
+        e, we = kb.entity_id(s), want.entity_id(s)
+        assert [kb.relations[r] for r in kb.subgraph_relations(e)] == \
+            [want.relations[r] for r in want.subgraph_relations(we)]
+        for r, rel in enumerate(want.relations):
+            assert [kb.entities[t] for t in kb.objects(e, kb.relation_id(rel))] == \
+                sorted(want.entities[t] for t in want.objects(we, r))
+        positives = {(s, rel) for rel in want.relations[::2]} | {(s, "no/such/relation")}
+        positives |= {(other, rel) for other in want.entities[:1] for rel in want.relations}
+        example = types.SimpleNamespace(positives=positives)
+        assert [kb.relations[r] for r in negative_pool(example, s, kb)] == \
+            want.negative_pool(positives, s)

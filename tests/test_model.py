@@ -519,6 +519,18 @@ def test_training_items_pair_positives_with_sampled_negatives(world):
         assert len(negatives) <= model.config.negatives_per_positive * len(positives)
 
 
+def test_rel_index_is_the_kb_relation_id(world):
+    """A model's rows are the KB's relation ids: ``rel_index``, which perfbench's
+    oracle reads, maps every name to its id, and training knows every positive."""
+    kb, _, examples = world
+    model = _model(world)
+    assert len(model.rel_index) == kb.relation_count
+    assert all(model.rel_index[name] == kb.relation_id(name) for name in kb.relations)
+    unknown = []
+    build_training_items(model, examples, kb, Rng(11), unknown)
+    assert unknown == []
+
+
 def test_training_items_are_deterministic_per_seed(world):
     kb, _, examples = world
     model = _model(world)
