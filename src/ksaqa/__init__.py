@@ -8,9 +8,8 @@ predictor with its two ablation variants, evaluation, and a CLI.
 """
 
 from .autodiff import Parameter, Rng, Tape, Tensor, backward
-from .errors import (BadMagicError, CheckpointError, ConfigError,
-                     DuplicateNameError, IngestError, KsaqaError,
-                     NonFiniteError, ShapeError, TruncatedCheckpointError)
+from .errors import (CheckpointError, ConfigError, IngestError, KsaqaError,
+                     NonFiniteError, ShapeError)
 from .kb import AliasTable, KnowledgeBase, ingest_aliases, ingest_triples, tokenize
 from .dataset import (FormattedQuestion, QuestionRecord, Vocabulary,
                       build_vocabulary, format_question, parse_simplequestions)
@@ -25,13 +24,12 @@ from .evaluation import EvalReport, evaluate, prf1, random_baseline
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasTable", "BadMagicError", "CheckpointError", "ConfigError",
-    "DuplicateNameError", "EmbeddingSet", "EvalReport", "FormattedQuestion",
-    "IngestError", "KnowledgeBase", "KsaModel", "KsaqaError", "LabeledExample",
-    "ModelConfig", "NonFiniteError", "Parameter", "PatternIndex",
-    "PlausibleSet", "QuestionRecord", "Rng", "ShapeError", "TaggerConfig",
-    "TaggerModel", "Tape", "Tensor", "TransEConfig",
-    "TruncatedCheckpointError", "Vocabulary", "backward",
+    "AliasTable", "CheckpointError", "ConfigError", "EmbeddingSet",
+    "EvalReport", "FormattedQuestion", "IngestError", "KnowledgeBase",
+    "KsaModel", "KsaqaError", "LabeledExample", "ModelConfig",
+    "NonFiniteError", "Parameter", "PatternIndex", "PlausibleSet",
+    "QuestionRecord", "Rng", "ShapeError", "TaggerConfig", "TaggerModel",
+    "Tape", "Tensor", "TransEConfig", "Vocabulary", "backward",
     "build_pattern_index", "build_vocabulary", "evaluate", "format_question",
     "ingest_aliases", "ingest_triples", "is_ambiguous",
     "parse_simplequestions", "plausible_set", "predict_span", "prf1",

@@ -1,15 +1,11 @@
-"""Checkpoints: a binary tensor file plus a JSON manifest beside it.
+"""Checkpoints: one float32 ``.npy`` vector plus a JSON manifest beside it.
 
-Tensor file layout (all integers little-endian):
-
-    magic   6 bytes  b"KSAQA1"
-    count   u32      number of entries
-    entry   repeated:
-        name_len u32
-        name     UTF-8 bytes
-        rank     u32
-        dims     rank * u32
-        payload  prod(dims) * f32
+``<name>.ckpt`` is a standard ``.npy`` file (format 1.0, NEP 1) holding a 1-D
+little-endian float32 vector: the tensors' values back to back, in parameter
+order, so ``np.load(path, mmap_mode="r")`` reads it.  The manifest
+``<name>.ckpt.json`` holds the owner's config, a SHA-256 of each list
+(vocabulary, relations, entities) the tensors are indexed by, and under
+``tensors`` the ``[name, dims]`` table that slices the vector.
 
 Arrays are saved as float32, each streamed into the file once found finite,
 so a save holds one tensor's float32 copy at a time.  They load back as
@@ -19,9 +15,6 @@ only what it touches; :class:`ksaqa.nn.Saved` widens each to float64 except
 the tables read only through gathers, and gives back the pages it read to
 widen.  Loading a file saved from already-float32-valued arrays reproduces
 them bit-exactly.
-
-The manifest ``<name>.ckpt.json`` holds the owner's config and a SHA-256 of
-each list (vocabulary, relations, entities) the tensors are indexed by.
 """
 
 from __future__ import annotations
@@ -31,39 +24,56 @@ import json
 import math
 import mmap
 import os
-import struct
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
 from .artifacts import replacing, save_text
-from .errors import (BadMagicError, CheckpointError, DuplicateNameError, KsaqaError,
-                     NonFiniteError, TruncatedCheckpointError)
+from .errors import CheckpointError, KsaqaError, NonFiniteError
 from .nn import Saved
 
-MAGIC = b"KSAQA1"
 WINDOW = 1 << 18     # float32 values a load reads at a time to check them (1 MB)
 
 
-def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named arrays in order; refuses any not finite in float32."""
+def save_arrays(path, arrays: dict[str, np.ndarray]) -> list[list]:
+    """Write named arrays back to back as one float32 vector; returns the
+    ``[name, dims]`` table that slices it.  Refuses any not finite in float32."""
     items = list(arrays.items())
-    names = [name for name, _ in items]
-    if len(set(names)) != len(names):
-        raise DuplicateNameError("duplicate tensor name in checkpoint input")
+    table = [[name, list(arr.shape)] for name, arr in items]
+    if len({name for name, _ in items}) != len(items):
+        raise CheckpointError("duplicate tensor name in checkpoint input")
+    total = sum(math.prod(dims) for _, dims in table)
     with replacing(path) as fh:
-        fh.write(MAGIC + struct.pack("<I", len(items)))
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f4", "fortran_order": False, "shape": (total,)})
         for name, arr in items:
-            nb = name.encode("utf-8")
             a = np.ascontiguousarray(arr, dtype="<f4")
             if not np.isfinite(a).all():
                 raise NonFiniteError(f"{path}: tensor {name} is not finite in float32; not saved")
-            fh.write(struct.pack(f"<I{len(nb)}sI{a.ndim}I", len(nb), nb, a.ndim, *a.shape))
             fh.write(a)
+    return table
 
 
-def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as read-only float32 arrays, keyed by name.
+def _sizes(path, table) -> dict[str, int]:
+    """The value count of each tensor of ``table``, which must be a list of
+    ``[name, dims]`` with distinct names and dims of ints >= 0."""
+    if not isinstance(table, list) or not all(
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
+            for entry in table):
+        raise CheckpointError(f"{path}.json: the tensor table is not a list of [name, dims]")
+    sizes: dict[str, int] = {}
+    for name, dims in table:
+        if name in sizes:
+            raise CheckpointError(f"{path}.json: the tensor table repeats {name!r}")
+        sizes[name] = math.prod(dims)     # Python ints: no wrap
+    return sizes
+
+
+def load_arrays(path, table) -> dict[str, np.ndarray]:
+    """The tensors that ``table`` slices out of the vector at ``path``, as
+    read-only float32 arrays keyed by name.
 
     The file is mapped, not read into memory: each array is a view of the
     mapped pages, which come in as a reader touches them, and the map goes
@@ -73,39 +83,28 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     WINDOW values, so the check leaves none of the file's pages in memory;
     a payload holding NaN or Inf is a CheckpointError naming the tensor.
     """
+    sizes = _sizes(path, table)
+    total = sum(sizes.values())
     with open(path, "rb") as fh:
+        try:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not .npy format 1.0")
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        except (ValueError, SyntaxError, TokenError) as exc:    # as numpy's reader raises them
+            raise CheckpointError(f"{path}: not a .npy checkpoint ({exc})") from None
+        if len(shape) != 1 or fortran or dtype != "<f4":
+            raise CheckpointError(f"{path}: holds {dtype} of shape {shape}, not a float32 vector")
+        if shape[0] != total:
+            raise CheckpointError(f"{path}: holds {shape[0]} values, its table slices {total}")
+        start = fh.tell()
         end = os.fstat(fh.fileno()).st_size
-        # mmap refuses an empty file, which holds no magic anyway
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if end else b""
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise BadMagicError(f"{path}: not a KSAQA1 checkpoint")
-        off = len(MAGIC)
+        if end != start + 4 * total:
+            raise CheckpointError(f"{path}: {end} bytes, not the {start + 4 * total} of its header")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         window = np.empty(WINDOW, dtype="<f4")
-
-        def skip(n, what):
-            """The offset of the next ``n`` bytes, which must be in the file."""
-            nonlocal off
-            if off + n > end:
-                raise TruncatedCheckpointError(off, f"{path}: truncated while reading {what}")
-            off += n
-            return off - n
-
-        def take(n, what):
-            skip(n, what)
-            return fh.read(n)
-
-        (count,) = struct.unpack("<I", take(4, "entry count"))
         arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", take(4, "name length"))
-            # a garbled name still fails the owner's name check on load
-            name = str(take(name_len, "name"), "utf-8", "replace")
-            if name in arrays:
-                raise DuplicateNameError(f"{path}: duplicate entry {name!r}")
-            (rank,) = struct.unpack("<I", take(4, "rank"))
-            dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-            size = math.prod(dims)     # Python ints: no wrap
-            start = skip(4 * size, f"payload of {name!r}")
+        for name, dims in table:
+            size = sizes[name]
             for done in range(0, size, WINDOW):
                 part = window[: min(WINDOW, size - done)]
                 fh.readinto(part)
@@ -115,6 +114,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
                 arrays[name] = np.frombuffer(mapped, "<f4", size, offset=start).reshape(dims)
             except ValueError:     # a 0 among dims whose other product overflows
                 raise CheckpointError(f"{path}: no array has the dims {dims} of {name!r}") from None
+            start += 4 * size
     return arrays
 
 
@@ -123,14 +123,15 @@ def fingerprint(texts: list[str]) -> str:
 
 
 def save_checkpoint(path, params, config: dict, **identity: list[str]) -> None:
-    """Write the parameters to ``path``, then the manifest beside it.
+    """Write the parameters to ``path``, then the manifest beside it, with
+    the table that slices them.
 
     Each file is moved into place only once complete, and a non-finite
     tensor is refused before either file is replaced.
     """
     manifest = {"config": config}
     manifest.update({f"{key}_sha256": fingerprint(texts) for key, texts in identity.items()})
-    save_arrays(path, {p.name: p.data for p in params})
+    manifest["tensors"] = save_arrays(path, {p.name: p.data for p in params})
     save_text(f"{path}.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -152,7 +153,10 @@ def load_checkpoint(path, build, **identity: list[str]):
     for key, texts in identity.items():
         if manifest.get(f"{key}_sha256") != fingerprint(texts):
             raise CheckpointError(f"{where} records no {key}_sha256, or a different {key}")
-    saved = Saved(load_arrays(path), str(path))
+    if "tensors" not in manifest:
+        raise CheckpointError(f"{where} records no tensor table: {path} predates .npy "
+                              "checkpoints; rerun the stage that trained it")
+    saved = Saved(load_arrays(path, manifest["tensors"]), str(path))
     try:
         owner = build(manifest["config"], saved)
     except CheckpointError:

@@ -23,7 +23,9 @@ Exit codes:
     6  missing pipeline artifact or its manifest (run the earlier stage first)
     7  detection failure (no subject mention or no matching entity, or an
        attention --subject that is not a candidate of the mention)
-    8  corrupt or incompatible checkpoint (also a non-finite tensor), or
+    8  corrupt or incompatible checkpoint (also a non-finite tensor, or one
+       written before checkpoints were .npy vectors: rerun pretrain-transe,
+       train-tagger and train), or
        kb.npz, aliases.tsv, aliases.idx.npz, vocab.txt or a *.jsonl split
        changed since its stage wrote it, an aliases.idx.npz of other rows, or
        a kb.npz written by an older ingest-kb (names not in rank order)

@@ -56,20 +56,4 @@ def require_rate(config) -> None:
 
 
 class CheckpointError(KsaqaError):
-    """Base class for checkpoint I/O failures."""
-
-
-class BadMagicError(CheckpointError):
-    """File does not start with the expected magic bytes."""
-
-
-class TruncatedCheckpointError(CheckpointError):
-    """File ends mid-entry; carries the byte offset where data ran out."""
-
-    def __init__(self, offset: int, message: str = "checkpoint truncated"):
-        super().__init__(f"{message} at byte offset {offset}")
-        self.offset = offset
-
-
-class DuplicateNameError(CheckpointError):
-    """The same tensor name appears twice."""
+    """A checkpoint or sealed artifact that is unreadable, corrupt or mismatched."""

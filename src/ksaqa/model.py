@@ -226,17 +226,21 @@ class KsaModel:
         subjects as one padded subgraph GRU batch.  Returns (state [n, H],
         alpha [n, M] or None), with alpha 0 past each question's end.
 
-        An ``rng`` means training: subject by subject, it draws the dropout
-        mask of the subject's question (when first read) and then the
-        subject's ``shuffle_augment`` permutation, the order in which one
-        pass per subject would draw them.  Without one the pass is inference.
+        An ``rng`` means training, one subject per question: question by
+        question, it draws the dropout mask and then the subject's
+        ``shuffle_augment`` permutation, the order in which one pass per
+        question would draw them.  Without one the pass is inference; only
+        inference takes a ``question_of``.
 
         From ``PARALLEL_WIDTH`` on, with no tape open, the subgraph GRU runs
         on the worker thread while the question BiGRU runs on this one (see
         :meth:`_branches`); the outputs are the same bits.
         """
         _require_questions(questions)
-        dropout, subject_rows = self._training_draws(questions, subject_rows, question_of, rng)
+        if rng is not None and question_of is not None:
+            raise ShapeError("a training pass (rng) takes one subject per question, "
+                             "not a question_of")
+        dropout, subject_rows = self._training_draws(questions, subject_rows, rng)
         lengths = [len(q) for q in questions]
         variant = self.config.variant
         if variant == "BiGRU":
@@ -269,28 +273,29 @@ class KsaModel:
             branch.exception()
         return question, branch.result()
 
-    def _training_draws(self, questions, subject_rows, question_of, rng):
+    def _training_draws(self, questions, subject_rows, rng):
         """(dropout factors [M, B, 2H] or None, subject rows as read).
 
-        Without an ``rng`` nothing is drawn.  Question b's factors are drawn
-        as a [len_b, 2H] array; its padded positions keep the factor 1.
+        Without an ``rng`` nothing is drawn.  Subject b is scored with
+        question b: the question's factors are drawn as a [len_b, 2H] array,
+        its padded positions keeping the factor 1, then the subject's
+        permutation.
         """
         if rng is None:
             return None, subject_rows
         cfg, width = self.config, 2 * self.config.d_hidden
-        dropout = np.ones((max(map(len, questions), default=0), len(questions), width))
-        drawn, read = set(), []
-        for i, rows in enumerate(subject_rows):
-            q = i if question_of is None else int(question_of[i])
-            if cfg.dropout > 0.0 and q not in drawn:
-                drawn.add(q)
+        dropout = (np.ones((max(map(len, questions)), len(questions), width))
+                   if cfg.dropout > 0.0 else None)
+        read = []
+        for q, rows in enumerate(subject_rows):
+            if dropout is not None:
                 dropout[:len(questions[q]), q] = ad.dropout_mask(
                     (len(questions[q]), width), cfg.dropout, rng)
             rows = np.asarray(rows, dtype=np.int64)
             if cfg.shuffle_augment and self.subgraph is not None and rows.size > 1:
                 rows = rows[rng.permutation(rows.size)]
             read.append(rows)
-        return (dropout if drawn else None), read
+        return dropout, read
 
     # -- decoder ------------------------------------------------------------
 
@@ -446,8 +451,9 @@ def build_training_items(model: KsaModel, examples: list[LabeledExample],
 
     Every plausible (s, r+) contributes a positive label, and draws
     ``negatives_per_positive`` relations from R(s) minus the plausible set.
-    A positive whose relation ``kb`` does not hold scores nothing; its
-    relation is appended to ``unknown`` when that is given.
+    When ``unknown`` is given, each positive whose fact (s, r) ``kb`` does
+    not hold is appended to it as "s r"; of those, one whose relation ``kb``
+    does not hold scores nothing.
     """
     k = model.config.negatives_per_positive
     items = []
@@ -462,9 +468,9 @@ def build_training_items(model: KsaModel, examples: list[LabeledExample],
             labels: list[float] = []
             for r in pos_rels:
                 row = kb.relation_id(r)
+                if unknown is not None and not kb.has_fact(kb.entity_id(s), row):
+                    unknown.append(f"{s} {r}")
                 if row < 0:
-                    if unknown is not None:
-                        unknown.append(r)
                     continue
                 scored.append(row)
                 labels.append(1.0)
@@ -501,10 +507,10 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
     best_state = None
     history = []
     for epoch in range(cfg.epochs):
-        unknown: list[str] = []
+        unknown = [] if epoch == 0 and log else None
         items = build_training_items(model, train_examples, kb, rng, unknown)
-        if unknown and epoch == 0 and log:
-            log(f"{len(unknown)} training positives name a relation kb.npz does not hold "
+        if unknown:
+            log(f"{len(unknown)} training positives name a fact kb.npz does not hold "
                 f"(first: {unknown[0]}); rerun relabel if kb.npz changed")
         order = rng.permutation(len(items))
         total = 0.0

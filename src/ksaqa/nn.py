@@ -37,9 +37,10 @@ class Fresh:
 
 
 class Saved:
-    """Parameters that wrap the float32 arrays loaded from ``source``, which
-    the loader has found finite without leaving their pages in memory;
-    nothing is drawn or scanned.
+    """Parameters that wrap the float32 arrays loaded from ``source``: views
+    of the one mapped vector that :func:`ksaqa.checkpoint.load_arrays` slices
+    by the manifest's table, found finite without leaving their pages in
+    memory; nothing is drawn or scanned.
 
     Each array must be there, in the shape asked for; a fault is a
     CheckpointError naming the tensor.  A table read only through gathers
@@ -81,12 +82,12 @@ class Saved:
 
 def _give_back(view: np.ndarray) -> None:
     """Give back this process's copies of the pages wholly inside ``view``,
-    an array over a memoryview of a read-only file map (as
-    :func:`ksaqa.checkpoint.load_arrays` returns them): the file keeps the
-    values, and a later read maps them in again.  The pages ``view`` shares
-    with its neighbours stay."""
+    a slice of a float32 vector over a memoryview of a read-only file map
+    (as :func:`ksaqa.checkpoint.load_arrays` returns them): the file keeps
+    the values, and a later read maps them in again.  The pages ``view``
+    shares with the tensors beside it in the vector stay."""
     whole = view.base
-    while isinstance(whole, np.ndarray):    # a reshaped view of the payload
+    while isinstance(whole, np.ndarray):    # a reshaped view of the slice
         whole = whole.base                  # on to the memoryview of the map
     start = view.ctypes.data - np.frombuffer(whole, np.uint8, count=0).ctypes.data
     lo = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE

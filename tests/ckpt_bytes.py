@@ -1,12 +1,11 @@
-"""Byte-level edits of a KSAQA1 checkpoint, for values a save would refuse."""
+"""Byte-level edits of a checkpoint's float32 vector, for values a save would refuse."""
 
+import io
 import math
 import mmap
 import struct
 
 import numpy as np
-
-from ksaqa.checkpoint import MAGIC
 
 PAGE = mmap.PAGESIZE
 # a tensor under a page, then one of several pages that starts mid-page, then
@@ -14,23 +13,22 @@ PAGE = mmap.PAGESIZE
 PAGED = {"head": np.ones(5), "wide": np.ones(3 * PAGE // 4 + 7), "tail": np.ones(3)}
 
 
-def payload_offset(blob: bytes, tensor: str) -> int:
-    """The byte offset of the payload of ``tensor`` in the checkpoint ``blob``."""
-    off = len(MAGIC) + 4
-    while True:
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        name = blob[off + 4 : off + 4 + name_len].decode("utf-8")
-        off += 4 + name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        dims = struct.unpack_from(f"<{rank}I", blob, off + 4)
-        off += 4 + 4 * rank
+def payload_offset(blob: bytes, table: list, tensor: str) -> int:
+    """The byte offset of the payload of ``tensor`` in the checkpoint ``blob``
+    that ``table`` slices: the ``.npy`` header, then 4 bytes per value before it."""
+    fh = io.BytesIO(blob)
+    np.lib.format.read_magic(fh)
+    np.lib.format.read_array_header_1_0(fh)
+    start = 0
+    for name, dims in table:
         if name == tensor:
-            return off
-        off += 4 * math.prod(dims)
+            return fh.tell() + 4 * start
+        start += math.prod(dims)
+    raise KeyError(tensor)
 
 
-def set_value(path, tensor: str, index: int, value: float) -> None:
+def set_value(path, table: list, tensor: str, index: int, value: float) -> None:
     """Overwrite float32 ``index`` of the payload of ``tensor`` in the file at ``path``."""
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<f", blob, payload_offset(blob, tensor) + 4 * index, value)
+    struct.pack_into("<f", blob, payload_offset(blob, table, tensor) + 4 * index, value)
     path.write_bytes(bytes(blob))

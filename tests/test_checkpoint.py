@@ -1,6 +1,5 @@
 import json
 import re
-import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,11 +9,9 @@ import pytest
 from ksaqa import autodiff as ad
 from ksaqa import checkpoint
 from ksaqa.autodiff import Parameter
-from ksaqa.checkpoint import (MAGIC, load_arrays, load_checkpoint, save_arrays,
-                              save_checkpoint)
+from ksaqa.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
 from ksaqa.dataset import build_vocabulary
-from ksaqa.errors import (BadMagicError, CheckpointError, DuplicateNameError,
-                          NonFiniteError, TruncatedCheckpointError)
+from ksaqa.errors import CheckpointError, NonFiniteError
 from ksaqa.kb import ingest_triples
 from ksaqa.model import VARIANTS, KsaModel, ModelConfig
 from ksaqa.nn import Saved
@@ -37,8 +34,9 @@ def _sample():
 def test_round_trip_preserves_names_shapes_and_f32_values(tmp_path):
     arrays = _sample()
     path = tmp_path / "m.ckpt"
-    save_arrays(path, arrays)
-    back = load_arrays(path)
+    table = save_arrays(path, arrays)
+    assert table == [[name, list(arr.shape)] for name, arr in arrays.items()]
+    back = load_arrays(path, table)
     assert list(back) == list(arrays)  # insertion order kept
     for name, arr in arrays.items():
         assert back[name].shape == arr.shape
@@ -48,10 +46,10 @@ def test_round_trip_preserves_names_shapes_and_f32_values(tmp_path):
 
 def test_second_round_trip_is_bitwise_stable(tmp_path):
     arrays = _sample()
-    save_arrays(tmp_path / "a.ckpt", arrays)
-    once = load_arrays(tmp_path / "a.ckpt")
+    table = save_arrays(tmp_path / "a.ckpt", arrays)
+    once = load_arrays(tmp_path / "a.ckpt", table)
     save_arrays(tmp_path / "b.ckpt", once)
-    twice = load_arrays(tmp_path / "b.ckpt")
+    twice = load_arrays(tmp_path / "b.ckpt", table)
     for name in arrays:
         assert np.array_equal(once[name], twice[name])
 
@@ -65,50 +63,47 @@ def test_files_are_byte_identical_for_identical_input(tmp_path):
 
 def test_magic_prefix_and_layout(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_arrays(path, {"x": np.zeros(2)})
+    save_arrays(path, {"x": np.zeros(2), "y": np.ones((2, 3))})
     blob = path.read_bytes()
-    assert blob[:6] == MAGIC == b"KSAQA1"
-    count = struct.unpack("<I", blob[6:10])[0]
-    assert count == 1
-    name_len = struct.unpack("<I", blob[10:14])[0]
-    assert blob[14 : 14 + name_len] == b"x"
+    # the .npy format 1.0 magic, then a header padded to 64 bytes, then the values
+    assert blob[:8] == b"\x93NUMPY\x01\x00"
+    header = len(blob) - 4 * 8
+    assert header % 64 == 0
+    assert b"'descr': '<f4', 'fortran_order': False, 'shape': (8,)" in blob[:header]
+    assert np.frombuffer(blob, "<f4", offset=header).tolist() == [0.0] * 2 + [1.0] * 6
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTMAG" + b"\x00" * 32)
-    with pytest.raises(BadMagicError):
-        load_arrays(path)
+    with pytest.raises(CheckpointError, match="bad.ckpt: not a .npy checkpoint"):
+        load_arrays(path, [])
 
 
 def test_truncation_reports_offset(tmp_path):
     path = tmp_path / "t.ckpt"
-    save_arrays(path, {"weights": np.ones((3, 3))})
+    table = save_arrays(path, {"weights": np.ones((3, 3))})
     blob = path.read_bytes()
     cut = len(blob) - 5
     path.write_bytes(blob[:cut])
-    with pytest.raises(TruncatedCheckpointError) as exc:
-        load_arrays(path)
-    assert 0 < exc.value.offset <= cut
+    with pytest.raises(CheckpointError, match=f"t.ckpt: {cut} bytes, not the {len(blob)} "):
+        load_arrays(path, table)
 
 
 def test_truncated_header_also_detected(tmp_path):
     path = tmp_path / "h.ckpt"
-    path.write_bytes(MAGIC)  # magic only, no count
-    with pytest.raises(TruncatedCheckpointError):
-        load_arrays(path)
+    table = save_arrays(path, {"x": np.zeros(2)})
+    path.write_bytes(path.read_bytes()[:10])  # magic and header length, no header
+    with pytest.raises(CheckpointError, match="h.ckpt: not a .npy checkpoint"):
+        load_arrays(path, table)
 
 
 def test_duplicate_name_rejected_on_load(tmp_path):
-    # hand-build a file holding the same entry twice
-    name = b"dup"
-    payload = struct.pack("<f", 1.5)
-    entry = struct.pack("<I", len(name)) + name + struct.pack("<I", 1) \
-        + struct.pack("<I", 1) + payload
     path = tmp_path / "d.ckpt"
-    path.write_bytes(MAGIC + struct.pack("<I", 2) + entry + entry)
-    with pytest.raises(DuplicateNameError):
-        load_arrays(path)
+    save_arrays(path, {"dup": np.ones(1)})
+    # sizes that add up to the vector, under one name twice
+    with pytest.raises(CheckpointError, match="d.ckpt.json: the tensor table repeats 'dup'$"):
+        load_arrays(path, [["dup", [1]], ["dup", [0]]])
 
 
 def test_save_rejects_duplicate_names(tmp_path):
@@ -117,8 +112,42 @@ def test_save_rejects_duplicate_names(tmp_path):
             yield "same", np.ones(1)
             yield "same", np.zeros(1)
 
-    with pytest.raises(DuplicateNameError):
+    with pytest.raises(CheckpointError, match="duplicate tensor name"):
         save_arrays(tmp_path / "s.ckpt", Sneaky())
+    assert not list(tmp_path.iterdir())
+
+
+# (what the table says, what the load says of it) for a vector of 6 values
+BAD_TABLES = [
+    ({"w": [6]}, "the tensor table is not a list of"),
+    ([["w", [6], "extra"]], "the tensor table is not a list of"),
+    ([[6, [6]]], "the tensor table is not a list of"),
+    ([["w", 6]], "the tensor table is not a list of"),
+    ([["w", [2, -3]]], "the tensor table is not a list of"),
+    ([["w", [6.0]]], "the tensor table is not a list of"),
+    ([["w", [True, 6]]], "the tensor table is not a list of"),
+    ([["w", [5]]], "holds 6 values, its table slices 5"),
+    ([["w", [2 ** 40, 2 ** 40]]], f"holds 6 values, its table slices {2 ** 80}"),
+    ([["w", [6]], ["v", [0, 2 ** 62, 2 ** 62]]], "no array has the dims"),
+]
+
+
+@pytest.mark.parametrize("table,says", BAD_TABLES, ids=[str(t) for t, _ in BAD_TABLES])
+def test_load_refuses_a_table_that_does_not_slice_the_vector(tmp_path, table, says):
+    path = tmp_path / "m.ckpt"
+    save_arrays(path, {"w": np.ones(6)})
+    with pytest.raises(CheckpointError, match=re.escape(says)):
+        load_arrays(path, table)
+
+
+def test_load_refuses_a_file_that_is_not_a_float32_vector(tmp_path):
+    path = tmp_path / "m.ckpt"
+    for other in (np.ones(6), np.ones((2, 3), dtype="<f4"), np.ones((2, 3), "<f4", order="F"),
+                  np.ones(6, dtype=">f4")):
+        with open(path, "wb") as fh:
+            np.save(fh, other)
+        with pytest.raises(CheckpointError, match="not a float32 vector$"):
+            load_arrays(path, [["w", [6]]])
 
 
 class Owner:
@@ -166,6 +195,8 @@ def test_refused_last_tensor_leaves_the_previous_checkpoint_and_no_temp_file(tmp
     class Diverged:
         """The last tensor: notes how much of the temp file is written when it is read."""
 
+        shape = (2,)
+
         def __array__(self, dtype=None, copy=None):
             streamed.append((tmp_path / "m.ckpt.tmp").stat().st_size)
             return np.array([1.0, np.nan])
@@ -174,7 +205,8 @@ def test_refused_last_tensor_leaves_the_previous_checkpoint_and_no_temp_file(tmp
     with pytest.raises(NonFiniteError, match="tensor last is not finite"):
         save_checkpoint(path, params + [SimpleNamespace(name="last", data=Diverged())], {"k": 2})
     # the earlier tensors were already streamed out, the multi-page one past the write buffer
-    wide_end = payload_offset(before["m.ckpt"], "wide") + 4 * PAGED["wide"].size
+    table = json.loads(before["m.ckpt.json"])["tensors"]
+    wide_end = payload_offset(before["m.ckpt"], table, "wide") + 4 * PAGED["wide"].size
     assert len(streamed) == 1 and streamed[0] >= wide_end
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert sorted(before) == ["m.ckpt", "m.ckpt.json"]
@@ -192,13 +224,14 @@ def test_load_refuses_a_nonfinite_value_wherever_it_lies(tmp_path, monkeypatch, 
     # its last float in a partial one
     monkeypatch.setattr(checkpoint, "WINDOW", 1000)
     path = tmp_path / "m.ckpt"
-    save_arrays(path, PAGED)
-    assert payload_offset(path.read_bytes(), "wide") % PAGE and PAGED["wide"].size > PAGE // 2
+    table = save_arrays(path, PAGED)
+    assert payload_offset(path.read_bytes(), table, "wide") % PAGE
+    assert PAGED["wide"].size > PAGE // 2
     tensor, index = NONFINITE_AT[where]
-    set_value(path, tensor, index, bad)
+    set_value(path, table, tensor, index, bad)
     with pytest.raises(CheckpointError,
                        match=f"^{re.escape(str(path))}: tensor {tensor} is not finite$"):
-        load_arrays(path)
+        load_arrays(path, table)
 
 
 def _resident(path) -> int:
@@ -220,8 +253,8 @@ def test_load_keeps_only_the_touched_pages_resident(tmp_path):
     # its pages would hold all 16 MB.
     path = tmp_path / "big.ckpt"
     shape = (2048, 1024)
-    save_arrays(path, {"table": np.ones(shape), "weight": np.full(shape, 0.5)})
-    saved = Saved(load_arrays(path), str(path))
+    tensors = save_arrays(path, {"table": np.ones(shape), "weight": np.full(shape, 0.5)})
+    saved = Saved(load_arrays(path, tensors), str(path))
     assert _resident(path) <= 4 << 20         # the check read every payload, mapped none
     table = saved.take("table", shape, widen=False)
     weight = saved.take("weight", shape)
@@ -251,8 +284,9 @@ def _restored(path, build):
     """The old load path, kept as the oracle: construct the owner from the
     manifest config (a fresh random draw), then copy the saved tensors over
     its parameters."""
-    owner = build(json.loads(Path(f"{path}.json").read_text())["config"])
-    restore(owner.parameters(), load_arrays(path))
+    manifest = json.loads(Path(f"{path}.json").read_text())
+    owner = build(manifest["config"])
+    restore(owner.parameters(), load_arrays(path, manifest["tensors"]))
     return owner
 
 
@@ -313,6 +347,26 @@ def test_load_equals_construct_then_restore_without_a_draw(tmp_path, monkeypatch
         assert loaded.relation.tobytes() == oracle.relation.tobytes()
 
 
+@pytest.mark.parametrize("owner", ["KSA-BiGRU", "tagger", "transe"])
+def test_plain_numpy_reads_each_owner_s_checkpoint_sliced_by_its_table(tmp_path, owner):
+    make, save, _, _ = OWNERS[owner]
+    trained = make()
+    save(trained, tmp_path / "o.ckpt")
+    vector = np.load(tmp_path / "o.ckpt", mmap_mode="r")
+    assert vector.dtype == np.float32 and vector.ndim == 1
+    table = json.loads((tmp_path / "o.ckpt.json").read_text())["tensors"]
+    params = trained.parameters()
+    assert [name for name, _ in table] == [p.name for p in params]
+    start = 0
+    for (name, dims), p in zip(table, params):
+        size = int(np.prod(dims))
+        want = p.data.astype(np.float32)
+        assert tuple(dims) == want.shape, name
+        assert vector[start : start + size].tobytes() == want.tobytes(), name
+        start += size
+    assert start == vector.size
+
+
 OTHER_VOCAB = build_vocabulary([["who", "won", "<e>", "?"]])
 # (owner, the identity list that differs, a load of that owner's file against it)
 FOREIGN = [
@@ -335,7 +389,7 @@ def test_each_owner_refuses_a_manifest_recorded_for_another_identity(tmp_path, m
     make, save, _, _ = OWNERS[owner]
     save(make(), tmp_path / "o.ckpt")
     monkeypatch.setattr(checkpoint, "load_arrays",
-                        lambda path: pytest.fail("read the tensors of a foreign checkpoint"))
+                        lambda *args: pytest.fail("read the tensors of a foreign checkpoint"))
     with pytest.raises(CheckpointError,
                        match=f"o.ckpt.json records no {key}_sha256, or a different {key}$"):
         load(tmp_path / "o.ckpt")

@@ -22,7 +22,7 @@ import pytest
 from ksaqa import artifacts, cli
 from ksaqa import autodiff as ad
 from ksaqa import kb as kb_module
-from ksaqa.checkpoint import MAGIC, load_arrays, save_arrays
+from ksaqa.checkpoint import load_arrays, save_arrays
 from ksaqa.cli import build_parser, main
 from ksaqa.config import KEYS
 from ksaqa.dataset import Vocabulary
@@ -32,7 +32,7 @@ from ksaqa.model import KsaModel
 from ksaqa.tagger import TaggerModel
 
 from ckpt_bytes import PAGED, set_value
-from corpus_util import micro_world
+from corpus_util import EPREFIX, micro_world
 
 
 def test_pipeline_writes_every_artifact(pipeline):
@@ -284,11 +284,21 @@ def _delete(name):
 
 
 def _edit_tensors(name, edit):
+    """Save ``edit`` of the tensors of checkpoint ``name``, and their table."""
     def mutate(work, mp):
-        arrays = load_arrays(work / name)
+        arrays = load_arrays(work / name, _table(work, name))
         edit(arrays)
-        save_arrays(work / name, arrays)
+        _retable(work, name, save_arrays(work / name, arrays))
     return mutate
+
+
+def _table(work, name):
+    return json.loads((work / f"{name}.json").read_text())["tensors"]
+
+
+def _retable(work, name, table):
+    """Put ``table`` in the manifest of checkpoint ``name``."""
+    _edit_manifest(f"{name}.json", lambda m: m.update(tensors=table))(work, None)
 
 
 def _edit_manifest(name, edit):
@@ -329,8 +339,12 @@ def _key_limit(limit):
 
 
 def _dims(*dims):
-    """A checkpoint holding one tensor entry with these dims and no payload."""
-    return MAGIC + struct.pack("<II", 1, 1) + b"w" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+    """model.ckpt as a vector of no values, under a table of one tensor with these dims."""
+    def mutate(work, mp):
+        with open(work / "model.ckpt", "wb") as fh:
+            np.save(fh, np.empty(0, dtype="<f4"))
+        _retable(work, "model.ckpt", [["w", list(dims)]])
+    return mutate
 
 
 def _nan_last_value(name):
@@ -344,12 +358,8 @@ def _nan_last_value(name):
 def _nan_first_value(name):
     """Overwrite the first float32 of the file's first tensor with NaN."""
     def mutate(work, mp):
-        blob = bytearray((work / name).read_bytes())
-        (name_len,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
-        at = len(MAGIC) + 8 + name_len
-        (rank,) = struct.unpack_from("<I", blob, at)
-        struct.pack_into("<f", blob, at + 4 + 4 * rank, float("nan"))
-        (work / name).write_bytes(bytes(blob))
+        table = _table(work, name)
+        set_value(work / name, table, table[0][0], 0, float("nan"))
     return mutate
 
 
@@ -357,8 +367,24 @@ def _paged_transe(tensor, index, value):
     """Rewrite transe.ckpt as tensors under a page, over several pages and
     under a page again, with ``value`` at ``index`` of ``tensor``."""
     def mutate(work, mp):
-        save_arrays(work / "transe.ckpt", PAGED)
-        set_value(work / "transe.ckpt", tensor, index, value)
+        table = save_arrays(work / "transe.ckpt", PAGED)
+        _retable(work, "transe.ckpt", table)
+        set_value(work / "transe.ckpt", table, tensor, index, value)
+    return mutate
+
+
+def _ksaqa1_era(name):
+    """Rewrite checkpoint ``name`` as it was written before checkpoints were
+    .npy vectors: the KSAQA1 container (magic, entry count, then each tensor's
+    name, rank, dims and float32 values), under a manifest with no table."""
+    def mutate(work, mp):
+        arrays = load_arrays(work / name, _table(work, name))
+        blob = b"KSAQA1" + struct.pack("<I", len(arrays))
+        for key, a in arrays.items():
+            blob += struct.pack(f"<I{len(key)}sI{a.ndim}I", len(key), key.encode(), a.ndim,
+                                *a.shape) + a.tobytes()
+        (work / name).write_bytes(blob)
+        _edit_manifest(f"{name}.json", lambda m: m.pop("tensors"))(work, mp)
     return mutate
 
 
@@ -457,10 +483,12 @@ FAULTS = [
     ("transe-other-kb", ["train", "--epochs", "1"], _renamed_relations_kb, 8),
     # a sealed vocabulary the checkpoints were not trained on
     ("foreign-vocabulary", PREDICT, _foreign_vocabulary, 8),
-    # dims whose product wraps to 0 in int64, or that no array can take around a 0
-    ("model-dims-overflow", PREDICT, _write_bytes("model.ckpt", _dims(2 ** 31, 2 ** 31, 2 ** 31)), 8),
-    ("model-dims-unallocatable", PREDICT,
-     _write_bytes("model.ckpt", _dims(0, 2 ** 32 - 1, 2 ** 32 - 1)), 8),
+    # dims whose product passes int64 (it wrapped to 0 there), or that no array
+    # can take around a 0
+    ("model-dims-overflow", PREDICT, _dims(2 ** 31, 2 ** 31, 2 ** 31), 8),
+    ("model-dims-unallocatable", PREDICT, _dims(0, 2 ** 32 - 1, 2 ** 32 - 1), 8),
+    # a checkpoint written before checkpoints were .npy vectors, with its manifest
+    ("model-ksaqa1-era", PREDICT, _ksaqa1_era("model.ckpt"), 8),
     # a NaN in ksa.out.b, the last tensor saved
     ("model-tensor-nonfinite", PREDICT, _nan_last_value("model.ckpt"), 8),
     # a NaN in ksa.word_emb, the first tensor saved, a table that loads as float32
@@ -609,6 +637,9 @@ SAYS = {**{name: "{work}/bad.txt: line " for name in (
         "transe-multipage-last-nonfinite": "{work}/transe.ckpt: tensor wide is not finite",
         "transe-midpage-start-nonfinite": "{work}/transe.ckpt: tensor wide is not finite",
         "transe-subpage-nonfinite": "{work}/transe.ckpt: tensor tail is not finite",
+        "model-ksaqa1-era": "checkpoint error: {work}/model.ckpt.json records no tensor table: "
+                            "{work}/model.ckpt predates .npy checkpoints; rerun the stage that "
+                            "trained it",
         **{name: "checkpoint error: {work}/kb.npz changed since ingest-kb wrote it; "
                  "rerun ingest-kb" for name in ("kb-truncated", "kb-old-layout", "kb-a-bare-array")},
         **{name: "checkpoint error: {work}/kb.npz was written by an older ingest-kb; "
@@ -712,8 +743,29 @@ def test_train_names_the_positives_a_re_ingested_kb_does_not_hold(pipeline, tmp_
     capsys.readouterr()
     assert main(["train", *common, "--epochs", "1"]) == 0
     said = [line for line in capsys.readouterr().out.splitlines() if "kb.npz" in line]
-    assert said == ["4 training positives name a relation kb.npz does not hold "
-                    "(first: people/person/place_of_birth); rerun relabel if kb.npz changed"]
+    assert said == ["4 training positives name a fact kb.npz does not hold "
+                    "(first: 01 people/person/place_of_birth); rerun relabel if kb.npz changed"]
+
+
+def test_train_names_the_positives_of_a_subject_a_re_ingested_kb_renamed(pipeline, tmp_path,
+                                                                         capsys):
+    """ingest-kb rerun on the triples with subject m/01 renamed m/01x: every
+    relation is still known, but the split's positives about 01 name facts
+    kb.npz no longer holds, and train says so in one line."""
+    cfg, data, work = pipeline
+    broken = tmp_path / "work"
+    shutil.copytree(work, broken)
+    renamed = tmp_path / "triples.txt"
+    renamed.write_text((data / "triples.txt").read_text().replace(f"{EPREFIX}01\t",
+                                                                  f"{EPREFIX}01x\t"))
+    common = ["--config", str(cfg), "--workdir", str(broken)]
+    assert main(["ingest-kb", *common, "--triples", str(renamed)]) == 0
+    assert main(["pretrain-transe", *common]) == 0
+    capsys.readouterr()
+    assert main(["train", *common, "--epochs", "1"]) == 0
+    said = [line for line in capsys.readouterr().out.splitlines() if "kb.npz" in line]
+    assert said == ["3 training positives name a fact kb.npz does not hold "
+                    "(first: 01 book/author/works_written); rerun relabel if kb.npz changed"]
 
 
 def test_training_stages_do_not_read_aliases(pipeline, tmp_path, capsys):

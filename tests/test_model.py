@@ -228,6 +228,17 @@ def test_loss_matches_per_term_bce_oracle(world, variant):
     assert abs(total - expect) < 1e-10
 
 
+def test_a_training_pass_refuses_subjects_that_share_a_question(world):
+    model = _model(world)
+    tokens = [["who", "wrote", "<e>"]]
+    rows = [np.array([0, 1]), np.array([2])]
+    with pytest.raises(ShapeError, match="^a training pass \\(rng\\) takes one subject per "
+                                         "question, not a question_of$"):
+        model.encoder_output(tokens, rows, Rng(5), question_of=np.array([0, 0]))
+    enc, _ = model.encoder_output(tokens, rows, question_of=np.array([0, 0]))
+    assert enc.data.shape[0] == 2
+
+
 def test_training_loss_outside_train_model_follows_its_rng(world):
     """An rng turns on dropout and the shuffle, drawn item by item in batch order."""
     model = _model(world, dropout=0.3, shuffle_augment=True)
