@@ -8,7 +8,10 @@ a temporary workdir.  Then the stages of a cold predict of one of the
 world's questions are timed in turn, REPEATS times each, and the median of
 each is printed in ms:
 
-* parser: ``cli.build_parser()`` and parsing the predict arguments;
+* parser: building the parser ``cli.main`` builds for predict,
+  ``cli.build_parser("predict")``, and parsing the predict arguments (with
+  ``--src`` sources whose ``build_parser`` takes no argument, it builds
+  ``cli.build_parser()``, every subcommand's parser, as their ``main`` does);
 * kb, aliases, vocab, model: ``KnowledgeBase.load``, ``AliasTable.load``,
   ``Vocabulary.load`` and ``KsaModel.load``;
 * score: the alias lookup and ``score_pairs`` of the question.
@@ -58,6 +61,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import inspect
 import multiprocessing
 import resource
 import statistics
@@ -198,6 +202,7 @@ def main() -> None:
         argv = ["predict", "--workdir", str(work), "--question", question.text,
                 "--mention", question.mention]
         loaded = {}
+        one = ("predict",) if inspect.signature(cli.build_parser).parameters else ()
 
         tokens = tokenize(question.text)
         fq = span_to_formatted(tokens, find_span(tokens, tokenize(question.mention)))
@@ -207,7 +212,7 @@ def main() -> None:
             return loaded["model"].score_pairs(fq.tokens, candidates, loaded["kb"])
 
         stages = {
-            "parser": lambda: cli.build_parser().parse_args(argv),
+            "parser": lambda: cli.build_parser(*one).parse_args(argv),
             "kb": lambda: KnowledgeBase.load(work / "kb.npz"),
             "aliases": lambda: AliasTable.load(work / "aliases.tsv"),
             "vocab": lambda: Vocabulary.load(work / "vocab.txt"),

@@ -1,7 +1,8 @@
 """Summarise a file of alternating parent/change benchmark runs.
 
 ``BENCH_<N>.json`` holds one JSON line per run of ``perfbench/run.py``
-(workload, seed, side, metrics).  For each workload in the file and each
+(workload, seed, side, metrics).  Traced runs (``"trace": 1``) hold per-layer
+metrics only and are skipped.  For each workload in the file and each
 end-to-end metric that ``BENCHMARK.json`` declares, one line gives:
 
 * the parent's and the change's medians, and their ratio (change / parent);
@@ -13,10 +14,13 @@ end-to-end metric that ``BENCHMARK.json`` declares, one line gives:
 * "unresolved" where the parent's IQR / median exceeds the metric's bound,
   so that its runs spread too widely to tell a change from noise;
 * "worse", last, where the change's median is worse than the parent's by
-  more than the metric's bound (a share of the parent's median).
+  more than the metric's bound (a share of the parent's median);
+* "gain", last, where the change reads better in at least nine tenths of
+  the pairs and its median is better than the parent's by more than the
+  parent's IQR: the rule a claimed gain must meet.
 
-The script exits 1 if any line reads "worse", else 0.  ``BENCHMARK.json``
-is only read.  Run from anywhere:
+The script exits 1 if any line reads "worse", else 0; "gain" does not
+change the exit code.  ``BENCHMARK.json`` is only read.  Run from anywhere:
 
     python3 benchmarks/bench_summary.py BENCH_18.json
 """
@@ -42,6 +46,7 @@ def fmt(value: float) -> str:
 def summarise(rows: list[dict], contract: dict) -> list[str]:
     """One line per workload and end-to-end metric, as the module says."""
     lines = []
+    rows = [r for r in rows if not r.get("trace")]
     present = {r["workload"] for r in rows}
     for workload in (w["name"] for w in contract["workloads"] if w["name"] in present):
         runs = {(r["side"], r["seed"]): r["metrics"] for r in rows if r["workload"] == workload}
@@ -57,13 +62,15 @@ def summarise(rows: list[dict], contract: dict) -> list[str]:
                        for s in seeds)
             spread = (q3 - q1) / p_med
             worse = sign * (c_med - p_med) > bound * p_med
+            gain = 10 * wins >= 9 * len(seeds) > 0 and sign * (p_med - c_med) > q3 - q1
             lines.append(
                 f"{workload:14s} {name:12s} {fmt(p_med)} -> {fmt(c_med)} {metric['unit']}"
                 f"  ratio {c_med / p_med:.3f}  parent IQR {fmt(q3 - q1)}"
                 f" ({spread:.3f} of median, bound {bound})"
                 f"  {better} in {wins} of {len(seeds)} pairs"
                 + ("  unresolved" if spread > bound else "")
-                + ("  worse" if worse else ""))
+                + ("  worse" if worse else "")
+                + ("  gain" if gain else ""))
     return lines
 
 

@@ -1,8 +1,9 @@
 """Command-line pipeline.
 
 Subcommands: ingest-kb, relabel, stats, pretrain-transe, train-tagger,
-train, eval, predict, attention, answer.  Configuration comes from a flat
-key=value file (--config) with per-flag overrides; later sources win.
+train, eval, predict, attention, answer.  A call builds the parser of its
+own subcommand only.  Configuration comes from a flat key=value file
+(--config) with per-flag overrides; later sources win.
 
 Artifacts live in the work directory: kb.npz, aliases.tsv, aliases.idx.npz,
 vocab.txt, {train,valid,test}.jsonl, {train,valid,test}_formatted.tsv,
@@ -323,10 +324,10 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
     _, kb, aliases, model, fq, candidates = _question_setup(args, cfg)
     _log(f"formatted: {fq.text}")
     scores = model.score_pairs(fq.tokens, candidates, kb)
+    labels = {entity: _entity_label(aliases, entity) for entity in candidates}
     for s in scores:
         mark = "*" if s.probability > cfg.lam else " "
-        _log(f"{mark} {s.probability:.4f}  {_entity_label(aliases, s.pair[0])}"
-             f"  {s.pair[1]}")
+        _log(f"{mark} {s.probability:.4f}  {labels[s.pair[0]]}  {s.pair[1]}")
     if not scores:
         _log("no candidate pairs")
     return 0
@@ -413,58 +414,53 @@ def _add_key_flags(sub, keys):
         sub.add_argument(*flags, dest=key, default=None, **parse)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_MENTION = ("--mention", {"default": None})
+# name, help, the config keys flagged after --workdir and --seed, then the
+# other arguments in help order; cmd_<name> runs it
+_SUBCOMMANDS = (
+    ("ingest-kb", "build the KB and alias indexes", ("kb_triples", "kb_aliases"),
+     [("--full", {"action": "store_true", "help": "assert full Freebase-2M ingest counts"})]),
+    ("relabel", "format questions and compute plausible sets",
+     ("train_file", "valid_file", "test_file", "pattern_splits", "min_count"),
+     [("--full", {"action": "store_true", "help": "assert full SimpleQuestions split sizes"})]),
+    ("stats", "print KB and relabeled-dataset statistics", (), []),
+    ("pretrain-transe", "pretrain relation embeddings", stage_keys(TransEConfig), []),
+    ("train-tagger", "train the subject-span tagger", stage_keys(TaggerConfig), []),
+    ("train", "train the relation predictor", stage_keys(ModelConfig),
+     [("--no-transe-init", {"action": "store_true"})]),
+    ("eval", "evaluate a trained model", ("gold_spans", "skip_detection_failures", "lam"),
+     [("--split", {"default": "test", "choices": ("train", "valid", "test")}),
+      ("--baseline", {"action": "store_true", "help": "also print the seeded random baseline"})]),
+    ("predict", "score all interpretations of one question", ("lam",),
+     [("--question", {"required": True}), _MENTION]),
+    ("attention", "export the attention map for one question", ("lam",),
+     [("--question", {"required": True}), _MENTION, ("--subject", {"default": None})]),
+    ("answer", "interactive clarification flow", ("lam",),
+     [("question", {}), ("--non-interactive", {"action": "store_true"}), _MENTION]))
+_NAMES = [name for name, *_ in _SUBCOMMANDS]
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.  Its usage
+    line still names every subcommand, so its errors read the same."""
     parser = argparse.ArgumentParser(
         prog="ksaqa",
         description="Ambiguity-aware single-relation KBQA pipeline.",
         epilog="Exit codes: 2 usage, 3 config, 4 missing input, 5 malformed "
                "input, 6 missing artifact, 7 detection failure, 8 bad checkpoint.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name, func, helptext, keys=()):
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_NAMES) + "}")
+    for name, helptext, keys, extra in _SUBCOMMANDS:
+        if command not in (None, name):
+            continue
         s = subs.add_parser(name, help=helptext)
         s.add_argument("--config", default=None)
         _add_key_flags(s, ("workdir", "seed", *keys))
-        s.set_defaults(func=func)
-        return s
-
-    s = sub("ingest-kb", cmd_ingest_kb, "build the KB and alias indexes",
-            ("kb_triples", "kb_aliases"))
-    s.add_argument("--full", action="store_true",
-                   help="assert full Freebase-2M ingest counts")
-
-    s = sub("relabel", cmd_relabel, "format questions and compute plausible sets",
-            ("train_file", "valid_file", "test_file", "pattern_splits", "min_count"))
-    s.add_argument("--full", action="store_true",
-                   help="assert full SimpleQuestions split sizes")
-
-    sub("stats", cmd_stats, "print KB and relabeled-dataset statistics")
-    sub("pretrain-transe", cmd_pretrain_transe, "pretrain relation embeddings",
-        stage_keys(TransEConfig))
-    sub("train-tagger", cmd_train_tagger, "train the subject-span tagger",
-        stage_keys(TaggerConfig))
-    s = sub("train", cmd_train, "train the relation predictor", stage_keys(ModelConfig))
-    s.add_argument("--no-transe-init", action="store_true")
-
-    s = sub("eval", cmd_eval, "evaluate a trained model",
-            ("gold_spans", "skip_detection_failures", "lam"))
-    s.add_argument("--split", default="test", choices=("train", "valid", "test"))
-    s.add_argument("--baseline", action="store_true",
-                   help="also print the seeded random baseline")
-
-    for name, func, helptext in (
-            ("predict", cmd_predict, "score all interpretations of one question"),
-            ("attention", cmd_attention, "export the attention map for one question"),
-            ("answer", cmd_answer, "interactive clarification flow")):
-        s = sub(name, func, helptext, ("lam",))
-        if name == "answer":
-            s.add_argument("question")
-            s.add_argument("--non-interactive", action="store_true")
-        else:
-            s.add_argument("--question", required=True)
-        s.add_argument("--mention", default=None)
-        if name == "attention":
-            s.add_argument("--subject", default=None)
+        for flag, kwargs in extra:
+            s.add_argument(flag, **kwargs)
+        # looked up per call, so that a rebound cmd_<name> is the one run
+        s.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -478,7 +474,8 @@ _EXITS = [(ConfigError, 3, "config error"),
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _NAMES else None).parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k in KEYS}
     try:
         cfg = load_config(args.config, overrides)

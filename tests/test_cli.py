@@ -112,6 +112,19 @@ def test_predict_marks_scores_above_lambda(pipeline, capsys):
                            for l in starred)
 
 
+def test_predict_labels_each_subject_once(pipeline, capsys, monkeypatch):
+    cfg, _, _ = pipeline
+    looked_up = []
+    aliases_of = AliasTable.aliases_of
+    monkeypatch.setattr(AliasTable, "aliases_of",
+                        lambda self, entity: looked_up.append(entity) or aliases_of(self, entity))
+    assert main(["predict", "--config", str(cfg), "--lambda", "0.000001",
+                 "--question", "where was john smith born"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(looked_up) == len(set(looked_up)) < len(rows)
+    assert {row.rsplit(" [", 1)[1].split("]")[0] for row in rows} == set(looked_up)
+
+
 def test_predict_accepts_an_explicit_mention(pipeline, capsys):
     cfg, _, _ = pipeline
     rc = main(["predict", "--config", str(cfg), "--mention", "mary",
@@ -894,6 +907,61 @@ def test_backend_flag_is_gone(capsys, sub):
         main([sub, "--backend", "numpy"] + REQUIRED.get(sub, []))
     assert exc.value.code == 2
     assert "--backend" in capsys.readouterr().err
+
+
+def _parsed(parser, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of ``parser`` on ``argv``."""
+    try:
+        got = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr()
+    return got, out.out, out.err
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_one_subcommand_parser_reads_as_the_full_one(monkeypatch, capsys, sub):
+    """``build_parser(sub)`` gives the full parser's namespace, exit code and
+    text on every argument list that starts with ``sub``."""
+    monkeypatch.setenv("COLUMNS", "80")
+    required = REQUIRED.get(sub, [])
+    cases = [["-h"], ["--help"], [], ["--no-such-flag"], ["--seed"], ["--seed", "x"],
+             ["--workdir"], ["--lambda", "x"], ["--split", "bogus"], ["--split", "valid"],
+             ["extra"], ["--config"], ["--full", "x"]]
+    keys = [a.dest for a in next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices[sub]._actions if a.dest in KEYS]
+    for key in keys:
+        flag = key.replace("_", "-")
+        cases += [[f"--{flag}"], [f"--no-{flag}"], [f"--{flag}", "1"]]
+    assert len(keys) >= 2
+    for case in cases:
+        for argv in ([sub] + case, [sub] + case + required):
+            want = _parsed(build_parser(), argv, capsys)
+            assert _parsed(build_parser(sub), argv, capsys) == want, argv
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["predict", "--question", "q"], ["answer", "-h"],
+                                  ["-h"], ["bogus"], [], ["--", "stats"]])
+def test_main_builds_only_the_parser_it_runs(monkeypatch, capsys, argv):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    for sub in SUBCOMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + sub.replace("-", "_"), lambda args, cfg: 0)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert built == ([argv[0]] if argv and argv[0] in SUBCOMMANDS else list(SUBCOMMANDS))
+
+
+def test_main_runs_the_handler_bound_when_it_is_called(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_predict", lambda args, cfg: seen.append(args.question) or 5)
+    assert main(["predict", "--question", "who wrote it"]) == 5
+    assert seen == ["who wrote it"]
 
 
 # -- paths of the wrong kind ----------------------------------------------------
