@@ -16,7 +16,7 @@ BiGRU; a training pass records on one thread, the caller's.
 
 Loss: summed binary cross entropy over plausible positives and, per
 positive, a fresh sample of negatives drawn from the subject's non-plausible
-relations.
+relations.  Training runs through the tagger's epoch loop, :func:`optim.train_epochs`.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import Parameter, Rng, Tape, Tensor
+from .autodiff import Parameter, Rng, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import Vocabulary
 from .errors import ConfigError, ShapeError, require_positive, require_rate
 from .evaluation import evaluate
 from .kb import KnowledgeBase
-from .optim import Adam
+from .optim import Adam, train_epochs
 from .relabel import LabeledExample, negative_pool, sample_negatives
 
 VARIANTS = ("BiGRU", "KS-BiGRU", "KSA-BiGRU")
@@ -494,47 +494,27 @@ def train_model(model: KsaModel, train_examples: list[LabeledExample],
                 kb: KnowledgeBase, valid_examples: list[LabeledExample] | None = None,
                 log=None, target_f1: float | None = None) -> list[dict]:
     """Minibatch Adam on the summed BCE loss; keeps the best-validation state.
-
-    With ``target_f1`` set, training stops early once the validation macro
-    F1 reaches the target (the best state is still restored at the end).
-    """
+    Each epoch draws its negatives, then its permutation, then each step's
+    dropout and ``shuffle_augment``.  With ``target_f1`` set, training stops
+    once the validation macro F1 reaches it (the best state is restored)."""
     if not train_examples:
         raise ConfigError("model training set is empty")
     cfg = model.config
-    opt = Adam(model.parameters(), lr=cfg.lr)
     rng = Rng(cfg.seed + 1)
-    best_f1 = -1.0
-    best_state = None
-    history = []
-    for epoch in range(cfg.epochs):
-        unknown = [] if epoch == 0 and log else None
+
+    def batches(epoch):
+        unknown = [] if epoch == 1 and log else None
         items = build_training_items(model, train_examples, kb, rng, unknown)
         if unknown:
             log(f"{len(unknown)} training positives name a fact kb.npz does not hold "
                 f"(first: {unknown[0]}); rerun relabel if kb.npz changed")
         order = rng.permutation(len(items))
-        total = 0.0
-        for lo in range(0, len(items), cfg.batch_size):
-            batch = [items[int(i)] for i in order[lo : lo + cfg.batch_size]]
-            opt.zero_grad()
-            with Tape():
-                total += ad.backward(model.loss(batch, rng),
-                                     where=f"epoch {epoch + 1}, step {opt.step_count + 1}")
-            opt.step()
-        entry = {"epoch": epoch + 1, "train_loss": total}
-        if valid_examples:
-            f1 = valid_macro_f1(model, valid_examples, kb)
-            entry["valid_macro_f1"] = f1
-            if f1 > best_f1:
-                best_f1 = f1
-                best_state = opt.keep(into=best_state)
-        history.append(entry)
-        if log:
-            log(f"epoch {entry['epoch']}/{cfg.epochs} loss {total:.4f}"
-                + (f" valid_f1 {entry['valid_macro_f1']:.4f}" if valid_examples else ""))
-        if (target_f1 is not None and valid_examples
-                and entry["valid_macro_f1"] >= target_f1):
-            break
-    if best_state is not None:
-        opt.data[...] = best_state
-    return history
+        return ([items[int(i)] for i in order[lo : lo + cfg.batch_size]]
+                for lo in range(0, len(items), cfg.batch_size))
+
+    return train_epochs(
+        Adam(model.parameters(), lr=cfg.lr), cfg.epochs, batches,
+        lambda batch: model.loss(batch, rng), label="",
+        validate=(lambda: valid_macro_f1(model, valid_examples, kb)) if valid_examples else None,
+        score_key="valid_macro_f1", score_name="valid_f1",
+        stop=lambda f1, since_best: target_f1 is not None and f1 >= target_f1, log=log)

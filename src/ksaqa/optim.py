@@ -8,13 +8,15 @@ gradient into the bound view in place (:meth:`Tensor.accumulate`),
 :meth:`Adam.zero_grad` zeroes the gradient buffer, and :meth:`Adam.step`
 updates the whole arena in one kernel call, then refuses it if a value is NaN or Inf.
 :meth:`Adam.keep` copies the arena, which is every trained value.
+:func:`train_epochs` is the one epoch loop of the tagger and the predictor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter
+from . import autodiff as ad
+from .autodiff import Parameter, Tape
 from .errors import NonFiniteError
 from .kernels import adam_ops
 
@@ -70,3 +72,39 @@ class Adam:
         if not np.isfinite(self.data).all():
             bad = next(p.name for p in self.params if not np.isfinite(p.data).all())
             raise NonFiniteError(f"step {self.step_count} left parameter {bad} not finite")
+
+
+def train_epochs(opt: Adam, epochs: int, batches, loss, *, label: str, validate,
+                 score_key: str, score_name: str, stop, log) -> list[dict]:
+    """The history of ``epochs`` epochs of Adam steps on ``loss(batch)``, each
+    step on its own tape, over ``batches(epoch)``, which makes the epoch's
+    random draws.  Unless ``validate`` is None, the arena of each strictly
+    better ``validate()`` is kept, and restored at the end; training stops
+    after an epoch where ``stop(score, epochs since the best one)``.
+    ``label`` leads each divergence message and log line (``log``, or None)."""
+    best_score, best_epoch, best_state = -1.0, 0, None
+    history = []
+    for epoch in range(1, epochs + 1):
+        total = 0.0
+        for batch in batches(epoch):
+            opt.zero_grad()
+            with Tape():
+                total += ad.backward(loss(batch),
+                                     where=f"{label}epoch {epoch}, step {opt.step_count + 1}")
+            opt.step()
+        entry = {"epoch": epoch, "train_loss": total}
+        line = f"{label}epoch {epoch}/{epochs} loss {total:.4f}"
+        if validate:
+            score = entry[score_key] = validate()
+            line += f" {score_name} {score:.4f}"
+            if score > best_score:
+                best_score, best_epoch = score, epoch
+                best_state = opt.keep(into=best_state)
+        history.append(entry)
+        if log:
+            log(line)
+        if validate and stop(score, epoch - best_epoch):
+            break
+    if best_state is not None:
+        opt.data[...] = best_state
+    return history

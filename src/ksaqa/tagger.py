@@ -4,6 +4,7 @@ Tags are 0/1 per token, 1 inside the subject mention.  Training maximizes
 the CRF conditional log likelihood; decoding is Viterbi with ties broken
 toward label 0.  Mention extraction takes the longest run of 1s (leftmost on
 ties); an all-zero decode is a detection failure the caller must handle.
+Training runs through the predictor's epoch loop, :func:`optim.train_epochs`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import Parameter, Rng, Tape, Tensor
+from .autodiff import Parameter, Rng, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import FormattedQuestion, Vocabulary, span_to_formatted
 from .errors import ConfigError, require_positive, require_rate
 from .kernels import crf as crf_k
-from .optim import Adam
+from .optim import Adam, train_epochs
 
 
 # sentences per BiGRU pass and batched Viterbi in TaggerModel.decode_all
@@ -149,47 +150,20 @@ def span_accuracy(model: TaggerModel, pairs) -> float:
 
 def train_tagger(train_pairs, config: TaggerConfig, vocab: Vocabulary,
                  valid_pairs=None, log=None) -> tuple[TaggerModel, list[dict]]:
-    """Adam on negative CRF log likelihood, one question per step.
-
-    ``train_pairs`` is a list of (tokens, tags).  With a validation set,
-    the best-span-accuracy parameters are kept and training stops early
-    after ``patience`` epochs without improvement.
-    """
+    """Adam on negative CRF log likelihood, one question per step in a fresh
+    permutation each epoch.  ``train_pairs`` is a list of (tokens, tags).
+    With a validation set, the best-span-accuracy parameters are kept and
+    training stops once ``patience`` epochs have passed since the best one
+    (after the first validated epoch when ``patience`` ≤ 0)."""
     if not train_pairs:
         raise ConfigError("tagger training set is empty")
     model = TaggerModel(vocab, config)
-    opt = Adam(model.parameters(), lr=config.lr)
     rng = Rng(config.seed + 1)
-    best_acc = -1.0
-    best_state = None
-    stale = 0
-    history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train_pairs))
-        total = 0.0
-        for i in order:
-            tokens, tags = train_pairs[int(i)]
-            opt.zero_grad()
-            with Tape():
-                total += ad.backward(ad.scale(model.log_likelihood(tokens, tags), -1.0),
-                                     where=f"tagger epoch {epoch + 1}, step {opt.step_count + 1}")
-            opt.step()
-        entry = {"epoch": epoch + 1, "train_loss": total}
-        if valid_pairs:
-            acc = span_accuracy(model, valid_pairs)
-            entry["valid_span_accuracy"] = acc
-            if acc > best_acc:
-                best_acc = acc
-                best_state = opt.keep(into=best_state)
-                stale = 0
-            else:
-                stale += 1
-        history.append(entry)
-        if log:
-            log(f"tagger epoch {entry['epoch']}/{config.epochs} loss {total:.4f}"
-                + (f" valid_acc {entry['valid_span_accuracy']:.4f}" if valid_pairs else ""))
-        if valid_pairs and stale >= config.patience:
-            break
-    if best_state is not None:
-        opt.data[...] = best_state
+    history = train_epochs(
+        Adam(model.parameters(), lr=config.lr), config.epochs,
+        lambda epoch: (train_pairs[int(i)] for i in rng.permutation(len(train_pairs))),
+        lambda pair: ad.scale(model.log_likelihood(*pair), -1.0), label="tagger ",
+        validate=(lambda: span_accuracy(model, valid_pairs)) if valid_pairs else None,
+        score_key="valid_span_accuracy", score_name="valid_acc",
+        stop=lambda acc, since_best: since_best >= config.patience, log=log)
     return model, history

@@ -2,7 +2,12 @@
 replaced (``adam_oracle``): bit-equal parameters and moments after whole
 training runs of both trainers, the gradients bound to the arena, and the
 edge cases of one step: its tape size, and an update that leaves a parameter
-not finite."""
+not finite.  The one epoch loop against the two it replaced
+(``trainer_oracle``), and a scan that keeps it the only one."""
+
+import ast
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from ksaqa.optim import Adam
 from ksaqa.tagger import TaggerConfig, TaggerModel, tags_for_span, train_tagger
 
 import adam_oracle
+import trainer_oracle
 
 
 def _assert_same_state(opt, ref):
@@ -194,3 +200,152 @@ def test_adam_update_in_blocks_equals_the_whole_array_expressions(monkeypatch, b
         adam_oracle.adam_update(p2, g, m2, v2, step, 0.001, 0.9, 0.999, 1e-8)
         for a, b in ((p, p2), (m, m2), (v, v2)):
             assert np.array_equal(a, b)
+
+
+# -- the one epoch loop against the two it replaced ----------------------------
+
+
+def _scripted(scores):
+    """A validation scorer that returns ``scores`` in turn, whatever it is given."""
+    left = iter(scores)
+    return lambda *args, **kw: next(left)
+
+
+def _assert_same_run(monkeypatch, module, train, score_name=None, scores=None):
+    """Run ``train(module, log)`` and ``train(trainer_oracle, log)``, each with
+    its own scorer from ``scores`` when given, and compare the two runs: the
+    history, the logged lines, the step count, and the arena and both moments
+    bit for bit.  Returns the one loop's history and lines."""
+    runs = []
+    for mod in (module, trainer_oracle):
+        if scores is not None:
+            monkeypatch.setattr(mod, score_name, _scripted(scores))
+        lines = []
+        opt, result = _trained_with(monkeypatch, mod, Adam, lambda: train(mod, lines.append))
+        runs.append((opt, result[1] if isinstance(result, tuple) else result, lines))
+    (opt, history, lines), (ref, ref_history, ref_lines) = runs
+    assert opt.step_count == ref.step_count > 0
+    assert history == ref_history
+    assert lines == ref_lines
+    for a, b in ((opt.data, ref.data), (opt.m_flat, ref.m_flat), (opt.v_flat, ref.v_flat)):
+        assert np.array_equal(a, b)
+    return history, lines
+
+
+def _tagger_run(valid, **over):
+    pairs = []
+    for i in range(6):
+        tokens = ["what", "is"][: 1 + i % 2] + [f"zorg{i}"] + ["made", "of", "?"][: 1 + i % 3]
+        start = 1 + i % 2
+        pairs.append((tokens, tags_for_span(len(tokens), (start, start + 1))))
+    vocab = build_vocabulary([t for t, _ in pairs])
+    cfg = TaggerConfig(**{**dict(d_word=8, hidden=5, lr=0.02, epochs=4, seed=2), **over})
+    return lambda mod, log: mod.train_tagger(pairs, cfg, vocab,
+                                             valid_pairs=pairs[:3] if valid else None, log=log)
+
+
+def test_the_one_loop_trains_the_tagger_as_its_own_loop_did(monkeypatch):
+    history, lines = _assert_same_run(monkeypatch, tagger_mod, _tagger_run(False))
+    assert len(history) == 4 and lines[0].startswith("tagger epoch 1/4 loss ")
+
+
+def test_the_one_loop_stops_the_tagger_on_patience_as_its_own_loop_did(monkeypatch):
+    # the second epoch ties the first, and one epoch without a better score stops
+    history, _ = _assert_same_run(monkeypatch, tagger_mod, _tagger_run(True, patience=1),
+                                  "span_accuracy", [0.5, 0.5, 0.9, 0.9])
+    assert [h["valid_span_accuracy"] for h in history] == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("patience", [0, -2])
+def test_a_tagger_patience_of_zero_or_less_stops_after_the_first_epoch(monkeypatch, patience):
+    history, lines = _assert_same_run(monkeypatch, tagger_mod,
+                                      _tagger_run(True, patience=patience))
+    assert len(history) == 1 and " valid_acc " in lines[0]
+
+
+def _predictor_run(world, valid, target_f1=None, examples=None):
+    kb, vocab, world_examples = world
+    examples = world_examples if examples is None else examples
+    cfg = ModelConfig(d_word=10, d_rel=8, d_hidden=6, attention_hidden=5, dropout=0.3,
+                      shuffle_augment=True, epochs=3, batch_size=3, lr=0.01, seed=4)
+    return lambda mod, log: mod.train_model(
+        KsaModel(vocab, kb.relations, cfg), examples, kb,
+        valid_examples=world_examples[:4] if valid else None, log=log, target_f1=target_f1)
+
+
+@pytest.mark.parametrize("valid", [False, True])
+def test_the_one_loop_trains_the_predictor_as_its_own_loop_did(world, monkeypatch, valid):
+    history, lines = _assert_same_run(monkeypatch, model_mod, _predictor_run(world, valid))
+    assert len(history) == 3 and lines[0].startswith("epoch 1/3 loss ")
+    assert ("valid_macro_f1" in history[0]) == valid
+
+
+def test_the_one_loop_stops_the_predictor_on_its_target_as_its_own_loop_did(world,
+                                                                           monkeypatch):
+    history, _ = _assert_same_run(monkeypatch, model_mod,
+                                  _predictor_run(world, True, target_f1=0.5),
+                                  "valid_macro_f1", [0.2, 0.6, 0.9])
+    assert [h["valid_macro_f1"] for h in history] == [0.2, 0.6]
+
+
+def test_a_stale_split_is_named_on_the_first_epoch_only(world, monkeypatch):
+    """One positive names a relation the subject lacks in the KB, another a
+    relation the KB does not hold at all: the first is still scored, the
+    second scores nothing, and one line before the first epoch's names both."""
+    kb = world[0]
+    ex = world[2][0]
+    s = sorted(ex.positives)[0][0]
+    lacks = next(r for r in kb.relations if not kb.has_fact(kb.entity_id(s), kb.relation_id(r)))
+    stale = replace(ex, positives=ex.positives | {(s, lacks), (s, "no/such/relation")})
+    _, lines = _assert_same_run(monkeypatch, model_mod,
+                                _predictor_run(world, False, examples=[stale, *world[2][1:]]))
+    named = [line for line in lines if "kb.npz" in line]
+    assert len(named) == 1 and lines[0] == named[0] and named[0].startswith("2 training ")
+
+
+# -- one loop: no other tape or backward in src/ --------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ksaqa"
+# (module, function) of each place that may open a tape or call backward
+TAPE_OWNERS = {("optim.py", "train_epochs"), ("autodiff.py", "grad_check")}
+
+
+def _tapes_and_backwards(tree):
+    """(function, line) of each ``Tape(...)`` and ``backward(...)`` call in
+    ``tree``, by bare or dotted name; the function is the innermost ``def``
+    around the call, or None at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("Tape", "backward"):
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_one_loop_and_grad_check_open_a_tape_or_call_backward():
+    seen = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for function, line in _tapes_and_backwards(ast.parse(path.read_text(encoding="utf-8"))):
+            assert (path.name, function) in TAPE_OWNERS, f"{path.name}:{line} in {function}"
+            seen.add((path.name, function))
+    assert seen == TAPE_OWNERS
+
+
+@pytest.mark.parametrize("code,found", [
+    ("def f():\n    with Tape():\n        ad.backward(x)", [("f", 2), ("f", 3)]),
+    ("with ad.Tape() as t:\n    backward(loss, where=w)", [(None, 1), (None, 2)]),
+    ("def f():\n    def g():\n        backward(x)\n    Tape()", [("g", 3), ("f", 4)]),
+    ("gru_k.gru_backward(d)\nt = Tape\nx.backward", []),
+])
+def test_the_scan_finds_tapes_and_backwards(code, found):
+    assert sorted(_tapes_and_backwards(ast.parse(code)), key=lambda f: f[1]) == found
